@@ -13,8 +13,9 @@ import cmath
 import math
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
+
+import numpy as np
 
 from .analysis import (
     CHSH_OPTIMAL,
@@ -23,10 +24,13 @@ from .analysis import (
     correlation,
     marginals,
 )
-from .montecarlo import bell_experiment, estimate_correlation, sample_events
+from .montecarlo import bell_experiment, estimate_outcomes, sample_outcomes
 from .optics import OUTCOMES, PhaseSettings, Visibility, joint_distribution
 from .premeasure import correlation_report, premeasure
 from .rng import derive_seed
+
+# JSONL lines formatted and written per call in `sample`
+_SAMPLE_CHUNK = 1 << 16
 
 
 class UsageError(Exception):
@@ -102,16 +106,6 @@ def _open_output(path: str | None):
             yield handle
 
 
-@contextmanager
-def _mapper(threads: int):
-    """Order-preserving map, backed by a thread pool when threads > 1."""
-    if threads <= 1:
-        yield map
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as executor:
-            yield executor.map
-
-
 def _visibility(args) -> Visibility:
     try:
         return Visibility(args.visibility)
@@ -137,7 +131,7 @@ def _sweep_row(delta: float, vis: Visibility, mc: tuple[int, int] | None, index:
     fields += [m.a_plus, m.b_plus]
     if mc is not None:
         n, seed = mc
-        est = estimate_correlation(sample_events(j, n, derive_seed(seed, index)))
+        est = estimate_outcomes(sample_outcomes(j, n, derive_seed(seed, index)))
         fields += [est.estimate, est.stderr]
     return ",".join(_fmt(x) for x in fields)
 
@@ -159,13 +153,7 @@ def cmd_sweep(args) -> int:
     header = "delta,E_exact,p_pp,p_pm,p_mp,p_mm,pA_plus,pB_plus"
     if mc is not None:
         header += ",E_hat,stderr"
-
-    def row(index_delta):
-        index, delta = index_delta
-        return _sweep_row(delta, vis, mc, index)
-
-    with _mapper(args.threads) as mapped:
-        rows = list(mapped(row, enumerate(grid)))
+    rows = [_sweep_row(delta, vis, mc, index) for index, delta in enumerate(grid)]
     with _open_output(args.output) as out:
         out.write(header + "\n")
         for line in rows:
@@ -205,10 +193,7 @@ def cmd_bell(args) -> int:
         raise UsageError("biphoton bell: error: --samples must be >= 2")
 
     s_exact = chsh(settings, vis)
-    with _mapper(args.threads) as mapped:
-        sampled = bell_experiment(
-            settings, vis, args.samples, args.seed, map_fn=mapped
-        )
+    sampled = bell_experiment(settings, vis, args.samples, args.seed)
     report = {
         "angles": {
             "a": settings.a,
@@ -271,24 +256,26 @@ def cmd_sample(args) -> int:
         raise UsageError("biphoton sample: error: --samples must be >= 1")
     settings = PhaseSettings(args.phi_a, args.phi_b)
     j = joint_distribution(settings, vis)
-    # A single event stream is always generated sequentially; --threads is
-    # accepted for interface uniformity but cannot affect the stream.
-    events = sample_events(j, args.samples, args.seed)
+    idx = sample_outcomes(j, args.samples, args.seed)
     pa, pb = _fmt(settings.phi_a), _fmt(settings.phi_b)
+    # Each line is '{"trial": ' + trial + the rest of the line for its outcome.
+    rests = [
+        f', "phi_a": {pa}, "phi_b": {pb}, "a": "{a}", "b": "{b}"}}\n'
+        for a, b in OUTCOMES
+    ]
     with _open_output(args.output) as out:
-        for e in events:
-            out.write(
-                f'{{"trial": {e.trial}, "phi_a": {pa}, "phi_b": {pb}, '
-                f'"a": "{e.outcome_a}", "b": "{e.outcome_b}"}}\n'
-            )
-    counts = {pair: 0 for pair in OUTCOMES}
-    for e in events:
-        counts[(e.outcome_a, e.outcome_b)] += 1
-    summary = "  ".join(f"{a}{b}: {counts[(a, b)]}" for a, b in OUTCOMES)
-    if len(events) >= 2:
-        est = estimate_correlation(events)
+        for start in range(0, len(idx), _SAMPLE_CHUNK):
+            chunk = idx[start:start + _SAMPLE_CHUNK].tolist()
+            out.write("".join([
+                f'{{"trial": {trial}{rests[k]}'
+                for trial, k in enumerate(chunk, start)
+            ]))
+    counts = np.bincount(idx, minlength=len(OUTCOMES))
+    summary = "  ".join(f"{a}{b}: {c}" for (a, b), c in zip(OUTCOMES, counts))
+    if len(idx) >= 2:
+        est = estimate_outcomes(idx)
         summary += f"  E_hat = {_fmt(est.estimate)} +- {_fmt(est.stderr)}"
-    print(f"sampled {len(events)} events  {summary}", file=sys.stderr)
+    print(f"sampled {len(idx)} events  {summary}", file=sys.stderr)
     return 0
 
 
@@ -299,10 +286,21 @@ def _add_output_flag(parser):
     )
 
 
+def _threads(text: str) -> int:
+    try:
+        k = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if k < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {k}")
+    return k
+
+
 def _add_threads_flag(parser):
     parser.add_argument(
-        "--threads", type=int, default=1, metavar="K",
-        help="worker threads for multi-setting evaluation (results identical for any K)",
+        "--threads", type=_threads, default=1, metavar="K",
+        help="accepted for compatibility; every computation runs in one thread "
+        "and results do not depend on K (K >= 1)",
     )
 
 

@@ -7,6 +7,11 @@ the splitmix64 stream, so a (distribution, n, seed) triple fixes the event
 stream bit-for-bit. Multi-setting runs give each setting its own sub-seeded
 stream (``rng.derive_seed``), which makes results independent of whether
 settings are sampled sequentially or concurrently.
+
+The core, ``sample_outcomes``, returns the outcomes as a uint8 index array
+into OUTCOMES, and ``estimate_outcomes`` reads that array directly.
+``sample_events`` and ``estimate_correlation`` give the same stream and the
+same numbers one EventRecord per trial.
 """
 
 from __future__ import annotations
@@ -44,36 +49,51 @@ class EstimatorResult:
             raise ValueError(f"sample count must be >= 1, got {self.n!r}")
 
 
-def sample_events(j: JointDistribution, n: int, seed: int) -> list[EventRecord]:
-    """n i.i.d. coincidence events drawn from the joint table.
+def sample_outcomes(j: JointDistribution, n: int, seed: int) -> np.ndarray:
+    """n i.i.d. outcome indices into OUTCOMES, drawn from the joint table.
 
-    Deterministic in (j, n, seed); trial indices run 0..n-1.
+    Deterministic in (j, n, seed); entry i is trial i, as a uint8 in 0..3.
     """
     if n < 1:
         raise ValueError(f"need at least one event, got n = {n}")
     cdf = np.cumsum([j.probs[pair] for pair in OUTCOMES])
     u = SplitMix64(seed).doubles(n)
-    idx = np.minimum(np.searchsorted(cdf, u, side="right"), 3)
+    return np.minimum(np.searchsorted(cdf, u, side="right"), 3).astype(np.uint8)
+
+
+# +-1 outcome product of each index into OUTCOMES
+_SCORES = np.array([1.0, -1.0, -1.0, 1.0])
+_INDEX = {pair: k for k, pair in enumerate(OUTCOMES)}
+
+
+def estimate_outcomes(idx: np.ndarray) -> EstimatorResult:
+    """Sample mean and standard error of the +-1 outcome product."""
+    n = len(idx)
+    if n < 2:
+        raise ValueError(f"correlation estimate needs n >= 2 events, got {n}")
+    scores = _SCORES[idx]
+    estimate = float(scores.mean())
+    stderr = float(scores.std(ddof=1) / math.sqrt(n))
+    return EstimatorResult(estimate=estimate, stderr=stderr, n=n)
+
+
+def sample_events(j: JointDistribution, n: int, seed: int) -> list[EventRecord]:
+    """sample_outcomes as EventRecords; trial indices run 0..n-1."""
     settings = j.settings
     return [
-        EventRecord(trial, settings, OUTCOMES[k][0], OUTCOMES[k][1])
-        for trial, k in enumerate(idx)
+        EventRecord(trial, settings, *OUTCOMES[k])
+        for trial, k in enumerate(sample_outcomes(j, n, seed).tolist())
     ]
 
 
 def estimate_correlation(events: list[EventRecord]) -> EstimatorResult:
-    """Sample mean and standard error of the +-1 outcome product."""
-    n = len(events)
-    if n < 2:
-        raise ValueError(f"correlation estimate needs n >= 2 events, got {n}")
-    scores = np.fromiter(
-        (1.0 if e.outcome_a == e.outcome_b else -1.0 for e in events),
-        dtype=np.float64,
-        count=n,
+    """estimate_outcomes over a list of EventRecords."""
+    idx = np.fromiter(
+        (_INDEX[(e.outcome_a, e.outcome_b)] for e in events),
+        dtype=np.uint8,
+        count=len(events),
     )
-    estimate = float(scores.mean())
-    stderr = float(scores.std(ddof=1) / math.sqrt(n))
-    return EstimatorResult(estimate=estimate, stderr=stderr, n=n)
+    return estimate_outcomes(idx)
 
 
 def bell_experiment(
@@ -96,8 +116,8 @@ def bell_experiment(
     def estimate_one(indexed) -> EstimatorResult:
         k, settings = indexed
         j = joint_distribution(settings, vis)
-        return estimate_correlation(
-            sample_events(j, n_per_setting, derive_seed(seed, k))
+        return estimate_outcomes(
+            sample_outcomes(j, n_per_setting, derive_seed(seed, k))
         )
 
     results = list(map_fn(estimate_one, enumerate(chsh_setting_pairs(s))))

@@ -119,6 +119,16 @@ def test_sweep_threads_do_not_change_output(capsys):
     assert out1 == out4
 
 
+@pytest.mark.parametrize("command", ["sweep", "bell", "sample"])
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_one_is_usage_error(capsys, command, threads):
+    extra = ["--optimal"] if command == "bell" else []
+    code, out, err = run_cli(capsys, command, *extra, f"--threads={threads}")
+    assert code == 2
+    assert out == ""
+    assert err == f"biphoton {command}: error: argument --threads: must be >= 1, got {threads}\n"
+
+
 # ---------------------------------------------------------------------------
 # bell
 

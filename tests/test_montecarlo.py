@@ -10,7 +10,9 @@ from biphoton.montecarlo import (
     EstimatorResult,
     bell_experiment,
     estimate_correlation,
+    estimate_outcomes,
     sample_events,
+    sample_outcomes,
 )
 from biphoton.optics import (
     OUTCOMES,
@@ -124,6 +126,61 @@ def test_uniform_table_frequencies():
     assert band < 0.002
     for pair in OUTCOMES:
         assert abs(counts[pair] / 1_000_000 - 0.25) < 0.002
+
+
+# ---------------------------------------------------------------------------
+# array core against the per-event views
+
+
+@given(
+    st.floats(-10.0, 10.0),
+    st.floats(-10.0, 10.0),
+    st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
+    st.integers(2, 50_000),
+    st.integers(0, 2**64 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_outcome_array_equals_event_records(phi_a, phi_b, v, n, seed):
+    j = joint_distribution(PhaseSettings(phi_a, phi_b), Visibility(v))
+    idx = sample_outcomes(j, n, seed)
+    events = sample_events(j, n, seed)
+    assert idx.dtype == np.uint8
+    assert [OUTCOMES[k] for k in idx] == [(e.outcome_a, e.outcome_b) for e in events]
+    from_array, from_events = estimate_outcomes(idx), estimate_correlation(events)
+    assert from_array.estimate == from_events.estimate
+    assert from_array.stderr == from_events.stderr
+    assert from_array.n == from_events.n == n
+
+
+@given(
+    st.floats(-10.0, 10.0),
+    st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
+    st.integers(1, 300),
+    st.integers(0, 2**64 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_outcome_array_matches_scalar_inverse_cdf(delta, v, n, seed):
+    j = table_at(delta, v)
+    cdf, total = [], 0.0
+    for pair in OUTCOMES:
+        total += j.probs[pair]
+        cdf.append(total)
+    gen = SplitMix64(seed)
+    expected = []
+    for _ in range(n):
+        u = gen.next_double()
+        expected.append(min(sum(c <= u for c in cdf), 3))
+    assert sample_outcomes(j, n, seed).tolist() == expected
+
+
+def test_outcome_array_rejects_zero_events():
+    with pytest.raises(ValueError, match="at least one"):
+        sample_outcomes(table_at(0, 1), 0, 1)
+
+
+def test_outcome_estimate_requires_two_events():
+    with pytest.raises(ValueError, match="n >= 2"):
+        estimate_outcomes(sample_outcomes(table_at(0.0, 1.0), 1, 5))
 
 
 # ---------------------------------------------------------------------------
