@@ -29,7 +29,8 @@ from .optics import OUTCOMES, PhaseSettings, Visibility, joint_distribution
 from .premeasure import correlation_report, premeasure
 from .rng import derive_seed
 
-# JSONL lines formatted and written per call in `sample`
+# JSONL lines `sample` formats per write; bounds the text held at once
+# (about 4 MB) whatever --samples is
 _SAMPLE_CHUNK = 1 << 16
 
 
@@ -286,21 +287,10 @@ def _add_output_flag(parser):
     )
 
 
-def _threads(text: str) -> int:
-    try:
-        k = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if k < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {k}")
-    return k
-
-
 def _add_threads_flag(parser):
     parser.add_argument(
-        "--threads", type=_threads, default=1, metavar="K",
-        help="accepted for compatibility; every computation runs in one thread "
-        "and results do not depend on K (K >= 1)",
+        "--threads", type=int, default=1, metavar="K",
+        help="accepted for compatibility; results do not depend on it (K >= 1)",
     )
 
 
@@ -377,6 +367,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "threads", 1) < 1:
+            raise UsageError(
+                f"biphoton {args.command}: error: --threads must be >= 1, got {args.threads}"
+            )
         return args.handler(args)
     except UsageError as exc:
         print(exc, file=sys.stderr)

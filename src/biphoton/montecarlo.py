@@ -63,7 +63,6 @@ def sample_outcomes(j: JointDistribution, n: int, seed: int) -> np.ndarray:
 
 # +-1 outcome product of each index into OUTCOMES
 _SCORES = np.array([1.0, -1.0, -1.0, 1.0])
-_INDEX = {pair: k for k, pair in enumerate(OUTCOMES)}
 
 
 def estimate_outcomes(idx: np.ndarray) -> EstimatorResult:
@@ -88,12 +87,14 @@ def sample_events(j: JointDistribution, n: int, seed: int) -> list[EventRecord]:
 
 def estimate_correlation(events: list[EventRecord]) -> EstimatorResult:
     """estimate_outcomes over a list of EventRecords."""
-    idx = np.fromiter(
-        (_INDEX[(e.outcome_a, e.outcome_b)] for e in events),
+    # Index 0, (+,+), scores +1 and index 1, (+,-), scores -1, so the
+    # mismatch flag of each event stands in for its full outcome index.
+    mismatch = np.fromiter(
+        (e.outcome_a != e.outcome_b for e in events),
         dtype=np.uint8,
         count=len(events),
     )
-    return estimate_outcomes(idx)
+    return estimate_outcomes(mismatch)
 
 
 def bell_experiment(

@@ -126,7 +126,7 @@ def test_threads_below_one_is_usage_error(capsys, command, threads):
     code, out, err = run_cli(capsys, command, *extra, f"--threads={threads}")
     assert code == 2
     assert out == ""
-    assert err == f"biphoton {command}: error: argument --threads: must be >= 1, got {threads}\n"
+    assert err == f"biphoton {command}: error: --threads must be >= 1, got {threads}\n"
 
 
 # ---------------------------------------------------------------------------

@@ -104,6 +104,8 @@ def test_sampling_is_deterministic():
 def test_sampling_rejects_zero_events():
     with pytest.raises(ValueError, match="at least one"):
         sample_events(table_at(0, 1), 0, 1)
+    with pytest.raises(ValueError, match="at least one"):
+        sample_outcomes(table_at(0, 1), 0, 1)
 
 
 def test_trial_indices_strictly_increase():
@@ -173,16 +175,6 @@ def test_outcome_array_matches_scalar_inverse_cdf(delta, v, n, seed):
     assert sample_outcomes(j, n, seed).tolist() == expected
 
 
-def test_outcome_array_rejects_zero_events():
-    with pytest.raises(ValueError, match="at least one"):
-        sample_outcomes(table_at(0, 1), 0, 1)
-
-
-def test_outcome_estimate_requires_two_events():
-    with pytest.raises(ValueError, match="n >= 2"):
-        estimate_outcomes(sample_outcomes(table_at(0.0, 1.0), 1, 5))
-
-
 # ---------------------------------------------------------------------------
 # correlation estimator
 
@@ -197,6 +189,8 @@ def test_estimate_requires_two_events():
     events = sample_events(table_at(0.0, 1.0), 1, 5)
     with pytest.raises(ValueError, match="n >= 2"):
         estimate_correlation(events)
+    with pytest.raises(ValueError, match="n >= 2"):
+        estimate_outcomes(sample_outcomes(table_at(0.0, 1.0), 1, 5))
 
 
 def test_estimate_at_zero_correlation():
