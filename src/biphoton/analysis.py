@@ -17,7 +17,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .linalg import DensityMatrix
-from .optics import JointDistribution, PhaseSettings, Visibility, joint_distribution
+from .optics import JointDistribution, PhaseSettings, Visibility, joint_tables
 
 
 class Marginals(NamedTuple):
@@ -27,36 +27,43 @@ class Marginals(NamedTuple):
     b_minus: float
 
 
+# The singles and E of a joint table, from its four outcome probabilities in
+# OUTCOMES order; each may be a float or an array over settings.
+def _marginals(pp, pm, mp, mm) -> Marginals:
+    return Marginals(a_plus=pp + pm, a_minus=mp + mm, b_plus=pp + mp, b_minus=pm + mm)
+
+
+def _correlation(pp, pm, mp, mm):
+    return pp + mm - pm - mp
+
+
 def marginals(j: JointDistribution) -> Marginals:
     """Single-detector probabilities (row/column sums of the joint table)."""
-    p = j.probs
-    return Marginals(
-        a_plus=p[("+", "+")] + p[("+", "-")],
-        a_minus=p[("-", "+")] + p[("-", "-")],
-        b_plus=p[("+", "+")] + p[("-", "+")],
-        b_minus=p[("+", "-")] + p[("-", "-")],
-    )
+    return _marginals(*j.probs.values())
 
 
 def correlation(j: JointDistribution) -> float:
     """Expectation of the +-1 outcome product: p(same) - p(opposite)."""
-    p = j.probs
-    return p[("+", "+")] + p[("-", "-")] - p[("+", "-")] - p[("-", "+")]
+    return _correlation(*j.probs.values())
 
 
 @dataclass(frozen=True, eq=False)
 class SweepResult:
-    """Exact correlation and singles over a grid of phase differences."""
+    """Exact correlation and singles over a grid of phase differences, and
+    the joint tables they were read from (shape (4, n), as joint_tables)."""
 
     delta_grid: tuple[float, ...]
     correlations: tuple[float, ...]
     singles: tuple[Marginals, ...]
     visibility_used: Visibility
+    tables: np.ndarray
 
     def __post_init__(self):
         n = len(self.delta_grid)
         if len(self.correlations) != n or len(self.singles) != n:
             raise ValueError("grid and value lists must have equal length")
+        if self.tables.shape != (4, n):
+            raise ValueError(f"need a (4, {n}) table array, got {self.tables.shape}")
         if any(not -1.0 <= e <= 1.0 for e in self.correlations):
             raise ValueError("correlation outside [-1, 1]")
         if any(not 0.0 <= p <= 1.0 for m in self.singles for p in m):
@@ -67,17 +74,14 @@ def sweep_correlation(grid: Sequence[float], vis: Visibility) -> SweepResult:
     """Evaluate E and the four singles at phi_a = delta, phi_b = 0 per point."""
     if len(grid) == 0:
         raise ValueError("sweep grid must be non-empty")
-    correlations = []
-    singles = []
-    for delta in grid:
-        j = joint_distribution(PhaseSettings(delta, 0.0), vis)
-        correlations.append(correlation(j))
-        singles.append(marginals(j))
+    deltas = np.asarray(grid, dtype=float)
+    tables = joint_tables(deltas, 0.0, vis)
     return SweepResult(
-        delta_grid=tuple(float(d) for d in grid),
-        correlations=tuple(correlations),
-        singles=tuple(singles),
+        delta_grid=tuple(deltas.tolist()),
+        correlations=tuple(_correlation(*tables).tolist()),
+        singles=tuple(map(Marginals._make, np.transpose(_marginals(*tables)).tolist())),
         visibility_used=vis,
+        tables=tables,
     )
 
 
@@ -106,14 +110,14 @@ class ChshSettings:
 CHSH_OPTIMAL = ChshSettings(0.0, math.pi / 2, math.pi / 4, -math.pi / 4)
 
 
+def _chsh_angles(s: ChshSettings) -> tuple[list[float], list[float]]:
+    """phi_a and phi_b of the four pairs, in the order of chsh_setting_pairs."""
+    return [s.a, s.a, s.a_prime, s.a_prime], [s.b, s.b_prime, s.b, s.b_prime]
+
+
 def chsh_setting_pairs(s: ChshSettings) -> tuple[PhaseSettings, ...]:
     """The four (phi_a, phi_b) pairs, in the fixed order (a,b), (a,b'), (a',b), (a',b')."""
-    return (
-        PhaseSettings(s.a, s.b),
-        PhaseSettings(s.a, s.b_prime),
-        PhaseSettings(s.a_prime, s.b),
-        PhaseSettings(s.a_prime, s.b_prime),
-    )
+    return tuple(map(PhaseSettings, *_chsh_angles(s)))
 
 
 def chsh(s: ChshSettings, vis: Visibility) -> float:
@@ -122,7 +126,7 @@ def chsh(s: ChshSettings, vis: Visibility) -> float:
     Local-realistic models obey |S| <= 2; this instrument reaches
     2 sqrt2 * v, so S exceeds 2 exactly when v > 1/sqrt2.
     """
-    e = [correlation(joint_distribution(p, vis)) for p in chsh_setting_pairs(s)]
+    e = _correlation(*joint_tables(*_chsh_angles(s), vis)).tolist()
     return e[0] + e[1] + e[2] - e[3]
 
 
@@ -150,10 +154,8 @@ def no_signaling_check(
     """
     if len(phi_b_grid) == 0:
         raise ValueError("no-signaling scan needs a non-empty grid")
-    worst = 0.0
-    for phi in phi_b_grid:
-        m_a = marginals(joint_distribution(PhaseSettings(phi_a, phi), vis))
-        worst = max(worst, abs(m_a.a_plus - 0.5))
-        m_b = marginals(joint_distribution(PhaseSettings(phi, phi_a), vis))
-        worst = max(worst, abs(m_b.b_plus - 0.5))
-    return worst
+    scan = np.asarray(phi_b_grid, dtype=float)
+    fixed = np.full_like(scan, phi_a)
+    # Row 0 scans B's setting under fixed A, row 1 scans A's under fixed B.
+    m = _marginals(*joint_tables(np.array([fixed, scan]), np.array([scan, fixed]), vis))
+    return float(np.abs(np.array([m.a_plus[0], m.b_plus[1]]) - 0.5).max())

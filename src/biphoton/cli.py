@@ -11,27 +11,25 @@ from __future__ import annotations
 import argparse
 import cmath
 import math
+import os
 import re
 import sys
 from contextlib import contextmanager
 
 import numpy as np
 
-from .analysis import (
-    CHSH_OPTIMAL,
-    ChshSettings,
-    chsh,
-    correlation,
-    marginals,
-)
+from .analysis import CHSH_OPTIMAL, ChshSettings, chsh, sweep_correlation
 from .montecarlo import bell_experiment, estimate_outcomes, sample_outcomes
-from .optics import OUTCOMES, PhaseSettings, Visibility, joint_distribution
+from .optics import OUTCOMES, JointDistribution, PhaseSettings, Visibility, joint_distribution
 from .premeasure import correlation_report, premeasure
 from .rng import derive_seed
 
 # JSONL lines `sample` formats per write; bounds the text held at once
 # (about 4 MB) whatever --samples is
 _SAMPLE_CHUNK = 1 << 16
+# Grid points `sweep` and `marginals` tabulate at a time; bounds the rows
+# held at once (well under 1 MB) whatever --steps is
+_GRID_CHUNK = 1 << 10
 
 
 class UsageError(Exception):
@@ -53,19 +51,23 @@ _PI_EXPR = re.compile(
 def parse_angle(text: str) -> float:
     """Radians from a decimal or a pi-expression like pi, -pi/4, 3pi/2, 0.5*pi."""
     m = _PI_EXPR.match(text)
-    if m:
-        coef = float(m.group("coef")) if m.group("coef") else 1.0
-        if m.group("div"):
-            coef /= float(m.group("div"))
-        if m.group("sign") == "-":
-            coef = -coef
-        return coef * math.pi
     try:
-        return float(text)
-    except ValueError:
+        if m:
+            coef = float(m.group("coef")) if m.group("coef") else 1.0
+            if m.group("div"):
+                coef /= float(m.group("div"))
+            if m.group("sign") == "-":
+                coef = -coef
+            angle = coef * math.pi
+        else:
+            angle = float(text)
+    except (ValueError, ZeroDivisionError):
         raise ValueError(
             f"invalid angle {text!r}; use radians or a pi-expression like pi/4"
         ) from None
+    if not math.isfinite(angle):
+        raise ValueError(f"angle must be finite, got {text!r}")
+    return angle
 
 
 def _fmt(x: float) -> str:
@@ -114,27 +116,20 @@ def _visibility(args) -> Visibility:
         raise UsageError(f"biphoton {args.command}: error: {exc}") from None
 
 
-def _grid(args) -> list[float]:
+def _grid(args) -> np.ndarray:
     if args.steps < 2:
         raise UsageError(
             f"biphoton {args.command}: error: --steps must be >= 2, got {args.steps}"
         )
     lo, hi = args.delta_min, args.delta_max
     step = (hi - lo) / (args.steps - 1)
-    return [lo + i * step for i in range(args.steps)]
-
-
-def _sweep_row(delta: float, vis: Visibility, mc: tuple[int, int] | None, index: int):
-    j = joint_distribution(PhaseSettings(delta, 0.0), vis)
-    m = marginals(j)
-    fields = [delta, correlation(j)]
-    fields += [j.probs[pair] for pair in OUTCOMES]
-    fields += [m.a_plus, m.b_plus]
-    if mc is not None:
-        n, seed = mc
-        est = estimate_outcomes(sample_outcomes(j, n, derive_seed(seed, index)))
-        fields += [est.estimate, est.stderr]
-    return ",".join(_fmt(x) for x in fields)
+    # The grid is monotonic, so its last point is finite only if every one is.
+    if not math.isfinite(lo + (args.steps - 1) * step):
+        raise UsageError(
+            f"biphoton {args.command}: error: grid from {_fmt(lo)} to {_fmt(hi)} "
+            f"in {args.steps} steps overflows"
+        )
+    return lo + np.arange(args.steps) * step
 
 
 def cmd_sweep(args) -> int:
@@ -154,11 +149,20 @@ def cmd_sweep(args) -> int:
     header = "delta,E_exact,p_pp,p_pm,p_mp,p_mm,pA_plus,pB_plus"
     if mc is not None:
         header += ",E_hat,stderr"
-    rows = [_sweep_row(delta, vis, mc, index) for index, delta in enumerate(grid)]
     with _open_output(args.output) as out:
         out.write(header + "\n")
-        for line in rows:
-            out.write(line + "\n")
+        for start in range(0, len(grid), _GRID_CHUNK):
+            result = sweep_correlation(grid[start:start + _GRID_CHUNK], vis)
+            for index, (delta, e, probs, m) in enumerate(zip(
+                result.delta_grid, result.correlations, result.tables.T.tolist(), result.singles
+            ), start):
+                fields = [delta, e, *probs, m.a_plus, m.b_plus]
+                if mc is not None:
+                    n, seed = mc
+                    j = JointDistribution(PhaseSettings(delta, 0.0), dict(zip(OUTCOMES, probs)))
+                    est = estimate_outcomes(sample_outcomes(j, n, derive_seed(seed, index)))
+                    fields += [est.estimate, est.stderr]
+                out.write(",".join(_fmt(x) for x in fields) + "\n")
     return 0
 
 
@@ -167,9 +171,10 @@ def cmd_marginals(args) -> int:
     grid = _grid(args)
     with _open_output(args.output) as out:
         out.write("delta,pA_plus,pA_minus,pB_plus,pB_minus\n")
-        for delta in grid:
-            m = marginals(joint_distribution(PhaseSettings(delta, 0.0), vis))
-            out.write(",".join(_fmt(x) for x in (delta, *m)) + "\n")
+        for start in range(0, len(grid), _GRID_CHUNK):
+            result = sweep_correlation(grid[start:start + _GRID_CHUNK], vis)
+            for delta, m in zip(result.delta_grid, result.singles):
+                out.write(",".join(_fmt(x) for x in (delta, *m)) + "\n")
     return 0
 
 
@@ -371,10 +376,17 @@ def main(argv: list[str] | None = None) -> int:
             raise UsageError(
                 f"biphoton {args.command}: error: --threads must be >= 1, got {args.threads}"
             )
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
     except UsageError as exc:
         print(exc, file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader closed early (`| head`): stop quietly, and point stdout
+        # at devnull so the flush at interpreter exit has nowhere to fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except OSError as exc:
         print(f"biphoton: i/o error: {exc}", file=sys.stderr)
         return 1

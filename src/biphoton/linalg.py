@@ -11,7 +11,6 @@ function, so everything here is safe to share across threads.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,11 +41,6 @@ def format_space(space: Space) -> str:
     return "x".join("[" + ",".join(factor) + "]" for factor in space)
 
 
-def basis_labels(space: Space) -> list[tuple[str, ...]]:
-    """Composite basis labels, lexicographic in declared factor order."""
-    return list(itertools.product(*space))
-
-
 def _checked_complex(values, what: str) -> np.ndarray:
     arr = np.asarray(values, dtype=complex)
     if not np.all(np.isfinite(arr)):
@@ -75,10 +69,6 @@ class StateVector:
         amps.setflags(write=False)
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "amplitudes", amps)
-
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.size
 
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
@@ -125,10 +115,6 @@ class DensityMatrix:
         mat.setflags(write=False)
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "entries", mat)
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
 
     def to_json_dict(self) -> dict:
         return {
@@ -184,11 +170,6 @@ def ket(space, *labels: str) -> StateVector:
     amps = np.zeros(space_dim(space), dtype=complex)
     amps[index] = 1.0
     return StateVector(space, amps)
-
-
-def identity(space) -> Operator:
-    space = as_space(space)
-    return Operator(space, space, np.eye(space_dim(space), dtype=complex))
 
 
 def tensor(u: StateVector, v: StateVector) -> StateVector:

@@ -5,8 +5,7 @@ loss is folded into the visibility upstream). Draws are inverse-CDF over
 the four outcomes in the canonical order (+,+), (+,-), (-,+), (-,-) using
 the splitmix64 stream, so a (distribution, n, seed) triple fixes the event
 stream bit-for-bit. Multi-setting runs give each setting its own sub-seeded
-stream (``rng.derive_seed``), which makes results independent of whether
-settings are sampled sequentially or concurrently.
+stream (``rng.derive_seed``), so no setting's events depend on another's.
 
 The core, ``sample_outcomes``, returns the outcomes as a uint8 index array
 into OUTCOMES, and ``estimate_outcomes`` reads that array directly.
@@ -22,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import ChshSettings, chsh_setting_pairs
-from .optics import OUTCOMES, JointDistribution, PhaseSettings, Visibility, joint_distribution
+from .optics import OUTCOMES, JointDistribution, PhaseSettings, Visibility, joint_tables
 from .rng import SplitMix64, derive_seed
 
 
@@ -102,26 +101,25 @@ def bell_experiment(
     vis: Visibility,
     n_per_setting: int,
     seed: int,
-    map_fn=map,
 ) -> EstimatorResult:
     """Sampled CHSH value S = E1 + E2 + E3 - E4 with propagated standard error.
 
     Setting k of the fixed order (a,b), (a,b'), (a',b), (a',b') is sampled
-    from its own stream seeded with derive_seed(seed, k), so any map_fn that
-    preserves argument order (the builtin, or an executor's) gives identical
-    results. The reported n is the total number of events consumed.
+    from its own stream seeded with derive_seed(seed, k). The reported n is
+    the total number of events consumed.
     """
     if n_per_setting < 2:
         raise ValueError(f"need n_per_setting >= 2, got {n_per_setting}")
-
-    def estimate_one(indexed) -> EstimatorResult:
-        k, settings = indexed
-        j = joint_distribution(settings, vis)
-        return estimate_outcomes(
-            sample_outcomes(j, n_per_setting, derive_seed(seed, k))
-        )
-
-    results = list(map_fn(estimate_one, enumerate(chsh_setting_pairs(s))))
+    pairs = chsh_setting_pairs(s)
+    tables = joint_tables([p.phi_a for p in pairs], [p.phi_b for p in pairs], vis)
+    results = [
+        estimate_outcomes(sample_outcomes(
+            JointDistribution(settings, dict(zip(OUTCOMES, row))),
+            n_per_setting,
+            derive_seed(seed, k),
+        ))
+        for k, (settings, row) in enumerate(zip(pairs, tables.T.tolist()))
+    ]
     s_value = (
         results[0].estimate + results[1].estimate + results[2].estimate
         - results[3].estimate

@@ -45,15 +45,14 @@ PORT_MODES = A_PORTS + B_PORTS
 OUTCOMES = (("+", "+"), ("+", "-"), ("-", "+"), ("-", "-"))
 
 
-def _wrap_angle(phi: float) -> float:
-    phi = float(phi)
-    if not math.isfinite(phi):
-        raise ValueError(f"phase must be finite, got {phi!r}")
-    phi = phi % TWO_PI
-    # Tiny negatives can round up to exactly 2pi under %.
-    if phi >= TWO_PI:
-        phi -= TWO_PI
-    return phi
+def _wrap_angles(phi: np.ndarray) -> np.ndarray:
+    """Phases normalized into [0, 2pi); every entry must be finite."""
+    finite = np.isfinite(phi)
+    if np.count_nonzero(finite) < phi.size:
+        raise ValueError(f"phase must be finite, got {float(phi[~finite][0])!r}")
+    # A tiny negative can round up to exactly 2pi under one %; the second
+    # takes that to 0 and leaves every other result as it is.
+    return phi % TWO_PI % TWO_PI
 
 
 @dataclass(frozen=True)
@@ -64,8 +63,10 @@ class PhaseSettings:
     phi_b: float
 
     def __post_init__(self):
-        object.__setattr__(self, "phi_a", _wrap_angle(self.phi_a))
-        object.__setattr__(self, "phi_b", _wrap_angle(self.phi_b))
+        phis = np.array([self.phi_a, self.phi_b], dtype=float)
+        phi_a, phi_b = _wrap_angles(phis).tolist()
+        object.__setattr__(self, "phi_a", phi_a)
+        object.__setattr__(self, "phi_b", phi_b)
 
     @property
     def delta(self) -> float:
@@ -174,34 +175,39 @@ def phased_biphoton_state(settings: PhaseSettings) -> StateVector:
     return apply(phase_shift_operator(settings), biphoton_state())
 
 
-# Cached circuit pieces for the hot path below; same matrices as the
-# labelled-operator route, so the two agree to a few ulps.
-_BS4 = np.kron(_BS_ENTRIES, _BS_ENTRIES)
-_SOURCE_AMPS = np.array([_INV_SQRT2, 0.0, 0.0, _INV_SQRT2], dtype=complex)
+# The labelled circuit's matrices, cached for joint_tables.
+_BS4 = tensor_operator(beam_splitter("A"), beam_splitter("B")).entries
+_SOURCE_AMPS = biphoton_state().amplitudes
+# Matched-outcome labelling: B's physical ports are read out swapped.
+_PORTS_OF_OUTCOMES = np.array([1, 0, 3, 2])
 
 
-def joint_distribution(settings: PhaseSettings, vis: Visibility) -> JointDistribution:
+def joint_tables(phi_a, phi_b, vis: Visibility) -> np.ndarray:
     """Exact Born probabilities of the four coincidence outcomes.
 
+    phi_a and phi_b are floats or arrays that broadcast together; the result
+    has shape (4,) + their broadcast shape, axis 0 in OUTCOMES order.
     Evaluates source -> phase shifters -> per-party splitters, reads the
     port probabilities under the matched-outcome labelling of B, and mixes
     with the flat distribution according to the visibility. The result is
     p(same ports) = v (1 + cos d)/4 + (1-v)/4 per pairing and
     p(opposite)  = v (1 - cos d)/4 + (1-v)/4, with d = phi_a - phi_b.
     """
-    za = cmath.exp(1j * settings.phi_a)
-    zb = cmath.exp(1j * settings.phi_b)
-    shifted = _SOURCE_AMPS * np.array([zb, 1.0, za * zb, za])
-    out = _BS4 @ shifted
+    # Phase on each path pair (A1B1, A1B2, A2B1, A2B2): phi_b on B1, phi_a on A2.
+    phase = np.zeros((4,) + np.broadcast(phi_a, phi_b).shape)
+    phase[0], phase[3] = phi_b, phi_a
+    phase = _wrap_angles(phase)
+    phase[2] = phase[0] + phase[3]
+    shifted = _SOURCE_AMPS.reshape((4,) + (1,) * (phase.ndim - 1)) * np.exp(1j * phase)
+    # einsum rounds each point like one matrix-vector product; a BLAS
+    # matrix-matrix product over the grid would round differently.
+    out = np.einsum("ij,j...->i...", _BS4, shifted)
     raw = (out * out.conj()).real
-    # Matched-outcome labelling: B's physical ports are read out swapped.
-    ideal = {
-        ("+", "+"): raw[1],
-        ("+", "-"): raw[0],
-        ("-", "+"): raw[3],
-        ("-", "-"): raw[2],
-    }
     v = vis.v
-    flat = (1.0 - v) * 0.25
-    probs = {pair: v * p + flat for pair, p in ideal.items()}
-    return JointDistribution(settings, probs)
+    return v * raw[_PORTS_OF_OUTCOMES] + (1.0 - v) * 0.25
+
+
+def joint_distribution(settings: PhaseSettings, vis: Visibility) -> JointDistribution:
+    """joint_tables at one pair of settings, as a labelled table."""
+    table = joint_tables(settings.phi_a, settings.phi_b, vis)
+    return JointDistribution(settings, dict(zip(OUTCOMES, table.tolist())))

@@ -23,7 +23,6 @@ import numpy as np
 
 from .analysis import l1_coherence
 from .linalg import (
-    DensityMatrix,
     Operator,
     StateVector,
     apply,
@@ -102,12 +101,6 @@ class CorrelationReport:
             "both_clicked_prob": self.both_clicked_prob,
             "iff_violation_prob": self.iff_violation_prob,
         }
-
-
-def reduced_states(psi: StateVector) -> tuple[DensityMatrix, DensityMatrix]:
-    """(system, detector) reduced density matrices of a coupled state."""
-    rho = density_of(psi)
-    return partial_trace(rho, 0), partial_trace(rho, 1)
 
 
 def correlation_report(psi: StateVector) -> CorrelationReport:

@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from biphoton.analysis import (
     CHSH_OPTIMAL,
     ChshSettings,
     chsh,
+    chsh_setting_pairs,
     correlation,
     fringe_visibility,
     l1_coherence,
@@ -247,3 +248,45 @@ def test_no_signaling_deviation_is_null(v):
 def test_no_signaling_rejects_empty_grid():
     with pytest.raises(ValueError, match="non-empty"):
         no_signaling_check(0.0, [], Visibility(1))
+
+
+# ---------------------------------------------------------------------------
+# one table call per grid equals the per-point loop, bit for bit
+
+
+wide_angles = st.floats(-20.0, 20.0, allow_nan=False)
+visibilities_with_ends = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(wide_angles, min_size=1, max_size=40), visibilities_with_ends)
+def test_sweep_correlation_equals_per_point_loop(grid, v):
+    grid = grid + [0.0, math.pi, 2 * math.pi]
+    vis = Visibility(v)
+    tables = [joint_distribution(PhaseSettings(d, 0.0), vis) for d in grid]
+    result = sweep_correlation(grid, vis)
+    assert result.delta_grid == tuple(grid)
+    assert result.correlations == tuple(correlation(j) for j in tables)
+    assert result.singles == tuple(marginals(j) for j in tables)
+    assert result.tables.T.tolist() == [list(j.probs.values()) for j in tables]
+
+
+@settings(max_examples=100, deadline=None)
+@given(wide_angles, wide_angles, wide_angles, wide_angles, visibilities_with_ends)
+def test_chsh_equals_per_point_loop(a, ap, b, bp, v):
+    s, vis = ChshSettings(a, ap, b, bp), Visibility(v)
+    e = [correlation(joint_distribution(p, vis)) for p in chsh_setting_pairs(s)]
+    assert chsh(s, vis) == e[0] + e[1] + e[2] - e[3]
+
+
+@settings(max_examples=100, deadline=None)
+@given(wide_angles, st.lists(wide_angles, min_size=1, max_size=40), visibilities_with_ends)
+def test_no_signaling_check_equals_per_point_loop(phi_a, grid, v):
+    vis = Visibility(v)
+    worst = 0.0
+    for phi in grid:
+        m_a = marginals(joint_distribution(PhaseSettings(phi_a, phi), vis))
+        worst = max(worst, abs(m_a.a_plus - 0.5))
+        m_b = marginals(joint_distribution(PhaseSettings(phi, phi_a), vis))
+        worst = max(worst, abs(m_b.b_plus - 0.5))
+    assert no_signaling_check(phi_a, grid, vis) == worst

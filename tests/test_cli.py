@@ -5,7 +5,11 @@ import sys
 
 import pytest
 
+from biphoton.analysis import correlation, marginals
 from biphoton.cli import main, parse_angle
+from biphoton.montecarlo import estimate_outcomes, sample_outcomes
+from biphoton.optics import PhaseSettings, Visibility, joint_distribution
+from biphoton.rng import derive_seed
 
 
 def run_cli(capsys, *argv):
@@ -43,6 +47,37 @@ def test_parse_angle(text, expected):
 def test_parse_angle_rejects_garbage(text):
     with pytest.raises(ValueError, match="invalid angle"):
         parse_angle(text)
+
+
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf", "1e999", "9" * 400 + "pi"])
+def test_parse_angle_rejects_non_finite(text):
+    with pytest.raises(ValueError, match="finite"):
+        parse_angle(text)
+
+
+def test_parse_angle_rejects_division_by_zero():
+    with pytest.raises(ValueError, match="invalid angle"):
+        parse_angle("pi/0")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--delta-min", "nan"],
+        ["marginals", "--delta-max=inf", "--steps", "3"],
+        ["sample", "--phi-a", "inf", "--samples", "2"],
+        ["premeasure", "--theta", "nan"],
+        ["bell", "--angles", "nan,0,0,0", "--samples", "10"],
+        # finite ends whose grid step overflows
+        ["sweep", "--delta-min=-1e308", "--delta-max=1e308", "--steps", "3"],
+    ],
+)
+def test_non_finite_angles_are_usage_errors(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"biphoton {argv[0]}: error: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -100,6 +135,26 @@ def test_sweep_rejects_malformed_mc(capsys):
     code, _, err = run_cli(capsys, "sweep", "--steps", "3", "--mc", "oops")
     assert code == 2
     assert "--mc" in err
+
+
+def test_grid_rows_across_chunks_match_per_point_tables(capsys):
+    # 2500 rows span three blocks of the grid; each boundary row, with its
+    # sampled columns, must equal the per-point computation at its index.
+    flags = ["--delta-min", "-1", "--delta-max", "7", "--steps", "2500", "--visibility", "0.9"]
+    _, sweep_out, _ = run_cli(capsys, "sweep", *flags, "--mc", "50,11")
+    _, marg_out, _ = run_cli(capsys, "marginals", *flags)
+    sweep_rows, marg_rows = sweep_out.splitlines()[1:], marg_out.splitlines()[1:]
+    assert len(sweep_rows) == len(marg_rows) == 2500
+    step = (7.0 - -1.0) / 2499
+    for index in (0, 1023, 1024, 2047, 2048, 2499):
+        delta = -1.0 + index * step
+        j = joint_distribution(PhaseSettings(delta, 0.0), Visibility(0.9))
+        m = marginals(j)
+        est = estimate_outcomes(sample_outcomes(j, 50, derive_seed(11, index)))
+        fields = [delta, correlation(j), *j.probs.values(), m.a_plus, m.b_plus,
+                  est.estimate, est.stderr]
+        assert sweep_rows[index] == ",".join(format(x, ".9g") for x in fields)
+        assert marg_rows[index] == ",".join(format(x, ".9g") for x in (delta, *m))
 
 
 def test_marginals_subcommand(capsys):
@@ -319,3 +374,17 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert len(proc.stdout.strip().splitlines()) == 3
+
+
+def test_closed_stdout_pipe_exits_quietly():
+    # Like `biphoton sample | head -1`: the reader goes away mid-stream.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "biphoton", "sample", "--samples", "100000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline().startswith(b'{"trial": 0,')
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""

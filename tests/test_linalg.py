@@ -12,7 +12,6 @@ from biphoton.linalg import (
     apply,
     compose,
     density_of,
-    identity,
     ket,
     partial_trace,
     tensor,
@@ -140,7 +139,7 @@ def test_tensor_preserves_norm(u_amps, v_amps):
 
 def test_apply_identity():
     psi = StateVector(A, [0.6, 0.8j])
-    out = apply(identity(A), psi)
+    out = apply(Operator(A, A, np.eye(2)), psi)
     np.testing.assert_allclose(out.amplitudes, psi.amplitudes, atol=TOL)
 
 

@@ -258,14 +258,10 @@ def test_bell_experiment_with_blind_instrument():
     assert abs(result.estimate) < 4 * result.stderr
 
 
-def test_bell_experiment_is_deterministic_and_scheduling_free():
-    from concurrent.futures import ThreadPoolExecutor
-
+def test_bell_experiment_is_deterministic():
     sequential = bell_experiment(CHSH_OPTIMAL, Visibility(0.8), 5_000, 7)
     repeat = bell_experiment(CHSH_OPTIMAL, Visibility(0.8), 5_000, 7)
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        threaded = bell_experiment(CHSH_OPTIMAL, Visibility(0.8), 5_000, 7, map_fn=pool.map)
-    assert sequential == repeat == threaded
+    assert sequential == repeat
 
 
 def test_bell_experiment_needs_two_events_per_setting():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biphoton.linalg import StateVector, apply, density_of, ket, partial_trace
+from biphoton.linalg import StateVector, apply, density_of, ket, partial_trace, tensor_operator
 from biphoton.optics import (
     A_PATHS,
     OUTCOMES,
@@ -16,6 +16,7 @@ from biphoton.optics import (
     biphoton_state,
     circuit_operator,
     joint_distribution,
+    joint_tables,
     phase_shifter,
     phased_biphoton_state,
     superposed_state,
@@ -259,3 +260,70 @@ def test_phased_biphoton_keeps_flat_subsystems():
         np.testing.assert_allclose(
             partial_trace(rho, keep).entries, 0.5 * np.eye(2), atol=TOL
         )
+
+
+# ---------------------------------------------------------------------------
+# the broadcasting core: bit-for-bit agreement
+
+
+wide_angles = st.floats(-20.0, 20.0, allow_nan=False)
+visibilities_with_ends = st.one_of(st.sampled_from([0.0, 1.0]), visibilities)
+ALWAYS_INCLUDED = [0.0, math.pi, 2 * math.pi]
+
+
+def probs_list(pa, pb, vis):
+    return list(joint_distribution(PhaseSettings(pa, pb), vis).probs.values())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(wide_angles, wide_angles), min_size=1, max_size=40), visibilities_with_ends)
+def test_joint_tables_equal_joint_distribution_per_point(pairs, v):
+    pairs = pairs + [(x, y) for x in ALWAYS_INCLUDED for y in ALWAYS_INCLUDED]
+    vis = Visibility(v)
+    tables = joint_tables(*np.array(pairs).T, vis)
+    assert tables.shape == (4, len(pairs))
+    for k, (pa, pb) in enumerate(pairs):
+        assert tables[:, k].tolist() == probs_list(pa, pb, vis)
+
+
+@settings(max_examples=200, deadline=None)
+@given(wide_angles, wide_angles, visibilities_with_ends)
+def test_joint_tables_equal_the_labelled_matrices_in_scalar_order(pa, pb, v):
+    # The arithmetic the CLI transcripts were pinned with: the splitters and
+    # source from the labelled operators, one matrix-vector product per point.
+    s = PhaseSettings(pa, pb)
+    za, zb = np.exp(1j * s.phi_a), np.exp(1j * s.phi_b)
+    shifted = biphoton_state().amplitudes * np.array([zb, 1.0, za * zb, za])
+    out = tensor_operator(beam_splitter("A"), beam_splitter("B")).entries @ shifted
+    raw = (out * out.conj()).real
+    expected = [v * raw[port] + (1.0 - v) * 0.25 for port in (1, 0, 3, 2)]
+    assert joint_tables(pa, pb, Visibility(v)).tolist() == expected
+
+
+def test_joint_tables_broadcast_shapes():
+    vis = Visibility(0.8)
+    grid = np.linspace(-7.0, 7.0, 9)
+    for tables, pairs in (
+        (joint_tables(grid, 0.3, vis), [(d, 0.3) for d in grid]),
+        (joint_tables(0.3, grid, vis), [(0.3, d) for d in grid]),
+    ):
+        assert tables.shape == (4, 9)
+        for k, (pa, pb) in enumerate(pairs):
+            assert tables[:, k].tolist() == probs_list(pa, pb, vis)
+    for pa, pb in ((1.1, 0.4), (np.float64(1.1), np.array(0.4)), (np.array(1.1), np.array(0.4))):
+        tables = joint_tables(pa, pb, vis)
+        assert tables.shape == (4,)
+        assert tables.tolist() == probs_list(1.1, 0.4, vis)
+    # A tiny negative rounds up to 2pi under one %, and must wrap to 0.
+    assert joint_tables(-1e-300, 0.0, vis).tolist() == probs_list(0.0, 0.0, vis)
+    grid_2d = joint_tables(grid[:, None], grid[None, :], vis)
+    assert grid_2d.shape == (4, 9, 9)
+    assert grid_2d[:, 2, 7].tolist() == probs_list(grid[2], grid[7], vis)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_joint_tables_reject_nonfinite_without_warning(bad):
+    with pytest.raises(ValueError, match="finite"):
+        joint_tables(np.array([0.0, bad]), 0.0, Visibility(1.0))
+    with pytest.raises(ValueError, match="finite"):
+        joint_tables(0.0, bad, Visibility(1.0))

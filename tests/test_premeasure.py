@@ -16,7 +16,6 @@ from biphoton.premeasure import (
     detector_coupling,
     detector_ready,
     premeasure,
-    reduced_states,
 )
 
 TOL = 1e-12
@@ -87,7 +86,7 @@ def test_premeasure_is_linear_in_the_input(theta):
 
 @pytest.mark.parametrize("theta", THETA_GRID)
 def test_detector_is_incoherent_after_coupling(theta):
-    _, rho_det = reduced_states(premeasure(theta))
+    rho_det = partial_trace(density_of(premeasure(theta)), 1)
     assert l1_coherence(rho_det) < TOL
     np.testing.assert_allclose(
         np.diag(rho_det.entries).real, [0.0, 0.5, 0.5], atol=TOL
