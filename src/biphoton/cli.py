@@ -14,6 +14,7 @@ import math
 import os
 import re
 import sys
+import tempfile
 from contextlib import contextmanager
 
 import numpy as np
@@ -102,11 +103,36 @@ def _render_json(value, indent: int = 0) -> str:
 
 @contextmanager
 def _open_output(path: str | None):
+    """Text handle for a command's output: stdout for None or '-', else path.
+
+    A file is written under a temporary name in its own directory and moved
+    onto path only when the command succeeds, so an error midway leaves no
+    partial file and an earlier file at path as it was. Paths that exist but
+    are not regular files (/dev/null, a pipe) are written in place.
+    """
     if path is None or path == "-":
         yield sys.stdout
-    else:
-        with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        return
+    target = os.path.realpath(path)
+    if os.path.exists(target) and not os.path.isfile(target):
+        with open(target, "w", encoding="utf-8", newline="\n") as handle:
             yield handle
+        return
+    try:
+        mode = os.stat(target).st_mode & 0o7777
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask
+    fd, tmp = tempfile.mkstemp(prefix=".biphoton-", dir=os.path.dirname(target))
+    try:
+        with open(fd, "w", encoding="utf-8", newline="\n") as handle:
+            yield handle
+        os.chmod(tmp, mode)
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _visibility(args) -> Visibility:
@@ -256,6 +282,38 @@ def cmd_premeasure(args) -> int:
     return 0
 
 
+# Opens every `sample` line, before the trial number
+_TRIAL_KEY = '{"trial": '
+
+
+def _event_lines(start: int, idx: np.ndarray, rests: list[str]):
+    """JSONL lines _TRIAL_KEY + str(trial) + rests[k] for trials start,
+    start + 1, ... with outcome indices k from idx, as a few long strings.
+
+    The rests are ASCII and of one length, so the lines whose trial numbers
+    have the same number of digits have the same width: each such band is
+    built as one uint8 matrix with a row per line.
+    """
+    stop = start + len(idx)
+    lo = start
+    while lo < stop:
+        digits = len(str(lo))
+        hi = min(stop, 10**digits)
+        # Each outcome's line with trial number 0...0, copied once per trial
+        templates = "".join(_TRIAL_KEY + "0" * digits + rest for rest in rests)
+        table = np.frombuffer(templates.encode("ascii"), np.uint8).reshape(len(rests), -1)
+        rows = table.take(idx[lo - start:hi - start], axis=0)
+        # then the trial numbers' decimal digits added in, last digit first;
+        # int32 divmod is about 4x faster than int64.
+        q = np.arange(lo, hi, dtype=np.int32 if hi <= 2**31 else np.int64)
+        text = np.empty((digits, hi - lo), np.uint8)
+        for d in range(digits - 1, -1, -1):
+            q, text[d] = np.divmod(q, 10)
+        rows[:, len(_TRIAL_KEY):len(_TRIAL_KEY) + digits] += text.T
+        yield str(rows, "ascii")  # decodes the array's buffer, no bytes copy
+        lo = hi
+
+
 def cmd_sample(args) -> int:
     vis = _visibility(args)
     if args.samples < 1:
@@ -271,11 +329,7 @@ def cmd_sample(args) -> int:
     ]
     with _open_output(args.output) as out:
         for start in range(0, len(idx), _SAMPLE_CHUNK):
-            chunk = idx[start:start + _SAMPLE_CHUNK].tolist()
-            out.write("".join([
-                f'{{"trial": {trial}{rests[k]}'
-                for trial, k in enumerate(chunk, start)
-            ]))
+            out.writelines(_event_lines(start, idx[start:start + _SAMPLE_CHUNK], rests))
     counts = np.bincount(idx, minlength=len(OUTCOMES))
     summary = "  ".join(f"{a}{b}: {c}" for (a, b), c in zip(OUTCOMES, counts))
     if len(idx) >= 2:

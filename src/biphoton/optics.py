@@ -63,10 +63,12 @@ class PhaseSettings:
     phi_b: float
 
     def __post_init__(self):
-        phis = np.array([self.phi_a, self.phi_b], dtype=float)
-        phi_a, phi_b = _wrap_angles(phis).tolist()
-        object.__setattr__(self, "phi_a", phi_a)
-        object.__setattr__(self, "phi_b", phi_b)
+        # Python's float % rounds like numpy's, so this equals _wrap_angles.
+        for name in ("phi_a", "phi_b"):
+            phi = float(getattr(self, name))
+            if not math.isfinite(phi):
+                raise ValueError(f"phase must be finite, got {phi!r}")
+            object.__setattr__(self, name, phi % TWO_PI % TWO_PI)
 
     @property
     def delta(self) -> float:

@@ -1,14 +1,21 @@
+import errno
 import json
 import math
+import os
+import stat
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from biphoton import cli
 from biphoton.analysis import correlation, marginals
 from biphoton.cli import main, parse_angle
 from biphoton.montecarlo import estimate_outcomes, sample_outcomes
-from biphoton.optics import PhaseSettings, Visibility, joint_distribution
+from biphoton.optics import OUTCOMES, PhaseSettings, Visibility, joint_distribution
 from biphoton.rng import derive_seed
 
 
@@ -336,6 +343,128 @@ def test_sample_writes_to_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert len(path.read_text().splitlines()) == 10
+
+
+def reference_lines(start, idx, rests):
+    """The one-f-string-per-event writer that _event_lines replaced."""
+    return "".join(f'{{"trial": {trial}{rests[k]}' for trial, k in enumerate(idx, start))
+
+
+# Phases whose 9-digit echoes have different lengths ("0", "1.5", "1e-07", ...)
+echo_phases = st.sampled_from([0.0, 1.5, 1e-7, math.pi / 4, 2 * math.pi / 3, 6.0])
+# Near every change of the trial number's digit count that matters, and
+# near 2**31, where the digit arithmetic moves from int32 to int64
+trial_starts = st.builds(
+    lambda base, offset: max(base + offset, 0),
+    st.sampled_from([0, 10, 10**5, 10**6, 10**7, 2**31]),
+    st.integers(-300, 300),
+)
+
+
+@given(
+    trial_starts,
+    st.lists(st.integers(0, 3), min_size=1, max_size=300),
+    echo_phases,
+    echo_phases,
+)
+@settings(max_examples=200, deadline=None)
+def test_event_lines_equal_per_event_strings(start, outcomes, phi_a, phi_b):
+    pa, pb = cli._fmt(phi_a), cli._fmt(phi_b)
+    rests = [
+        f', "phi_a": {pa}, "phi_b": {pb}, "a": "{a}", "b": "{b}"}}\n'
+        for a, b in OUTCOMES
+    ]
+    idx = np.array(outcomes, dtype=np.uint8)
+    assert "".join(cli._event_lines(start, idx, rests)) == reference_lines(start, outcomes, rests)
+
+
+def test_sample_stdout_and_file_bytes_are_identical(tmp_path):
+    path = tmp_path / "events.jsonl"
+    argv = [sys.executable, "-m", "biphoton", "sample", "--samples",
+            str(cli._SAMPLE_CHUNK + 5), "--phi-a", "1.5", "--seed", "11"]
+    to_stdout = subprocess.run([*argv, "--output", "-"], capture_output=True, check=True)
+    to_file = subprocess.run([*argv, "--output", str(path)], capture_output=True, check=True)
+    assert to_file.stdout == b""
+    assert path.read_bytes() == to_stdout.stdout
+    assert to_stdout.stdout.count(b"\n") == cli._SAMPLE_CHUNK + 5
+
+
+def fail_after_first_chunk(monkeypatch):
+    calls = []
+
+    def event_lines(*args):
+        calls.append(args)
+        if len(calls) > 1:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return real(*args)
+
+    real = cli._event_lines
+    monkeypatch.setattr(cli, "_event_lines", event_lines)
+    return calls
+
+
+def test_failed_sample_leaves_existing_output_unchanged(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "events.jsonl"
+    path.write_text("earlier run\n")
+    calls = fail_after_first_chunk(monkeypatch)
+    code, out, err = run_cli(
+        capsys, "sample", "--samples", str(2 * cli._SAMPLE_CHUNK), "--output", str(path)
+    )
+    assert len(calls) == 2
+    assert code == 1
+    assert "No space left on device" in err
+    assert path.read_text() == "earlier run\n"
+    assert os.listdir(tmp_path) == ["events.jsonl"]
+
+
+def test_failed_sample_creates_no_output(tmp_path, capsys, monkeypatch):
+    fail_after_first_chunk(monkeypatch)
+    code, _, _ = run_cli(
+        capsys, "sample", "--samples", str(2 * cli._SAMPLE_CHUNK),
+        "--output", str(tmp_path / "events.jsonl"),
+    )
+    assert code == 1
+    assert os.listdir(tmp_path) == []
+
+
+def test_output_file_modes_match_plain_open(tmp_path, capsys):
+    umask = os.umask(0o022)
+    try:
+        fresh = tmp_path / "fresh.csv"
+        assert main(["sweep", "--steps", "3", "--output", str(fresh)]) == 0
+        assert stat.S_IMODE(fresh.stat().st_mode) == 0o644
+        kept = tmp_path / "kept.csv"
+        kept.write_text("old\n")
+        kept.chmod(0o640)
+        assert main(["sweep", "--steps", "3", "--output", str(kept)]) == 0
+        assert stat.S_IMODE(kept.stat().st_mode) == 0o640
+        assert kept.read_text().startswith("delta,")
+    finally:
+        os.umask(umask)
+
+
+def test_output_to_a_pipe_writes_in_place(tmp_path, capsys):
+    fifo = tmp_path / "events.pipe"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        code, out, _ = run_cli(capsys, "sample", "--samples", "5", "--output", str(fifo))
+        assert code == 0
+        assert out == ""
+        assert stat.S_ISFIFO(fifo.lstat().st_mode)
+        assert os.read(reader, 1 << 16).count(b"\n") == 5
+    finally:
+        os.close(reader)
+
+
+def test_output_through_a_symlink_writes_its_target(tmp_path, capsys):
+    target = tmp_path / "events.jsonl"
+    target.write_text("old\n")
+    link = tmp_path / "latest.jsonl"
+    link.symlink_to(target)
+    assert main(["sample", "--samples", "3", "--output", str(link)]) == 0
+    assert link.is_symlink()
+    assert target.read_text().count("\n") == 3
 
 
 def test_unwritable_output_is_io_error(tmp_path, capsys):

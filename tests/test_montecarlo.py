@@ -20,6 +20,7 @@ from biphoton.optics import (
     PhaseSettings,
     Visibility,
     joint_distribution,
+    joint_tables,
 )
 from biphoton.rng import SplitMix64, derive_seed
 
@@ -87,6 +88,14 @@ def test_doubles_live_in_unit_interval():
     assert np.all(u >= 0.0) and np.all(u < 1.0)
 
 
+@given(st.integers(0, 2**64 - 1), st.integers(0, 400), st.integers(0, 400))
+@settings(max_examples=100)
+def test_doubles_split_anywhere_equal_one_block(seed, a, b):
+    split = SplitMix64(seed)
+    first, second = split.doubles(a), split.doubles(b)
+    assert np.concatenate([first, second]).tolist() == SplitMix64(seed).doubles(a + b).tolist()
+
+
 def test_derive_seed_is_first_output_of_shifted_state():
     for seed, k in [(0, 0), (42, 3), (2**63, 7)]:
         assert derive_seed(seed, k) == SplitMix64(seed + k).next_u64()
@@ -128,6 +137,46 @@ def test_uniform_table_frequencies():
     assert band < 0.002
     for pair in OUTCOMES:
         assert abs(counts[pair] / 1_000_000 - 0.25) < 0.002
+
+
+def chi2_sf_3dof(x: float) -> float:
+    """Survival function of the chi-square distribution with 3 degrees of freedom."""
+    return math.erfc(math.sqrt(x / 2)) + math.sqrt(2 * x / math.pi) * math.exp(-x / 2)
+
+
+def pearson_chi2(counts: np.ndarray, probs: np.ndarray) -> float:
+    expected = counts.sum() * probs
+    return float(((counts - expected) ** 2 / expected).sum())
+
+
+def test_chi2_sf_3dof_reference_values():
+    assert chi2_sf_3dof(0.0) == 1.0
+    # Upper 5% and 0.1% points of chi-square with 3 degrees of freedom
+    assert chi2_sf_3dof(7.814727903) == pytest.approx(0.05, rel=1e-8)
+    assert chi2_sf_3dof(16.26623620) == pytest.approx(0.001, rel=1e-7)
+
+
+@pytest.mark.parametrize(
+    "delta,v",
+    [(0.3, 0.9), (1.2, 0.5), (math.pi / 2, 1.0), (2.5, 0.7071067811865475), (math.pi, 0.2)],
+)
+def test_sampled_counts_fit_the_exact_table(delta, v):
+    n = 200_000
+    probs = joint_tables(delta, 0.0, Visibility(v))
+    counts = np.bincount(sample_outcomes(table_at(delta, v), n, 8128), minlength=4)
+    assert chi2_sf_3dof(pearson_chi2(counts, probs)) > 0.001
+    # The same counts against a table moved by 1% of its mass are rejected.
+    biased = probs + np.array([0.005, -0.005, 0.005, -0.005])
+    assert chi2_sf_3dof(pearson_chi2(counts, biased)) < 1e-6
+
+
+def test_package_root_exports_the_sampling_core():
+    import biphoton
+    from biphoton import estimate_outcomes as root_estimate, sample_outcomes as root_sample
+
+    assert root_sample is sample_outcomes
+    assert root_estimate is estimate_outcomes
+    assert {"sample_outcomes", "estimate_outcomes"} <= set(biphoton.__all__)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from biphoton.optics import (
     JointDistribution,
     PhaseSettings,
     Visibility,
+    _wrap_angles,
     beam_splitter,
     biphoton_state,
     circuit_operator,
@@ -45,6 +46,30 @@ def test_phase_settings_normalize_into_two_pi(pa, pb):
 def test_phase_settings_reject_nonfinite():
     with pytest.raises(ValueError, match="finite"):
         PhaseSettings(math.inf, 0.0)
+
+
+# Where a wrap can go wrong: zeros, multiples of pi, tiny negatives that
+# round up to 2pi under one %
+edge_angles = st.sampled_from(
+    [0.0, -0.0, math.pi, -math.pi, 2 * math.pi, -2 * math.pi, -5e-324, -1e-300, -1e-17, 1e-300]
+)
+
+
+@settings(max_examples=300)
+@given(st.one_of(edge_angles, st.floats(-20.0, 20.0)), st.one_of(edge_angles, st.floats(-20.0, 20.0)))
+def test_phase_settings_wrap_like_the_array_core(pa, pb):
+    s = PhaseSettings(pa, pb)
+    assert [s.phi_a, s.phi_b] == _wrap_angles(np.array([pa, pb])).tolist()
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_phase_settings_reject_nonfinite_like_the_array_core(bad):
+    for pa, pb in ((bad, 0.0), (0.0, bad), (bad, -bad)):
+        with pytest.raises(ValueError) as scalar:
+            PhaseSettings(pa, pb)
+        with pytest.raises(ValueError) as array:
+            _wrap_angles(np.array([pa, pb]))
+        assert str(scalar.value) == str(array.value)
 
 
 @pytest.mark.parametrize("v", [-0.1, 1.1, math.nan])
