@@ -15,6 +15,7 @@ import os
 import re
 import sys
 import tempfile
+from collections.abc import Iterator
 from contextlib import contextmanager
 
 import numpy as np
@@ -286,7 +287,7 @@ def cmd_premeasure(args) -> int:
 _TRIAL_KEY = '{"trial": '
 
 
-def _event_lines(start: int, idx: np.ndarray, rests: list[str]):
+def _event_lines(start: int, idx: np.ndarray, rests: list[str]) -> Iterator[str]:
     """JSONL lines _TRIAL_KEY + str(trial) + rests[k] for trials start,
     start + 1, ... with outcome indices k from idx, as a few long strings.
 

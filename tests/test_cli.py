@@ -8,7 +8,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from biphoton import cli
@@ -368,6 +368,14 @@ trial_starts = st.builds(
     echo_phases,
 )
 @settings(max_examples=200, deadline=None)
+# a few lines on each side of every digit-count change and of 2**31
+@example(0, [0, 1, 2, 3] * 3, 0.0, 1.5)
+@example(97, [3, 2, 1, 0] * 2, 1e-7, 0.0)
+@example(10**5 - 4, [1, 3] * 4, 6.0, math.pi / 4)
+@example(10**6 - 4, [2, 0] * 4, 0.0, 0.0)
+@example(10**7 - 4, [0, 3] * 4, 1.5, 1e-7)
+@example(2**31 - 4, [1, 2] * 4, 0.0, 6.0)
+@example(10**10 - 4, [3, 0] * 4, 0.0, 0.0)
 def test_event_lines_equal_per_event_strings(start, outcomes, phi_a, phi_b):
     pa, pb = cli._fmt(phi_a), cli._fmt(phi_b)
     rests = [
