@@ -87,6 +87,34 @@ def test_non_finite_angles_are_usage_errors(capsys, argv):
     assert err.count("\n") == 1 and err.endswith("\n")
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["sweep", "--steps", "1"], "--steps must be >= 2, got 1"),
+        (["marginals", "--steps=-3"], "--steps must be >= 2, got -3"),
+        (["sweep", "--delta-min=-1e308", "--delta-max=1e308", "--steps", "3"],
+         "grid from -1e+308 to 1e+308 in 3 steps overflows"),
+        (["marginals", "--visibility", "1.5"], "visibility must lie in [0, 1], got 1.5"),
+        (["sample", "--visibility", "nan"], "visibility must lie in [0, 1], got nan"),
+        (["bell", "--optimal", "--visibility=-0.1"], "visibility must lie in [0, 1], got -0.1"),
+        (["sweep", "--mc", "oops"], "--mc expects N,SEED, got 'oops'"),
+        (["sweep", "--mc", "1,7"], "--mc sample count must be >= 2"),
+        (["bell", "--angles", "0,pi"], "--angles expects four comma-separated angles"),
+        (["bell", "--angles", "0,pi/0,0,0"],
+         "invalid angle 'pi/0'; use radians or a pi-expression like pi/4"),
+        (["bell", "--angles", "0,nan,0,0"], "angle must be finite, got 'nan'"),
+        (["bell"], "provide --angles a,a',b,b' or --optimal"),
+        (["bell", "--optimal", "--samples", "1"], "--samples must be >= 2"),
+        (["sample", "--samples", "0"], "--samples must be >= 1"),
+    ],
+)
+def test_command_usage_errors_are_pinned(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"biphoton {argv[0]}: error: {message}\n"
+
+
 # ---------------------------------------------------------------------------
 # sweep / marginals
 
