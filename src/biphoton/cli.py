@@ -140,22 +140,17 @@ def _visibility(args) -> Visibility:
     try:
         return Visibility(args.visibility)
     except ValueError as exc:
-        raise UsageError(f"biphoton {args.command}: error: {exc}") from None
+        args.parser.error(str(exc))
 
 
 def _grid(args) -> np.ndarray:
     if args.steps < 2:
-        raise UsageError(
-            f"biphoton {args.command}: error: --steps must be >= 2, got {args.steps}"
-        )
+        args.parser.error(f"--steps must be >= 2, got {args.steps}")
     lo, hi = args.delta_min, args.delta_max
     step = (hi - lo) / (args.steps - 1)
     # The grid is monotonic, so its last point is finite only if every one is.
     if not math.isfinite(lo + (args.steps - 1) * step):
-        raise UsageError(
-            f"biphoton {args.command}: error: grid from {_fmt(lo)} to {_fmt(hi)} "
-            f"in {args.steps} steps overflows"
-        )
+        args.parser.error(f"grid from {_fmt(lo)} to {_fmt(hi)} in {args.steps} steps overflows")
     return lo + np.arange(args.steps) * step
 
 
@@ -168,11 +163,9 @@ def cmd_sweep(args) -> int:
             n_text, seed_text = args.mc.split(",")
             mc = (int(n_text), int(seed_text))
         except ValueError:
-            raise UsageError(
-                f"biphoton sweep: error: --mc expects N,SEED, got {args.mc!r}"
-            ) from None
+            args.parser.error(f"--mc expects N,SEED, got {args.mc!r}")
         if mc[0] < 2:
-            raise UsageError("biphoton sweep: error: --mc sample count must be >= 2")
+            args.parser.error("--mc sample count must be >= 2")
     header = "delta,E_exact,p_pp,p_pm,p_mp,p_mm,pA_plus,pB_plus"
     if mc is not None:
         header += ",E_hat,stderr"
@@ -212,18 +205,16 @@ def cmd_bell(args) -> int:
     elif args.angles is not None:
         parts = args.angles.split(",")
         if len(parts) != 4:
-            raise UsageError(
-                "biphoton bell: error: --angles expects four comma-separated angles"
-            )
+            args.parser.error("--angles expects four comma-separated angles")
         try:
             a, a_prime, b, b_prime = (parse_angle(p) for p in parts)
         except ValueError as exc:
-            raise UsageError(f"biphoton bell: error: {exc}") from None
+            args.parser.error(str(exc))
         settings = ChshSettings(a, a_prime, b, b_prime)
     else:
-        raise UsageError("biphoton bell: error: provide --angles a,a',b,b' or --optimal")
+        args.parser.error("provide --angles a,a',b,b' or --optimal")
     if args.samples < 2:
-        raise UsageError("biphoton bell: error: --samples must be >= 2")
+        args.parser.error("--samples must be >= 2")
 
     s_exact = chsh(settings, vis)
     sampled = bell_experiment(settings, vis, args.samples, args.seed)
@@ -318,7 +309,7 @@ def _event_lines(start: int, idx: np.ndarray, rests: list[str]) -> Iterator[str]
 def cmd_sample(args) -> int:
     vis = _visibility(args)
     if args.samples < 1:
-        raise UsageError("biphoton sample: error: --samples must be >= 1")
+        args.parser.error("--samples must be >= 1")
     settings = PhaseSettings(args.phi_a, args.phi_b)
     j = joint_distribution(settings, vis)
     idx = sample_outcomes(j, args.samples, args.seed)
@@ -347,6 +338,13 @@ def _add_output_flag(parser):
     )
 
 
+def _add_grid_flags(parser):
+    parser.add_argument("--delta-min", type=parse_angle, default=0.0, metavar="ANGLE")
+    parser.add_argument("--delta-max", type=parse_angle, default=math.pi, metavar="ANGLE")
+    parser.add_argument("--steps", type=int, default=64)
+    parser.add_argument("--visibility", type=float, default=1.0)
+
+
 def _add_threads_flag(parser):
     parser.add_argument(
         "--threads", type=int, default=1, metavar="K",
@@ -361,27 +359,21 @@ def build_parser() -> _Parser:
     sweep = sub.add_parser(
         "sweep", help="CSV of exact (and optionally sampled) correlation vs phase difference"
     )
-    sweep.add_argument("--delta-min", type=parse_angle, default=0.0, metavar="ANGLE")
-    sweep.add_argument("--delta-max", type=parse_angle, default=math.pi, metavar="ANGLE")
-    sweep.add_argument("--steps", type=int, default=64)
-    sweep.add_argument("--visibility", type=float, default=1.0)
+    _add_grid_flags(sweep)
     sweep.add_argument(
         "--mc", default=None, metavar="N,SEED",
         help="append sampled E_hat,stderr columns from N events per point",
     )
     _add_threads_flag(sweep)
     _add_output_flag(sweep)
-    sweep.set_defaults(handler=cmd_sweep)
+    sweep.set_defaults(handler=cmd_sweep, parser=sweep)
 
     marg = sub.add_parser(
         "marginals", help="CSV of the four single-detector probabilities over a sweep"
     )
-    marg.add_argument("--delta-min", type=parse_angle, default=0.0, metavar="ANGLE")
-    marg.add_argument("--delta-max", type=parse_angle, default=math.pi, metavar="ANGLE")
-    marg.add_argument("--steps", type=int, default=64)
-    marg.add_argument("--visibility", type=float, default=1.0)
+    _add_grid_flags(marg)
     _add_output_flag(marg)
-    marg.set_defaults(handler=cmd_marginals)
+    marg.set_defaults(handler=cmd_marginals, parser=marg)
 
     bell = sub.add_parser("bell", help="JSON report of an exact and sampled CHSH run")
     bell.add_argument(
@@ -398,7 +390,7 @@ def build_parser() -> _Parser:
     bell.add_argument("--seed", type=int, default=1)
     _add_threads_flag(bell)
     _add_output_flag(bell)
-    bell.set_defaults(handler=cmd_bell)
+    bell.set_defaults(handler=cmd_bell, parser=bell)
 
     pre = sub.add_parser(
         "premeasure", help="JSON correlation report of the unitary detection model"
@@ -408,7 +400,7 @@ def build_parser() -> _Parser:
     pre.add_argument("--dump-state", default=None, metavar="PATH",
                      help="also write the coupled state vector as JSON")
     _add_output_flag(pre)
-    pre.set_defaults(handler=cmd_premeasure)
+    pre.set_defaults(handler=cmd_premeasure, parser=pre)
 
     sample = sub.add_parser("sample", help="JSONL stream of simulated coincidence events")
     sample.add_argument("--phi-a", type=parse_angle, default=0.0, metavar="ANGLE")
@@ -418,7 +410,7 @@ def build_parser() -> _Parser:
     sample.add_argument("--seed", type=int, default=1)
     _add_threads_flag(sample)
     _add_output_flag(sample)
-    sample.set_defaults(handler=cmd_sample)
+    sample.set_defaults(handler=cmd_sample, parser=sample)
 
     return parser
 
@@ -428,9 +420,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         if getattr(args, "threads", 1) < 1:
-            raise UsageError(
-                f"biphoton {args.command}: error: --threads must be >= 1, got {args.threads}"
-            )
+            args.parser.error(f"--threads must be >= 1, got {args.threads}")
         code = args.handler(args)
         sys.stdout.flush()
         return code
