@@ -50,6 +50,10 @@ _PI_EXPR = re.compile(
 )
 
 
+class AngleError(ValueError, argparse.ArgumentTypeError):
+    """Text that is no finite angle; argparse reports its message as is."""
+
+
 def parse_angle(text: str) -> float:
     """Radians from a decimal or a pi-expression like pi, -pi/4, 3pi/2, 0.5*pi."""
     m = _PI_EXPR.match(text)
@@ -64,11 +68,11 @@ def parse_angle(text: str) -> float:
         else:
             angle = float(text)
     except (ValueError, ZeroDivisionError):
-        raise ValueError(
+        raise AngleError(
             f"invalid angle {text!r}; use radians or a pi-expression like pi/4"
         ) from None
     if not math.isfinite(angle):
-        raise ValueError(f"angle must be finite, got {text!r}")
+        raise AngleError(f"angle must be finite, got {text!r}")
     return angle
 
 

@@ -88,6 +88,32 @@ def test_non_finite_angles_are_usage_errors(capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "command,flag",
+    [
+        ("sweep", "--delta-min"),
+        ("sweep", "--delta-max"),
+        ("marginals", "--delta-min"),
+        ("marginals", "--delta-max"),
+        ("sample", "--phi-a"),
+        ("sample", "--phi-b"),
+        ("premeasure", "--theta"),
+    ],
+)
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("nan", "angle must be finite, got 'nan'"),
+        ("pi/0", "invalid angle 'pi/0'; use radians or a pi-expression like pi/4"),
+    ],
+)
+def test_angle_flags_report_the_angle_message(capsys, command, flag, text, message):
+    code, out, err = run_cli(capsys, command, f"{flag}={text}")
+    assert code == 2
+    assert out == ""
+    assert err == f"biphoton {command}: error: argument {flag}: {message}\n"
+
+
+@pytest.mark.parametrize(
     "argv,message",
     [
         (["sweep", "--steps", "1"], "--steps must be >= 2, got 1"),
