@@ -32,6 +32,11 @@ _SAMPLE_CHUNK = 1 << 16
 # Grid points `sweep` and `marginals` tabulate at a time; bounds the rows
 # held at once (well under 1 MB) whatever --steps is
 _GRID_CHUNK = 1 << 10
+# Larger counts are usage errors: numpy refuses an array of 8-byte items a
+# little short of sys.maxsize // 8 long with a ValueError, not a MemoryError,
+# and near sys.maxsize silently makes an empty one. Below this, a request too
+# big for memory fails as a MemoryError.
+_MAX_COUNT = sys.maxsize // 16
 
 
 class UsageError(Exception):
@@ -147,9 +152,15 @@ def _visibility(args) -> Visibility:
         args.parser.error(str(exc))
 
 
+def _check_count(args, flag: str, n: int) -> None:
+    if n > _MAX_COUNT:
+        args.parser.error(f"{flag} must be <= {_MAX_COUNT}, got {n}")
+
+
 def _grid(args) -> np.ndarray:
     if args.steps < 2:
         args.parser.error(f"--steps must be >= 2, got {args.steps}")
+    _check_count(args, "--steps", args.steps)
     lo, hi = args.delta_min, args.delta_max
     step = (hi - lo) / (args.steps - 1)
     # The grid is monotonic, so its last point is finite only if every one is.
@@ -170,6 +181,7 @@ def cmd_sweep(args) -> int:
             args.parser.error(f"--mc expects N,SEED, got {args.mc!r}")
         if mc[0] < 2:
             args.parser.error("--mc sample count must be >= 2")
+        _check_count(args, "--mc sample count", mc[0])
     header = "delta,E_exact,p_pp,p_pm,p_mp,p_mm,pA_plus,pB_plus"
     if mc is not None:
         header += ",E_hat,stderr"
@@ -219,6 +231,7 @@ def cmd_bell(args) -> int:
         args.parser.error("provide --angles a,a',b,b' or --optimal")
     if args.samples < 2:
         args.parser.error("--samples must be >= 2")
+    _check_count(args, "--samples", args.samples)
 
     s_exact = chsh(settings, vis)
     sampled = bell_experiment(settings, vis, args.samples, args.seed)
@@ -314,6 +327,7 @@ def cmd_sample(args) -> int:
     vis = _visibility(args)
     if args.samples < 1:
         args.parser.error("--samples must be >= 1")
+    _check_count(args, "--samples", args.samples)
     settings = PhaseSettings(args.phi_a, args.phi_b)
     j = joint_distribution(settings, vis)
     idx = sample_outcomes(j, args.samples, args.seed)
@@ -438,6 +452,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except OSError as exc:
         print(f"biphoton: i/o error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"biphoton: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

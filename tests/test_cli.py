@@ -537,6 +537,52 @@ def test_unwritable_output_is_io_error(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
+# counts too big for memory
+
+
+# Numpy makes 8-byte-item arrays no longer than a little under
+# sys.maxsize // 8, and sys.maxsize // 16 is the largest count the CLI passes
+# on. Every count here is refused before numpy sees it.
+@pytest.mark.parametrize("n", [sys.maxsize // 16 + 1, sys.maxsize, 2**64, 10**20])
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["sweep", "--steps={n}"], "--steps"),
+        (["marginals", "--steps={n}"], "--steps"),
+        (["sweep", "--steps=3", "--mc={n},1"], "--mc sample count"),
+        (["bell", "--optimal", "--samples={n}"], "--samples"),
+        (["sample", "--samples={n}"], "--samples"),
+    ],
+)
+def test_counts_past_any_array_are_usage_errors(capsys, argv, flag, n):
+    code, out, err = run_cli(capsys, *(a.format(n=n) for a in argv))
+    assert code == 2
+    assert out == ""
+    assert err == f"biphoton {argv[0]}: error: {flag} must be <= {sys.maxsize // 16}, got {n}\n"
+
+
+@pytest.mark.parametrize(
+    "argv,allocator",
+    [
+        (["sweep", "--steps=3"], "sweep_correlation"),
+        (["marginals", "--steps=3"], "sweep_correlation"),
+        (["bell", "--optimal", "--samples=10"], "bell_experiment"),
+        (["sample", "--samples=10"], "sample_outcomes"),
+    ],
+)
+def test_out_of_memory_is_one_line_exit_1(capsys, monkeypatch, argv, allocator):
+    message = "Unable to allocate 7.28 TiB for an array with shape (1000000000000,)"
+
+    def refuse(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, allocator, refuse)
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert err == f"biphoton: out of memory: {message}\n"
+
+
+# ---------------------------------------------------------------------------
 # parser-level behavior
 
 
