@@ -1,4 +1,6 @@
+import contextlib
 import errno
+import io
 import json
 import math
 import os
@@ -596,6 +598,77 @@ def test_unknown_subcommand_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "frobnicate")
     assert code == 2
     assert "error" in err
+
+
+# Counts are small or past any array, never in between, where a run could
+# allocate gigabytes before it fails.
+_COUNTS = st.one_of(
+    st.integers(-3, 3000), st.sampled_from([10**20, 2**64, 2**63 - 1, 2**62])
+).map(str)
+_SEEDS = st.one_of(st.integers(-3, 3000), st.sampled_from([10**20, 2**64, -(2**64)])).map(str)
+_ANGLES = st.one_of(
+    st.integers(-3, 3000).map(str),
+    st.floats(-10, 10).map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "pi/0", "1e308", "-1e308", "-3pi/4", "pie", ""]),
+)
+_VISIBILITIES = st.one_of(
+    st.floats(0, 1).map(repr), st.sampled_from(["-0.1", "1.5", "nan", "inf", "-0", "x"])
+)
+_MC = st.one_of(
+    st.builds("{},{}".format, _COUNTS, _SEEDS),
+    st.sampled_from(["", "oops", ",", "5,", ",5", "1,2,3", "2.5,1", "1e5,1"]),
+)
+_ANGLE_LISTS = st.one_of(
+    st.lists(_ANGLES, min_size=3, max_size=5).map(",".join), st.sampled_from(["", ",,,"])
+)
+# "{dir}" is replaced by a scratch directory; "missing" does not exist in it
+_PATHS = st.sampled_from(["-", "{dir}/out.txt", "{dir}/missing/out.txt"])
+_GRID = {"--delta-min": _ANGLES, "--delta-max": _ANGLES, "--steps": _COUNTS,
+         "--visibility": _VISIBILITIES}
+_RUN = {"--threads": _COUNTS, "--output": _PATHS}
+_FLAGS = {
+    "sweep": {**_GRID, "--mc": _MC, **_RUN},
+    "marginals": {**_GRID, "--output": _PATHS},
+    "bell": {"--angles": _ANGLE_LISTS, "--optimal": None, "--visibility": _VISIBILITIES,
+             "--samples": _COUNTS, "--seed": _SEEDS, **_RUN},
+    "premeasure": {"--theta": _ANGLES, "--dump-state": _PATHS, "--output": _PATHS},
+    "sample": {"--phi-a": _ANGLES, "--phi-b": _ANGLES, "--visibility": _VISIBILITIES,
+               "--samples": _COUNTS, "--seed": _SEEDS, **_RUN},
+}
+
+
+@st.composite
+def command_lines(draw):
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    argv = [command]
+    for flag in draw(st.lists(st.sampled_from(sorted(_FLAGS[command])), unique=True)):
+        values = _FLAGS[command][flag]
+        if values is None:
+            argv.append(flag)
+        elif draw(st.booleans()):
+            argv.append(f"{flag}={draw(values)}")
+        else:
+            argv += [flag, draw(values)]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=150, deadline=None)
+@given(command_lines())
+def test_fuzzed_command_lines_keep_the_exit_contract(fuzz_dir, argv):
+    # An exception escaping main fails the test, as a traceback would.
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([a.replace("{dir}", str(fuzz_dir)) for a in argv])
+    err = err.getvalue()
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 2:
+        assert err.startswith("biphoton") and err.endswith("\n") and err.count("\n") == 1
 
 
 def test_floats_printed_with_nine_significant_digits(capsys):
