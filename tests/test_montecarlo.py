@@ -128,15 +128,15 @@ def test_matched_settings_give_identical_outcomes():
 
 
 def test_uniform_table_frequencies():
-    # 4-sigma binomial band around 1/4 at a million draws.
-    events = sample_events(table_at(0.0, 0.0), 1_000_000, 2026)
-    counts = {pair: 0 for pair in OUTCOMES}
-    for e in events:
-        counts[(e.outcome_a, e.outcome_b)] += 1
+    # 4-sigma binomial band around 1/4 at a million draws. The stream is the
+    # one sample_events turns into EventRecords (see
+    # test_outcome_array_equals_event_records), counted as an array.
+    idx = sample_outcomes(table_at(0.0, 0.0), 1_000_000, 2026)
+    counts = np.bincount(idx, minlength=len(OUTCOMES))
     band = 4 * math.sqrt(0.25 * 0.75 / 1_000_000)
     assert band < 0.002
-    for pair in OUTCOMES:
-        assert abs(counts[pair] / 1_000_000 - 0.25) < 0.002
+    for count in counts:
+        assert abs(count / 1_000_000 - 0.25) < 0.002
 
 
 def chi2_sf_3dof(x: float) -> float:
