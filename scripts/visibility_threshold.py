@@ -9,21 +9,11 @@ minimum fringe contrast from which the paired outcomes certify nonlocality.
 
 import argparse
 import math
-from dataclasses import dataclass
 
 from biphoton import CHSH_OPTIMAL, Visibility, bell_experiment, chsh
 
 
-@dataclass
-class ScanConfig:
-    v_min: float = 0.0
-    v_max: float = 1.0
-    steps: int = 21
-    samples: int = 20_000
-    seed: int = 2026
-
-
-def parse_args() -> ScanConfig:
+def parse_args() -> argparse.Namespace:
     p = argparse.ArgumentParser(description=__doc__)
     p.add_argument("--v-min", type=float, default=0.0)
     p.add_argument("--v-max", type=float, default=1.0)
@@ -31,8 +21,7 @@ def parse_args() -> ScanConfig:
     p.add_argument("--samples", type=int, default=20_000,
                    help="events per CHSH setting for the sampled column")
     p.add_argument("--seed", type=int, default=2026)
-    a = p.parse_args()
-    return ScanConfig(a.v_min, a.v_max, a.steps, a.samples, a.seed)
+    return p.parse_args()
 
 
 def main() -> None:

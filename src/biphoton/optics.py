@@ -108,9 +108,6 @@ class JointDistribution:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
         object.__setattr__(self, "probs", probs)
 
-    def __getitem__(self, pair: tuple[str, str]) -> float:
-        return self.probs[pair]
-
 
 def superposed_state(theta: float = 0.0) -> StateVector:
     """Single photon split evenly over paths A1, A2 with relative phase theta.
