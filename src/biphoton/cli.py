@@ -32,10 +32,9 @@ _SAMPLE_CHUNK = 1 << 16
 # Grid points `sweep` and `marginals` tabulate at a time; bounds the rows
 # held at once (well under 1 MB) whatever --steps is
 _GRID_CHUNK = 1 << 10
-# Larger counts are usage errors: numpy refuses an array of 8-byte items a
-# little short of sys.maxsize // 8 long with a ValueError, not a MemoryError,
-# and near sys.maxsize silently makes an empty one. Below this, a request too
-# big for memory fails as a MemoryError.
+# Largest count accepted. Numpy refuses arrays of 8-byte items a little short
+# of sys.maxsize // 8 long with a ValueError, not a MemoryError, and makes an
+# empty one near sys.maxsize; below this, too big for memory is a MemoryError.
 _MAX_COUNT = sys.maxsize // 16
 
 
@@ -152,15 +151,16 @@ def _visibility(args) -> Visibility:
         args.parser.error(str(exc))
 
 
-def _check_count(args, flag: str, n: int) -> None:
+def _check_count(args, n: int, least: int, flag: str, too_few: str) -> None:
+    """Usage error unless least <= n <= _MAX_COUNT; too_few is the message if n < least."""
+    if n < least:
+        args.parser.error(too_few)
     if n > _MAX_COUNT:
         args.parser.error(f"{flag} must be <= {_MAX_COUNT}, got {n}")
 
 
 def _grid(args) -> np.ndarray:
-    if args.steps < 2:
-        args.parser.error(f"--steps must be >= 2, got {args.steps}")
-    _check_count(args, "--steps", args.steps)
+    _check_count(args, args.steps, 2, "--steps", f"--steps must be >= 2, got {args.steps}")
     lo, hi = args.delta_min, args.delta_max
     step = (hi - lo) / (args.steps - 1)
     # The grid is monotonic, so its last point is finite only if every one is.
@@ -172,18 +172,14 @@ def _grid(args) -> np.ndarray:
 def cmd_sweep(args) -> int:
     vis = _visibility(args)
     grid = _grid(args)
-    mc = None
+    header = "delta,E_exact,p_pp,p_pm,p_mp,p_mm,pA_plus,pB_plus"
     if args.mc is not None:
         try:
             n_text, seed_text = args.mc.split(",")
-            mc = (int(n_text), int(seed_text))
+            n, seed = int(n_text), int(seed_text)
         except ValueError:
             args.parser.error(f"--mc expects N,SEED, got {args.mc!r}")
-        if mc[0] < 2:
-            args.parser.error("--mc sample count must be >= 2")
-        _check_count(args, "--mc sample count", mc[0])
-    header = "delta,E_exact,p_pp,p_pm,p_mp,p_mm,pA_plus,pB_plus"
-    if mc is not None:
+        _check_count(args, n, 2, "--mc sample count", "--mc sample count must be >= 2")
         header += ",E_hat,stderr"
     with _open_output(args.output) as out:
         out.write(header + "\n")
@@ -193,8 +189,7 @@ def cmd_sweep(args) -> int:
                 result.delta_grid, result.correlations, result.tables.T.tolist(), result.singles
             ), start):
                 fields = [delta, e, *probs, m.a_plus, m.b_plus]
-                if mc is not None:
-                    n, seed = mc
+                if args.mc is not None:
                     j = JointDistribution(PhaseSettings(delta, 0.0), dict(zip(OUTCOMES, probs)))
                     est = estimate_outcomes(sample_outcomes(j, n, derive_seed(seed, index)))
                     fields += [est.estimate, est.stderr]
@@ -229,9 +224,7 @@ def cmd_bell(args) -> int:
         settings = ChshSettings(a, a_prime, b, b_prime)
     else:
         args.parser.error("provide --angles a,a',b,b' or --optimal")
-    if args.samples < 2:
-        args.parser.error("--samples must be >= 2")
-    _check_count(args, "--samples", args.samples)
+    _check_count(args, args.samples, 2, "--samples", "--samples must be >= 2")
 
     s_exact = chsh(settings, vis)
     sampled = bell_experiment(settings, vis, args.samples, args.seed)
@@ -325,9 +318,7 @@ def _event_lines(start: int, idx: np.ndarray, rests: list[str]) -> Iterator[str]
 
 def cmd_sample(args) -> int:
     vis = _visibility(args)
-    if args.samples < 1:
-        args.parser.error("--samples must be >= 1")
-    _check_count(args, "--samples", args.samples)
+    _check_count(args, args.samples, 1, "--samples", "--samples must be >= 1")
     settings = PhaseSettings(args.phi_a, args.phi_b)
     j = joint_distribution(settings, vis)
     idx = sample_outcomes(j, args.samples, args.seed)
