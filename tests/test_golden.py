@@ -2,7 +2,8 @@
 
 Each case pins the exact stdout and stderr of one ``biphoton`` command line
 under ``tests/golden/``: ``<name>.stdout`` and ``<name>.stderr``, or
-``<name>.stdout.sha256`` for outputs too large to commit. A change that is
+``<name>.stdout.sha256`` for outputs too large to commit (written to an
+``--output`` file first when even a string of them is too large). A change that is
 meant to alter output bytes re-pins them in its own commit with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -10,6 +11,7 @@ meant to alter output bytes re-pins them in its own commit with
 
 import hashlib
 import sys
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 from pathlib import Path
@@ -55,6 +57,13 @@ HASHED = {
                     "--visibility", "0.8", "--seed", "7"],
 }
 
+# Hashed from an --output file. 1 048 600 lines cross trial 2**20 and the
+# change from six- to seven-digit trial numbers.
+HASHED_FILES = {
+    "sample_1048600": ["sample", "--samples", "1048600", "--phi-a", "0.9", "--phi-b", "-2.2",
+                       "--visibility", "0.95", "--seed", "99"],
+}
+
 
 def run(argv: list[str]) -> tuple[int, bytes, bytes]:
     out, err = StringIO(), StringIO()
@@ -83,6 +92,20 @@ def test_large_transcript_hash(name):
     assert err == golden(name, ".stderr")
 
 
+@pytest.mark.parametrize("name", sorted(HASHED_FILES))
+def test_large_output_file_hash(name, tmp_path):
+    path = tmp_path / "events.jsonl"
+    code, out, err = run([*HASHED_FILES[name], "--output", str(path)])
+    assert code == 0 and out == b""
+    assert file_sha256(path) == golden(name, ".stdout.sha256").decode().strip()
+    assert err == golden(name, ".stderr")
+
+
+def file_sha256(path: Path) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.file_digest(fh, "sha256").hexdigest()
+
+
 def test_output_file_matches_stdout_transcript(tmp_path):
     path = tmp_path / "events.jsonl"
     code, out, err = run([*CASES["bench_sample"], "--output", str(path)])
@@ -103,6 +126,13 @@ def write_goldens() -> None:
         assert code == 0, (name, err)
         (GOLDEN / f"{name}.stdout.sha256").write_text(hashlib.sha256(out).hexdigest() + "\n")
         (GOLDEN / f"{name}.stderr").write_bytes(err)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "events.jsonl"
+        for name, argv in HASHED_FILES.items():
+            code, out, err = run([*argv, "--output", str(path)])
+            assert code == 0 and out == b"", (name, err)
+            (GOLDEN / f"{name}.stdout.sha256").write_text(file_sha256(path) + "\n")
+            (GOLDEN / f"{name}.stderr").write_bytes(err)
 
 
 if __name__ == "__main__":
