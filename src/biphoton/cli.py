@@ -21,12 +21,12 @@ from contextlib import contextmanager
 import numpy as np
 
 from .analysis import CHSH_OPTIMAL, ChshSettings, chsh, sweep_correlation
-from .montecarlo import bell_experiment, estimate_outcomes, sample_outcomes
-from .optics import OUTCOMES, JointDistribution, PhaseSettings, Visibility, joint_distribution
+from .montecarlo import BLOCK, bell_experiment, estimate_counts, outcome_blocks, sample_counts
+from .optics import OUTCOMES, PhaseSettings, Visibility, joint_tables
 from .premeasure import correlation_report, premeasure
 from .rng import derive_seed
 
-# JSONL lines `sample` formats per write; bounds the text held at once
+# JSONL lines `sample` formats per string; bounds the text held at once
 # (about 4 MB) whatever --samples is
 _SAMPLE_CHUNK = 1 << 16
 # Grid points `sweep` and `marginals` tabulate at a time; bounds the rows
@@ -36,6 +36,7 @@ _GRID_CHUNK = 1 << 10
 # of sys.maxsize // 8 long with a ValueError, not a MemoryError, and makes an
 # empty one near sys.maxsize; below this, too big for memory is a MemoryError.
 _MAX_COUNT = sys.maxsize // 16
+_SEEDS = range(2**64)  # seeds accepted: the splitmix64 states
 
 
 class UsageError(Exception):
@@ -180,6 +181,8 @@ def cmd_sweep(args) -> int:
         except ValueError:
             args.parser.error(f"--mc expects N,SEED, got {args.mc!r}")
         _check_count(args, n, 2, "--mc sample count", "--mc sample count must be >= 2")
+        if seed not in _SEEDS:
+            args.parser.error(f"--mc seed must lie in [0, 2**64), got {seed}")
         header += ",E_hat,stderr"
     with _open_output(args.output) as out:
         out.write(header + "\n")
@@ -190,8 +193,7 @@ def cmd_sweep(args) -> int:
             ), start):
                 fields = [delta, e, *probs, m.a_plus, m.b_plus]
                 if args.mc is not None:
-                    j = JointDistribution(PhaseSettings(delta, 0.0), dict(zip(OUTCOMES, probs)))
-                    est = estimate_outcomes(sample_outcomes(j, n, derive_seed(seed, index)))
+                    est = estimate_counts(sample_counts(probs, n, derive_seed(seed, index)))
                     fields += [est.estimate, est.stderr]
                 out.write(",".join(_fmt(x) for x in fields) + "\n")
     return 0
@@ -290,17 +292,17 @@ _TRIAL_KEY = '{"trial": '
 
 def _event_lines(start: int, idx: np.ndarray, rests: list[str]) -> Iterator[str]:
     """JSONL lines _TRIAL_KEY + str(trial) + rests[k] for trials start,
-    start + 1, ... with outcome indices k from idx, as a few long strings.
+    start + 1, ... with outcome indices k from idx, _SAMPLE_CHUNK at most per string.
 
     The rests are ASCII and of one length, so the lines whose trial numbers
-    have the same number of digits have the same width: each such band is
+    have the same number of digits have the same width: each string is
     built as one uint8 matrix with a row per line.
     """
     stop = start + len(idx)
     lo = start
     while lo < stop:
         digits = len(str(lo))
-        hi = min(stop, 10**digits)
+        hi = min(stop, 10**digits, lo + _SAMPLE_CHUNK)
         # Each outcome's line with trial number 0...0, copied once per trial
         templates = "".join(_TRIAL_KEY + "0" * digits + rest for rest in rests)
         table = np.frombuffer(templates.encode("ascii"), np.uint8).reshape(len(rests), -1)
@@ -320,23 +322,23 @@ def cmd_sample(args) -> int:
     vis = _visibility(args)
     _check_count(args, args.samples, 1, "--samples", "--samples must be >= 1")
     settings = PhaseSettings(args.phi_a, args.phi_b)
-    j = joint_distribution(settings, vis)
-    idx = sample_outcomes(j, args.samples, args.seed)
+    probs = joint_tables(settings.phi_a, settings.phi_b, vis)
     pa, pb = _fmt(settings.phi_a), _fmt(settings.phi_b)
     # Each line is '{"trial": ' + trial + the rest of the line for its outcome.
     rests = [
         f', "phi_a": {pa}, "phi_b": {pb}, "a": "{a}", "b": "{b}"}}\n'
         for a, b in OUTCOMES
     ]
+    counts = np.zeros(len(OUTCOMES), np.int64)
     with _open_output(args.output) as out:
-        for start in range(0, len(idx), _SAMPLE_CHUNK):
-            out.writelines(_event_lines(start, idx[start:start + _SAMPLE_CHUNK], rests))
-    counts = np.bincount(idx, minlength=len(OUTCOMES))
+        for k, idx in enumerate(outcome_blocks(probs, args.samples, args.seed)):
+            out.writelines(_event_lines(k * BLOCK, idx, rests))
+            counts += np.bincount(idx, minlength=len(OUTCOMES))
     summary = "  ".join(f"{a}{b}: {c}" for (a, b), c in zip(OUTCOMES, counts))
-    if len(idx) >= 2:
-        est = estimate_outcomes(idx)
+    if args.samples >= 2:
+        est = estimate_counts(counts)
         summary += f"  E_hat = {_fmt(est.estimate)} +- {_fmt(est.stderr)}"
-    print(f"sampled {len(idx)} events  {summary}", file=sys.stderr)
+    print(f"sampled {args.samples} events  {summary}", file=sys.stderr)
     return 0
 
 
@@ -430,6 +432,8 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         if getattr(args, "threads", 1) < 1:
             args.parser.error(f"--threads must be >= 1, got {args.threads}")
+        if getattr(args, "seed", 0) not in _SEEDS:
+            args.parser.error(f"--seed must lie in [0, 2**64), got {args.seed}")
         code = args.handler(args)
         sys.stdout.flush()
         return code

@@ -3,19 +3,20 @@
 Every trial yields one outcome per party (no missed detections; instrument
 loss is folded into the visibility upstream). Draws are inverse-CDF over
 the four outcomes in the canonical order (+,+), (+,-), (-,+), (-,-) using
-the splitmix64 stream, so a (distribution, n, seed) triple fixes the event
+the splitmix64 stream, so a (probabilities, n, seed) triple fixes the event
 stream bit-for-bit. Multi-setting runs give each setting its own sub-seeded
 stream (``rng.derive_seed``), so no setting's events depend on another's.
 
-The core, ``sample_outcomes``, returns the outcomes as a uint8 index array
-into OUTCOMES, and ``estimate_outcomes`` reads that array directly.
-``sample_events`` and ``estimate_correlation`` give the same stream and the
-same numbers one EventRecord per trial.
+The core, ``outcome_blocks``, yields uint8 indices into OUTCOMES in blocks,
+so memory stays bounded whatever n is. The four counts (``sample_counts``)
+are all ``estimate_counts`` needs. ``sample_events`` and
+``estimate_correlation`` give the same numbers one EventRecord per trial.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,52 +49,56 @@ class EstimatorResult:
             raise ValueError(f"sample count must be >= 1, got {self.n!r}")
 
 
-def sample_outcomes(j: JointDistribution, n: int, seed: int) -> np.ndarray:
-    """n i.i.d. outcome indices into OUTCOMES, drawn from the joint table.
+# Trials drawn at a time: bounds the arrays held at once (about 40 MB)
+BLOCK = 1 << 20
 
-    Deterministic in (j, n, seed); entry i is trial i, as a uint8 in 0..3.
+
+def outcome_blocks(probs, n: int, seed: int) -> Iterator[np.ndarray]:
+    """n i.i.d. outcome indices into OUTCOMES, as uint8 blocks of BLOCK (the last may be shorter).
+
+    probs is the table in OUTCOMES order. The blocks are the draws of one
+    splitmix64 stream: joined, entry i is trial i, fixed by (probs, n, seed).
     """
     if n < 1:
         raise ValueError(f"need at least one event, got n = {n}")
-    cdf = np.cumsum([j.probs[pair] for pair in OUTCOMES])
-    u = SplitMix64(seed).doubles(n)
-    return np.minimum(np.searchsorted(cdf, u, side="right"), 3).astype(np.uint8)
+    cdf = np.cumsum(probs)
+    doubles = SplitMix64(seed).doubles
+    for start in range(0, n, BLOCK):
+        # Only the yielded uint8 block outlives this step, not its doubles.
+        idx = np.searchsorted(cdf, doubles(min(BLOCK, n - start)), side="right").astype(np.uint8)
+        yield np.minimum(idx, 3, out=idx)
 
 
-# +-1 outcome product of each index into OUTCOMES
-_SCORES = np.array([1.0, -1.0, -1.0, 1.0])
+def sample_counts(probs, n: int, seed: int) -> np.ndarray:
+    """How often each outcome of OUTCOMES occurs among outcome_blocks(probs, n, seed)."""
+    return sum(np.bincount(b, minlength=len(OUTCOMES)) for b in outcome_blocks(probs, n, seed))
 
 
-def estimate_outcomes(idx: np.ndarray) -> EstimatorResult:
-    """Sample mean and standard error of the +-1 outcome product."""
-    n = len(idx)
+def estimate_counts(counts) -> EstimatorResult:
+    """Sample mean and standard error of the +-1 outcome product from the four counts.
+
+    With s same and d opposite outcomes in n trials, the mean is (s - d)/n and
+    the sample variance 4 s d/(n (n - 1)); both are exact until the last rounding.
+    """
+    same, diff = int(counts[0]) + int(counts[3]), int(counts[1]) + int(counts[2])
+    n = same + diff
     if n < 2:
         raise ValueError(f"correlation estimate needs n >= 2 events, got {n}")
-    scores = _SCORES[idx]
-    estimate = float(scores.mean())
-    stderr = float(scores.std(ddof=1) / math.sqrt(n))
-    return EstimatorResult(estimate=estimate, stderr=stderr, n=n)
+    stderr = 2.0 * math.sqrt(same * diff / (n - 1)) / n
+    return EstimatorResult(estimate=(same - diff) / n, stderr=stderr, n=n)
 
 
 def sample_events(j: JointDistribution, n: int, seed: int) -> list[EventRecord]:
-    """sample_outcomes as EventRecords; trial indices run 0..n-1."""
-    settings = j.settings
-    return [
-        EventRecord(trial, settings, *OUTCOMES[k])
-        for trial, k in enumerate(sample_outcomes(j, n, seed).tolist())
-    ]
+    """outcome_blocks as EventRecords; trial indices run 0..n-1."""
+    blocks = outcome_blocks([j.probs[pair] for pair in OUTCOMES], n, seed)
+    idx = np.concatenate(list(blocks)).tolist()
+    return [EventRecord(trial, j.settings, *OUTCOMES[k]) for trial, k in enumerate(idx)]
 
 
 def estimate_correlation(events: list[EventRecord]) -> EstimatorResult:
-    """estimate_outcomes over a list of EventRecords."""
-    # Index 0, (+,+), scores +1 and index 1, (+,-), scores -1, so the
-    # mismatch flag of each event stands in for its full outcome index.
-    mismatch = np.fromiter(
-        (e.outcome_a != e.outcome_b for e in events),
-        dtype=np.uint8,
-        count=len(events),
-    )
-    return estimate_outcomes(mismatch)
+    """estimate_counts over a list of EventRecords."""
+    diff = sum(e.outcome_a != e.outcome_b for e in events)
+    return estimate_counts([len(events) - diff, diff, 0, 0])
 
 
 def bell_experiment(
@@ -113,12 +118,8 @@ def bell_experiment(
     pairs = chsh_setting_pairs(s)
     tables = joint_tables([p.phi_a for p in pairs], [p.phi_b for p in pairs], vis)
     results = [
-        estimate_outcomes(sample_outcomes(
-            JointDistribution(settings, dict(zip(OUTCOMES, row))),
-            n_per_setting,
-            derive_seed(seed, k),
-        ))
-        for k, (settings, row) in enumerate(zip(pairs, tables.T.tolist()))
+        estimate_counts(sample_counts(row, n_per_setting, derive_seed(seed, k)))
+        for k, row in enumerate(tables.T)
     ]
     s_value = (
         results[0].estimate + results[1].estimate + results[2].estimate

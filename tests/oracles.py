@@ -3,11 +3,15 @@
 Nothing here imports the package's circuit or generator code: the joint
 distribution is a hand expansion of the four two-photon amplitude paths as
 literal scalar arithmetic, and the generator is a line-by-line scalar
-transcription of the splitmix64 reference algorithm.
+transcription of the splitmix64 reference algorithm. The sampler and the
+estimator that the blocked, count-based core replaced are kept here as
+whole-array numpy references.
 """
 
 import cmath
 import math
+
+import numpy as np
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -71,3 +75,34 @@ def splitmix64_reference(seed: int, n: int) -> list[int]:
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
         out.append(z ^ (z >> 31))
     return out
+
+
+def whole_array_draw(probs, n: int, seed: int) -> np.ndarray:
+    """n outcome indices drawn in one array: n splitmix64 doubles at once,
+    each mapped through the cumulative table by inverse CDF."""
+    state = np.uint64(seed & _MASK64)
+    z = state + np.arange(1, n + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    z = z ^ (z >> np.uint64(31))
+    u = (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    cdf = np.cumsum(probs)
+    return np.minimum(np.searchsorted(cdf, u, side="right"), 3).astype(np.uint8)
+
+
+def pm1_estimate_reference(n_same: int, n_diff: int) -> tuple[float, float]:
+    """Mean and standard error of n_same scores +1 and n_diff scores -1, as
+    the score-array estimator computed them: np.mean, and
+    np.std(ddof=1) / sqrt(n).
+
+    Past 2**18 scores the array is not built: the same two passes (mean,
+    then squared deviations from it) run over the two distinct scores,
+    weighted by their counts, in float64.
+    """
+    n = n_same + n_diff
+    if n <= 2**18:
+        scores = np.repeat([1.0, -1.0], [n_same, n_diff])
+        return float(np.mean(scores)), float(np.std(scores, ddof=1) / math.sqrt(n))
+    mean = float(n_same - n_diff) / n
+    squares = n_same * (1.0 - mean) ** 2 + n_diff * (-1.0 - mean) ** 2
+    return mean, math.sqrt(squares / (n - 1)) / math.sqrt(n)

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from biphoton import cli
 from biphoton.analysis import correlation, marginals
 from biphoton.cli import main, parse_angle
-from biphoton.montecarlo import estimate_outcomes, sample_outcomes
+from biphoton.montecarlo import estimate_counts, sample_counts
 from biphoton.optics import OUTCOMES, PhaseSettings, Visibility, joint_distribution
 from biphoton.rng import derive_seed
 
@@ -134,6 +134,16 @@ def test_angle_flags_report_the_angle_message(capsys, command, flag, text, messa
         (["bell"], "provide --angles a,a',b,b' or --optimal"),
         (["bell", "--optimal", "--samples", "1"], "--samples must be >= 2"),
         (["sample", "--samples", "0"], "--samples must be >= 1"),
+        (["bell", "--optimal", "--seed=-1"], "--seed must lie in [0, 2**64), got -1"),
+        (["bell", "--optimal", "--seed", "18446744073709551617"],
+         "--seed must lie in [0, 2**64), got 18446744073709551617"),
+        (["sample", "--seed=-18446744073709551615"],
+         "--seed must lie in [0, 2**64), got -18446744073709551615"),
+        (["sample", "--seed", "18446744073709551616"],
+         "--seed must lie in [0, 2**64), got 18446744073709551616"),
+        (["sweep", "--mc", "10,-3"], "--mc seed must lie in [0, 2**64), got -3"),
+        (["sweep", "--mc", "10,18446744073709551616"],
+         "--mc seed must lie in [0, 2**64), got 18446744073709551616"),
     ],
 )
 def test_command_usage_errors_are_pinned(capsys, argv, message):
@@ -213,7 +223,7 @@ def test_grid_rows_across_chunks_match_per_point_tables(capsys):
         delta = -1.0 + index * step
         j = joint_distribution(PhaseSettings(delta, 0.0), Visibility(0.9))
         m = marginals(j)
-        est = estimate_outcomes(sample_outcomes(j, 50, derive_seed(11, index)))
+        est = estimate_counts(sample_counts(list(j.probs.values()), 50, derive_seed(11, index)))
         fields = [delta, correlation(j), *j.probs.values(), m.a_plus, m.b_plus,
                   est.estimate, est.stderr]
         assert sweep_rows[index] == ",".join(format(x, ".9g") for x in fields)
@@ -442,6 +452,15 @@ def test_event_lines_equal_per_event_strings(start, outcomes, phi_a, phi_b):
     assert "".join(cli._event_lines(start, idx, rests)) == reference_lines(start, outcomes, rests)
 
 
+def test_event_lines_strings_hold_at_most_one_chunk():
+    rests = [f', "a": "{a}", "b": "{b}"}}\n' for a, b in OUTCOMES]
+    idx = np.arange(3 * cli._SAMPLE_CHUNK, dtype=np.uint8) % 4
+    start = 10**5 - 7  # crosses a digit-count change as well
+    texts = list(cli._event_lines(start, idx, rests))
+    assert max(text.count("\n") for text in texts) == cli._SAMPLE_CHUNK
+    assert "".join(texts) == reference_lines(start, idx.tolist(), rests)
+
+
 def test_sample_stdout_and_file_bytes_are_identical(tmp_path):
     path = tmp_path / "events.jsonl"
     argv = [sys.executable, "-m", "biphoton", "sample", "--samples",
@@ -454,27 +473,29 @@ def test_sample_stdout_and_file_bytes_are_identical(tmp_path):
 
 
 def fail_after_first_chunk(monkeypatch):
-    calls = []
+    """Make the second string _event_lines yields fail to write."""
+    chunks = []
 
     def event_lines(*args):
-        calls.append(args)
-        if len(calls) > 1:
-            raise OSError(errno.ENOSPC, "No space left on device")
-        return real(*args)
+        for text in real(*args):
+            chunks.append(text)
+            if len(chunks) > 1:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            yield text
 
     real = cli._event_lines
     monkeypatch.setattr(cli, "_event_lines", event_lines)
-    return calls
+    return chunks
 
 
 def test_failed_sample_leaves_existing_output_unchanged(tmp_path, capsys, monkeypatch):
     path = tmp_path / "events.jsonl"
     path.write_text("earlier run\n")
-    calls = fail_after_first_chunk(monkeypatch)
+    chunks = fail_after_first_chunk(monkeypatch)
     code, out, err = run_cli(
         capsys, "sample", "--samples", str(2 * cli._SAMPLE_CHUNK), "--output", str(path)
     )
-    assert len(calls) == 2
+    assert len(chunks) == 2
     assert code == 1
     assert "No space left on device" in err
     assert path.read_text() == "earlier run\n"
@@ -569,7 +590,7 @@ def test_counts_past_any_array_are_usage_errors(capsys, argv, flag, n):
         (["sweep", "--steps=3"], "sweep_correlation"),
         (["marginals", "--steps=3"], "sweep_correlation"),
         (["bell", "--optimal", "--samples=10"], "bell_experiment"),
-        (["sample", "--samples=10"], "sample_outcomes"),
+        (["sample", "--samples=10"], "outcome_blocks"),
     ],
 )
 def test_out_of_memory_is_one_line_exit_1(capsys, monkeypatch, argv, allocator):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,12 +8,14 @@ from hypothesis import strategies as st
 
 from biphoton.analysis import CHSH_OPTIMAL, ChshSettings
 from biphoton.montecarlo import (
+    BLOCK,
     EstimatorResult,
     bell_experiment,
     estimate_correlation,
-    estimate_outcomes,
+    estimate_counts,
+    outcome_blocks,
+    sample_counts,
     sample_events,
-    sample_outcomes,
 )
 from biphoton.optics import (
     OUTCOMES,
@@ -24,13 +27,22 @@ from biphoton.optics import (
 )
 from biphoton.rng import SplitMix64, derive_seed
 
-from oracles import splitmix64_reference
+from oracles import pm1_estimate_reference, splitmix64_reference, whole_array_draw
 
 SQRT2 = math.sqrt(2.0)
 
 
 def table_at(delta: float, v: float) -> JointDistribution:
     return joint_distribution(PhaseSettings(delta, 0.0), Visibility(v))
+
+
+def probs_of(j: JointDistribution) -> list[float]:
+    return [j.probs[pair] for pair in OUTCOMES]
+
+
+def draw(j: JointDistribution, n: int, seed: int) -> np.ndarray:
+    """outcome_blocks for table j, joined into one array."""
+    return np.concatenate(list(outcome_blocks(probs_of(j), n, seed)))
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +126,9 @@ def test_sampling_rejects_zero_events():
     with pytest.raises(ValueError, match="at least one"):
         sample_events(table_at(0, 1), 0, 1)
     with pytest.raises(ValueError, match="at least one"):
-        sample_outcomes(table_at(0, 1), 0, 1)
+        draw(table_at(0, 1), 0, 1)
+    with pytest.raises(ValueError, match="at least one"):
+        sample_counts(probs_of(table_at(0, 1)), 0, 1)
 
 
 def test_trial_indices_strictly_increase():
@@ -130,9 +144,8 @@ def test_matched_settings_give_identical_outcomes():
 def test_uniform_table_frequencies():
     # 4-sigma binomial band around 1/4 at a million draws. The stream is the
     # one sample_events turns into EventRecords (see
-    # test_outcome_array_equals_event_records), counted as an array.
-    idx = sample_outcomes(table_at(0.0, 0.0), 1_000_000, 2026)
-    counts = np.bincount(idx, minlength=len(OUTCOMES))
+    # test_outcome_array_equals_event_records), counted by sample_counts.
+    counts = sample_counts(probs_of(table_at(0.0, 0.0)), 1_000_000, 2026)
     band = 4 * math.sqrt(0.25 * 0.75 / 1_000_000)
     assert band < 0.002
     for count in counts:
@@ -163,7 +176,7 @@ def test_chi2_sf_3dof_reference_values():
 def test_sampled_counts_fit_the_exact_table(delta, v):
     n = 200_000
     probs = joint_tables(delta, 0.0, Visibility(v))
-    counts = np.bincount(sample_outcomes(table_at(delta, v), n, 8128), minlength=4)
+    counts = np.bincount(draw(table_at(delta, v), n, 8128), minlength=4)
     assert chi2_sf_3dof(pearson_chi2(counts, probs)) > 0.001
     # The same counts against a table moved by 1% of its mass are rejected.
     biased = probs + np.array([0.005, -0.005, 0.005, -0.005])
@@ -172,11 +185,81 @@ def test_sampled_counts_fit_the_exact_table(delta, v):
 
 def test_package_root_exports_the_sampling_core():
     import biphoton
-    from biphoton import estimate_outcomes as root_estimate, sample_outcomes as root_sample
+    from biphoton import estimate_counts as root_estimate
+    from biphoton import outcome_blocks as root_blocks
+    from biphoton import sample_counts as root_counts
 
-    assert root_sample is sample_outcomes
-    assert root_estimate is estimate_outcomes
-    assert {"sample_outcomes", "estimate_outcomes"} <= set(biphoton.__all__)
+    assert root_blocks is outcome_blocks
+    assert root_counts is sample_counts
+    assert root_estimate is estimate_counts
+    assert {"outcome_blocks", "sample_counts", "estimate_counts"} <= set(biphoton.__all__)
+
+
+# ---------------------------------------------------------------------------
+# blocks and counts against the whole-array sampler and estimator
+
+
+@pytest.mark.parametrize(
+    "delta,v,seed", [(0.0, 1.0, 0), (1.1, 0.83, 2**64 - 1), (math.pi / 2, 0.0, 31337)]
+)
+def test_blocks_join_into_the_whole_array_draw(delta, v, seed):
+    n = 2 * BLOCK + 3
+    probs = probs_of(table_at(delta, v))
+    blocks = list(outcome_blocks(probs, n, seed))
+    assert [len(b) for b in blocks] == [BLOCK, BLOCK, 3]
+    joined = np.concatenate(blocks)
+    assert (joined == whole_array_draw(probs, n, seed)).all()
+    assert (sample_counts(probs, n, seed) == np.bincount(joined, minlength=4)).all()
+
+
+def test_draws_past_the_table_total_are_the_last_outcome():
+    # A cumulative sum that rounds below 1 leaves u in [total, 1) past every
+    # entry; such draws count as (-,-). Here the gap is made wide on purpose.
+    probs = [0.25, 0.25, 0.25, 0.2]
+    idx = np.concatenate(list(outcome_blocks(probs, 1000, 3)))
+    assert idx.max() == 3
+    assert (idx == whole_array_draw(probs, 1000, 3)).all()
+
+
+@st.composite
+def outcome_counts(draw_from):
+    """(pp, pm, mp, mm) with small, tiny (0, 1, 2) and huge same/opposite totals."""
+    totals = st.one_of(st.sampled_from([0, 1, 2]), st.integers(0, 2**17), st.integers(0, 2**40))
+    same, diff = draw_from(totals), draw_from(totals)
+    pp, pm = draw_from(st.integers(0, same)), draw_from(st.integers(0, diff))
+    return [pp, pm, diff - pm, same - pp]
+
+
+@given(outcome_counts())
+@settings(max_examples=300, deadline=None)
+def test_count_estimate_equals_score_array_estimate(counts):
+    same, diff = counts[0] + counts[3], counts[1] + counts[2]
+    n = same + diff
+    if n < 2:
+        with pytest.raises(ValueError, match="n >= 2"):
+            estimate_counts(counts)
+        return
+    est = estimate_counts(np.array(counts, dtype=np.int64))
+    mean, stderr = pm1_estimate_reference(same, diff)
+    assert est.estimate == mean
+    assert est.stderr == pytest.approx(stderr, rel=1e-12)
+    assert est.n == n
+
+
+def test_sample_counts_memory_does_not_grow_with_n():
+    probs = probs_of(table_at(0.7, 0.9))
+
+    def peak(n):
+        tracemalloc.start()
+        try:
+            sample_counts(probs, n, 5)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one, four = peak(BLOCK), peak(4 * BLOCK)
+    assert one >= 8 * BLOCK  # the block's doubles alone; numpy reports to tracemalloc
+    assert abs(four - one) <= 0.1 * one
 
 
 # ---------------------------------------------------------------------------
@@ -193,11 +276,13 @@ def test_package_root_exports_the_sampling_core():
 @settings(max_examples=40, deadline=None)
 def test_outcome_array_equals_event_records(phi_a, phi_b, v, n, seed):
     j = joint_distribution(PhaseSettings(phi_a, phi_b), Visibility(v))
-    idx = sample_outcomes(j, n, seed)
+    idx = draw(j, n, seed)
     events = sample_events(j, n, seed)
     assert idx.dtype == np.uint8
     assert [OUTCOMES[k] for k in idx] == [(e.outcome_a, e.outcome_b) for e in events]
-    from_array, from_events = estimate_outcomes(idx), estimate_correlation(events)
+    counts = sample_counts(probs_of(j), n, seed)
+    assert (counts == np.bincount(idx, minlength=4)).all()
+    from_array, from_events = estimate_counts(counts), estimate_correlation(events)
     assert from_array.estimate == from_events.estimate
     assert from_array.stderr == from_events.stderr
     assert from_array.n == from_events.n == n
@@ -221,7 +306,7 @@ def test_outcome_array_matches_scalar_inverse_cdf(delta, v, n, seed):
     for _ in range(n):
         u = gen.next_double()
         expected.append(min(sum(c <= u for c in cdf), 3))
-    assert sample_outcomes(j, n, seed).tolist() == expected
+    assert draw(j, n, seed).tolist() == expected
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +324,7 @@ def test_estimate_requires_two_events():
     with pytest.raises(ValueError, match="n >= 2"):
         estimate_correlation(events)
     with pytest.raises(ValueError, match="n >= 2"):
-        estimate_outcomes(sample_outcomes(table_at(0.0, 1.0), 1, 5))
+        estimate_counts(sample_counts(probs_of(table_at(0.0, 1.0)), 1, 5))
 
 
 def test_estimate_at_zero_correlation():
