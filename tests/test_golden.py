@@ -51,10 +51,15 @@ CASES = {
     "sample_blind": ["sample", "--visibility", "0", "--samples", "64", "--seed", "5"],
 }
 
-# Several 64 Ki-line chunks of JSONL: pins the joins between chunks.
+# Several 64 Ki-line chunks of JSONL, and grids of several 1024-point blocks
+# (sub-seeded --mc columns included): pins the joins between chunks.
 HASHED = {
     "sample_200k": ["sample", "--samples", "200000", "--phi-a", "2.3", "--phi-b", "4.1",
                     "--visibility", "0.8", "--seed", "7"],
+    "sweep_mc_2500": ["sweep", "--delta-min", "-1", "--delta-max", "7", "--steps", "2500",
+                      "--visibility", "0.9", "--mc", "50,11"],
+    "marginals_3073": ["marginals", "--delta-min", "-1", "--delta-max", "7", "--steps", "3073",
+                       "--visibility", "0.2"],
 }
 
 # Hashed from an --output file. 1 048 600 lines cross trial 2**20 and the
