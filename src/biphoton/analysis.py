@@ -17,7 +17,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .linalg import DensityMatrix
-from .optics import JointDistribution, PhaseSettings, Visibility, joint_tables
+from .optics import JointDistribution, Visibility, joint_tables
 
 
 class Marginals(NamedTuple):
@@ -47,27 +47,14 @@ def correlation(j: JointDistribution) -> float:
     return _correlation(*j.probs.values())
 
 
-@dataclass(frozen=True, eq=False)
-class SweepResult:
-    """Exact correlation and singles over a grid of phase differences, and
-    the joint tables they were read from (shape (4, n), as joint_tables)."""
+class SweepResult(NamedTuple):
+    """Exact correlation and singles as arrays over a grid of phase differences,
+    and the joint tables they were read from (shape (4, n), as joint_tables)."""
 
-    delta_grid: tuple[float, ...]
-    correlations: tuple[float, ...]
-    singles: tuple[Marginals, ...]
-    visibility_used: Visibility
+    delta_grid: np.ndarray
     tables: np.ndarray
-
-    def __post_init__(self):
-        n = len(self.delta_grid)
-        if len(self.correlations) != n or len(self.singles) != n:
-            raise ValueError("grid and value lists must have equal length")
-        if self.tables.shape != (4, n):
-            raise ValueError(f"need a (4, {n}) table array, got {self.tables.shape}")
-        if any(not -1.0 <= e <= 1.0 for e in self.correlations):
-            raise ValueError("correlation outside [-1, 1]")
-        if any(not 0.0 <= p <= 1.0 for m in self.singles for p in m):
-            raise ValueError("marginal outside [0, 1]")
+    correlations: np.ndarray
+    singles: Marginals
 
 
 def sweep_correlation(grid: Sequence[float], vis: Visibility) -> SweepResult:
@@ -76,13 +63,14 @@ def sweep_correlation(grid: Sequence[float], vis: Visibility) -> SweepResult:
         raise ValueError("sweep grid must be non-empty")
     deltas = np.asarray(grid, dtype=float)
     tables = joint_tables(deltas, 0.0, vis)
-    return SweepResult(
-        delta_grid=tuple(deltas.tolist()),
-        correlations=tuple(_correlation(*tables).tolist()),
-        singles=tuple(map(Marginals._make, np.transpose(_marginals(*tables)).tolist())),
-        visibility_used=vis,
-        tables=tables,
-    )
+    e, singles = _correlation(*tables), _marginals(*tables)
+    p = np.array(singles)
+    # Written so that a NaN fails them too.
+    if not np.all((-1.0 <= e) & (e <= 1.0)):
+        raise ValueError("correlation outside [-1, 1]")
+    if not np.all((0.0 <= p) & (p <= 1.0)):
+        raise ValueError("marginal outside [0, 1]")
+    return SweepResult(deltas, tables, e, singles)
 
 
 def fringe_visibility(values: Iterable[float]) -> float:
@@ -111,13 +99,8 @@ CHSH_OPTIMAL = ChshSettings(0.0, math.pi / 2, math.pi / 4, -math.pi / 4)
 
 
 def _chsh_angles(s: ChshSettings) -> tuple[list[float], list[float]]:
-    """phi_a and phi_b of the four pairs, in the order of chsh_setting_pairs."""
+    """phi_a and phi_b of the four pairs, in the fixed order (a,b), (a,b'), (a',b), (a',b')."""
     return [s.a, s.a, s.a_prime, s.a_prime], [s.b, s.b_prime, s.b, s.b_prime]
-
-
-def chsh_setting_pairs(s: ChshSettings) -> tuple[PhaseSettings, ...]:
-    """The four (phi_a, phi_b) pairs, in the fixed order (a,b), (a,b'), (a',b), (a',b')."""
-    return tuple(map(PhaseSettings, *_chsh_angles(s)))
 
 
 def chsh(s: ChshSettings, vis: Visibility) -> float:

@@ -21,10 +21,9 @@ from contextlib import contextmanager
 import numpy as np
 
 from .analysis import CHSH_OPTIMAL, ChshSettings, chsh, sweep_correlation
-from .montecarlo import BLOCK, bell_experiment, estimate_counts, outcome_blocks, sample_counts
+from .montecarlo import BLOCK, bell_experiment, estimate_columns, estimate_counts, outcome_blocks
 from .optics import OUTCOMES, PhaseSettings, Visibility, joint_tables
 from .premeasure import correlation_report, premeasure
-from .rng import derive_seed
 
 # JSONL lines `sample` formats per string; bounds the text held at once
 # (about 4 MB) whatever --samples is
@@ -32,11 +31,13 @@ _SAMPLE_CHUNK = 1 << 16
 # Grid points `sweep` and `marginals` tabulate at a time; bounds the rows
 # held at once (well under 1 MB) whatever --steps is
 _GRID_CHUNK = 1 << 10
-# Largest count accepted. Numpy refuses arrays of 8-byte items a little short
-# of sys.maxsize // 8 long with a ValueError, not a MemoryError, and makes an
-# empty one near sys.maxsize; below this, too big for memory is a MemoryError.
+# Largest count accepted. Trial numbers, grid indices and counts are held in
+# numpy int64, and this bound keeps them far inside its range. No count
+# becomes one array, so a count under the bound runs at flat memory for as
+# long as it takes.
 _MAX_COUNT = sys.maxsize // 16
 _SEEDS = range(2**64)  # seeds accepted: the splitmix64 states
+_FLOAT = "%.9g"  # every float is printed with 9 significant digits
 
 
 class UsageError(Exception):
@@ -82,7 +83,7 @@ def parse_angle(text: str) -> float:
 
 
 def _fmt(x: float) -> str:
-    return format(float(x), ".9g")
+    return _FLOAT % x
 
 
 def _render_json(value, indent: int = 0) -> str:
@@ -160,14 +161,32 @@ def _check_count(args, n: int, least: int, flag: str, too_few: str) -> None:
         args.parser.error(f"{flag} must be <= {_MAX_COUNT}, got {n}")
 
 
-def _grid(args) -> np.ndarray:
+def _grid(args) -> tuple[float, float]:
+    """(lo, step): grid point k of --steps is lo + k * step."""
     _check_count(args, args.steps, 2, "--steps", f"--steps must be >= 2, got {args.steps}")
     lo, hi = args.delta_min, args.delta_max
     step = (hi - lo) / (args.steps - 1)
     # The grid is monotonic, so its last point is finite only if every one is.
     if not math.isfinite(lo + (args.steps - 1) * step):
         args.parser.error(f"grid from {_fmt(lo)} to {_fmt(hi)} in {args.steps} steps overflows")
-    return lo + np.arange(args.steps) * step
+    return lo, step
+
+
+def _write_grid(args, vis: Visibility, grid: tuple[float, float], header: str, columns) -> int:
+    """Write header, then one CSV row per grid point, _GRID_CHUNK points at a time.
+
+    columns(start, result) gives the fields, as columns, of the rows of the block
+    from grid index start, whose sweep_correlation is result. No array is --steps long.
+    """
+    lo, step = grid
+    with _open_output(args.output) as out:
+        out.write(header + "\n")
+        for start in range(0, args.steps, _GRID_CHUNK):
+            deltas = lo + np.arange(start, min(start + _GRID_CHUNK, args.steps)) * step
+            block = np.column_stack(columns(start, sweep_correlation(deltas, vis)))
+            row = ",".join([_FLOAT] * block.shape[1]) + "\n"
+            out.writelines(row % fields for fields in map(tuple, block.tolist()))
+    return 0
 
 
 def cmd_sweep(args) -> int:
@@ -184,31 +203,23 @@ def cmd_sweep(args) -> int:
         if seed not in _SEEDS:
             args.parser.error(f"--mc seed must lie in [0, 2**64), got {seed}")
         header += ",E_hat,stderr"
-    with _open_output(args.output) as out:
-        out.write(header + "\n")
-        for start in range(0, len(grid), _GRID_CHUNK):
-            result = sweep_correlation(grid[start:start + _GRID_CHUNK], vis)
-            for index, (delta, e, probs, m) in enumerate(zip(
-                result.delta_grid, result.correlations, result.tables.T.tolist(), result.singles
-            ), start):
-                fields = [delta, e, *probs, m.a_plus, m.b_plus]
-                if args.mc is not None:
-                    est = estimate_counts(sample_counts(probs, n, derive_seed(seed, index)))
-                    fields += [est.estimate, est.stderr]
-                out.write(",".join(_fmt(x) for x in fields) + "\n")
-    return 0
+
+    def columns(start, result):
+        m = result.singles
+        fields = [result.delta_grid, result.correlations, *result.tables, m.a_plus, m.b_plus]
+        if args.mc is not None:
+            est = estimate_columns(result.tables, n, seed, start)
+            fields += [[e.estimate for e in est], [e.stderr for e in est]]
+        return fields
+
+    return _write_grid(args, vis, grid, header, columns)
 
 
 def cmd_marginals(args) -> int:
     vis = _visibility(args)
     grid = _grid(args)
-    with _open_output(args.output) as out:
-        out.write("delta,pA_plus,pA_minus,pB_plus,pB_minus\n")
-        for start in range(0, len(grid), _GRID_CHUNK):
-            result = sweep_correlation(grid[start:start + _GRID_CHUNK], vis)
-            for delta, m in zip(result.delta_grid, result.singles):
-                out.write(",".join(_fmt(x) for x in (delta, *m)) + "\n")
-    return 0
+    return _write_grid(args, vis, grid, "delta,pA_plus,pA_minus,pB_plus,pB_minus",
+                       lambda start, result: [result.delta_grid, *result.singles])
 
 
 def cmd_bell(args) -> int:

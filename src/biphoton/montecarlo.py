@@ -5,7 +5,8 @@ loss is folded into the visibility upstream). Draws are inverse-CDF over
 the four outcomes in the canonical order (+,+), (+,-), (-,+), (-,-) using
 the splitmix64 stream, so a (probabilities, n, seed) triple fixes the event
 stream bit-for-bit. Multi-setting runs give each setting its own sub-seeded
-stream (``rng.derive_seed``), so no setting's events depend on another's.
+stream (``rng.derive_seed``), so no setting's events depend on another's;
+``estimate_columns`` is the one place that rule is applied.
 
 The core, ``outcome_blocks``, yields uint8 indices into OUTCOMES in blocks,
 so memory stays bounded whatever n is. The four counts (``sample_counts``)
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import ChshSettings, chsh_setting_pairs
+from .analysis import ChshSettings, _chsh_angles
 from .optics import OUTCOMES, JointDistribution, PhaseSettings, Visibility, joint_tables
 from .rng import SplitMix64, derive_seed
 
@@ -88,6 +89,15 @@ def estimate_counts(counts) -> EstimatorResult:
     return EstimatorResult(estimate=(same - diff) / n, stderr=stderr, n=n)
 
 
+def estimate_columns(tables, n: int, seed: int, first: int = 0) -> list[EstimatorResult]:
+    """estimate_counts of n draws from each table k, a column of tables (shape
+    (4, m), as joint_tables), from its own stream seeded with derive_seed(seed, first + k)."""
+    return [
+        estimate_counts(sample_counts(table, n, derive_seed(seed, first + k)))
+        for k, table in enumerate(tables.T)
+    ]
+
+
 def sample_events(j: JointDistribution, n: int, seed: int) -> list[EventRecord]:
     """outcome_blocks as EventRecords; trial indices run 0..n-1."""
     blocks = outcome_blocks([j.probs[pair] for pair in OUTCOMES], n, seed)
@@ -115,15 +125,7 @@ def bell_experiment(
     """
     if n_per_setting < 2:
         raise ValueError(f"need n_per_setting >= 2, got {n_per_setting}")
-    pairs = chsh_setting_pairs(s)
-    tables = joint_tables([p.phi_a for p in pairs], [p.phi_b for p in pairs], vis)
-    results = [
-        estimate_counts(sample_counts(row, n_per_setting, derive_seed(seed, k)))
-        for k, row in enumerate(tables.T)
-    ]
-    s_value = (
-        results[0].estimate + results[1].estimate + results[2].estimate
-        - results[3].estimate
-    )
+    results = estimate_columns(joint_tables(*_chsh_angles(s), vis), n_per_setting, seed)
+    e = [r.estimate for r in results]
     stderr = math.sqrt(sum(r.stderr**2 for r in results))
-    return EstimatorResult(estimate=s_value, stderr=stderr, n=4 * n_per_setting)
+    return EstimatorResult(estimate=e[0] + e[1] + e[2] - e[3], stderr=stderr, n=4 * n_per_setting)

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from biphoton import analysis
 from biphoton.analysis import (
     CHSH_OPTIMAL,
     ChshSettings,
     chsh,
-    chsh_setting_pairs,
     correlation,
     fringe_visibility,
     l1_coherence,
@@ -94,13 +94,30 @@ def test_sweep_endpoints_and_midpoint():
 
 def test_sweep_mixed_limit():
     result = sweep_correlation([0.0], Visibility(0))
-    assert result.correlations == (0.0,)
+    assert result.correlations.tolist() == [0.0]
 
 
 def test_sweep_singles_are_flat():
     result = sweep_correlation(np.linspace(0, 2 * math.pi, 32), Visibility(1))
-    for m in result.singles:
-        np.testing.assert_allclose(list(m), [0.5] * 4, atol=TOL)
+    for m in np.transpose(result.singles).tolist():
+        np.testing.assert_allclose(m, [0.5] * 4, atol=TOL)
+
+
+@pytest.mark.parametrize(
+    "bad,message",
+    [
+        ([1.0, -0.5, -0.5, 1.0], "correlation outside"),  # E = 3
+        ([math.nan, 0.25, 0.25, 0.25], "correlation outside"),
+        ([0.9, 0.3, -0.1, -0.1], "marginal outside"),  # E = 0.6, P(A+) = 1.2
+    ],
+)
+def test_sweep_rejects_tables_outside_the_ranges(monkeypatch, bad, message):
+    def table(deltas, phi_b, vis):
+        return np.repeat(np.array(bad)[:, None], len(deltas), axis=1)
+
+    monkeypatch.setattr(analysis, "joint_tables", table)
+    with pytest.raises(ValueError, match=message):
+        sweep_correlation([0.0, 1.0], Visibility(1))
 
 
 def test_sweep_rejects_empty_grid():
@@ -123,7 +140,7 @@ def test_sweep_matches_cosine_on_dense_grid(v):
 def test_visibility_of_flat_singles_is_zero():
     grid = np.linspace(0.0, 2 * math.pi, 64, endpoint=False)
     result = sweep_correlation(grid, Visibility(1))
-    singles_series = [m.a_plus for m in result.singles]
+    singles_series = result.singles.a_plus.tolist()
     assert fringe_visibility(singles_series) == pytest.approx(0.0, abs=TOL)
 
 
@@ -265,9 +282,9 @@ def test_sweep_correlation_equals_per_point_loop(grid, v):
     vis = Visibility(v)
     tables = [joint_distribution(PhaseSettings(d, 0.0), vis) for d in grid]
     result = sweep_correlation(grid, vis)
-    assert result.delta_grid == tuple(grid)
-    assert result.correlations == tuple(correlation(j) for j in tables)
-    assert result.singles == tuple(marginals(j) for j in tables)
+    assert result.delta_grid.tolist() == grid
+    assert result.correlations.tolist() == [correlation(j) for j in tables]
+    assert np.transpose(result.singles).tolist() == [list(marginals(j)) for j in tables]
     assert result.tables.T.tolist() == [list(j.probs.values()) for j in tables]
 
 
@@ -275,7 +292,8 @@ def test_sweep_correlation_equals_per_point_loop(grid, v):
 @given(wide_angles, wide_angles, wide_angles, wide_angles, visibilities_with_ends)
 def test_chsh_equals_per_point_loop(a, ap, b, bp, v):
     s, vis = ChshSettings(a, ap, b, bp), Visibility(v)
-    e = [correlation(joint_distribution(p, vis)) for p in chsh_setting_pairs(s)]
+    pairs = [(a, b), (a, bp), (ap, b), (ap, bp)]
+    e = [correlation(joint_distribution(PhaseSettings(pa, pb), vis)) for pa, pb in pairs]
     assert chsh(s, vis) == e[0] + e[1] + e[2] - e[3]
 
 

@@ -7,6 +7,7 @@ import os
 import stat
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -228,6 +229,20 @@ def test_grid_rows_across_chunks_match_per_point_tables(capsys):
                   est.estimate, est.stderr]
         assert sweep_rows[index] == ",".join(format(x, ".9g") for x in fields)
         assert marg_rows[index] == ",".join(format(x, ".9g") for x in (delta, *m))
+
+
+@pytest.mark.parametrize("command", ["sweep", "marginals"])
+def test_grid_memory_does_not_grow_with_steps(command):
+    def peak(steps):
+        tracemalloc.start()
+        try:
+            assert main([command, "--steps", str(steps), "--output", os.devnull]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(2**12), peak(2**17)
+    assert abs(large - small) <= 0.1 * small
 
 
 def test_marginals_subcommand(capsys):
@@ -563,9 +578,9 @@ def test_unwritable_output_is_io_error(tmp_path, capsys):
 # counts too big for memory
 
 
-# Numpy makes 8-byte-item arrays no longer than a little under
-# sys.maxsize // 8, and sys.maxsize // 16 is the largest count the CLI passes
-# on. Every count here is refused before numpy sees it.
+# sys.maxsize // 16 is the largest count the CLI passes on, which keeps
+# every trial number, grid index and count far inside numpy int64. Every
+# count here is refused before numpy sees it.
 @pytest.mark.parametrize("n", [sys.maxsize // 16 + 1, sys.maxsize, 2**64, 10**20])
 @pytest.mark.parametrize(
     "argv,flag",

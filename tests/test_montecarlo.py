@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from biphoton.analysis import CHSH_OPTIMAL, ChshSettings
@@ -396,6 +396,36 @@ def test_bell_experiment_is_deterministic():
     sequential = bell_experiment(CHSH_OPTIMAL, Visibility(0.8), 5_000, 7)
     repeat = bell_experiment(CHSH_OPTIMAL, Visibility(0.8), 5_000, 7)
     assert sequential == repeat
+
+
+wide_angles = st.floats(-20.0, 20.0, allow_nan=False)
+
+
+@given(
+    st.tuples(wide_angles, wide_angles, wide_angles, wide_angles),
+    st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    st.integers(2, 300),
+    st.integers(0, 2**64 - 1),
+)
+@example((-20.0, 2 * math.pi, 19.5, -7.25), 1.0, 2, 0)
+@example((0.0, 3 * math.pi, -2 * math.pi, 13.0), 0.0, 3, 2**64 - 1)
+@settings(max_examples=60, deadline=None)
+def test_bell_experiment_equals_per_setting_loop(angles, v, n, seed):
+    a, ap, b, bp = angles
+    vis = Visibility(v)
+    pairs = [(a, b), (a, bp), (ap, b), (ap, bp)]
+    results = [
+        estimate_counts(sample_counts(
+            list(joint_distribution(PhaseSettings(pa, pb), vis).probs.values()),
+            n, derive_seed(seed, k),
+        ))
+        for k, (pa, pb) in enumerate(pairs)
+    ]
+    e = [r.estimate for r in results]
+    result = bell_experiment(ChshSettings(a, ap, b, bp), vis, n, seed)
+    assert result.estimate == e[0] + e[1] + e[2] - e[3]
+    assert result.stderr == math.sqrt(sum(r.stderr**2 for r in results))
+    assert result.n == 4 * n
 
 
 def test_bell_experiment_needs_two_events_per_setting():
