@@ -25,7 +25,7 @@ from .montecarlo import BLOCK, bell_experiment, estimate_columns, estimate_count
 from .optics import OUTCOMES, PhaseSettings, Visibility, joint_tables
 from .premeasure import correlation_report, premeasure
 
-# JSONL lines `sample` formats per string; bounds the text held at once
+# JSONL lines `sample` formats per matrix; bounds the text held at once
 # (about 4 MB) whatever --samples is
 _SAMPLE_CHUNK = 1 << 16
 # Grid points `sweep` and `marginals` tabulate at a time; bounds the rows
@@ -114,7 +114,7 @@ def _render_json(value, indent: int = 0) -> str:
 
 @contextmanager
 def _open_output(path: str | None):
-    """Text handle for a command's output: stdout for None or '-', else path.
+    """Binary handle for a command's output: stdout's buffer for None or '-', else path.
 
     A file is written under a temporary name in its own directory and moved
     onto path only when the command succeeds, so an error midway leaves no
@@ -122,11 +122,15 @@ def _open_output(path: str | None):
     are not regular files (/dev/null, a pipe) are written in place.
     """
     if path is None or path == "-":
-        yield sys.stdout
+        if getattr(sys.stdout, "buffer", None) is None:
+            raise OSError("standard output is closed or takes no bytes")
+        sys.stdout.flush()
+        yield sys.stdout.buffer
+        sys.stdout.buffer.flush()
         return
     target = os.path.realpath(path)
     if os.path.exists(target) and not os.path.isfile(target):
-        with open(target, "w", encoding="utf-8", newline="\n") as handle:
+        with open(target, "wb") as handle:
             yield handle
         return
     try:
@@ -137,7 +141,7 @@ def _open_output(path: str | None):
         mode = 0o666 & ~umask
     fd, tmp = tempfile.mkstemp(prefix=".biphoton-", dir=os.path.dirname(target))
     try:
-        with open(fd, "w", encoding="utf-8", newline="\n") as handle:
+        with open(fd, "wb") as handle:
             yield handle
         os.chmod(tmp, mode)
         os.replace(tmp, target)
@@ -180,12 +184,12 @@ def _write_grid(args, vis: Visibility, grid: tuple[float, float], header: str, c
     """
     lo, step = grid
     with _open_output(args.output) as out:
-        out.write(header + "\n")
+        out.write(header.encode() + b"\n")
         for start in range(0, args.steps, _GRID_CHUNK):
             deltas = lo + np.arange(start, min(start + _GRID_CHUNK, args.steps)) * step
             block = np.column_stack(columns(start, sweep_correlation(deltas, vis)))
-            row = ",".join([_FLOAT] * block.shape[1]) + "\n"
-            out.writelines(row % fields for fields in map(tuple, block.tolist()))
+            row = b",".join([_FLOAT.encode()] * block.shape[1]) + b"\n"
+            out.write(b"".join([row % fields for fields in map(tuple, block.tolist())]))
     return 0
 
 
@@ -257,7 +261,7 @@ def cmd_bell(args) -> int:
         "violation": bool(sampled.estimate - 2.0 > 3.0 * sampled.stderr),
     }
     with _open_output(args.output) as out:
-        out.write(_render_json(report) + "\n")
+        out.write((_render_json(report) + "\n").encode())
     return 0
 
 
@@ -268,9 +272,9 @@ def cmd_premeasure(args) -> int:
     payload.update(report.to_json_dict())
     if args.dump_state is not None:
         with _open_output(args.dump_state) as out:
-            out.write(_render_json(psi.to_json_dict()) + "\n")
+            out.write((_render_json(psi.to_json_dict()) + "\n").encode())
     with _open_output(args.output) as out:
-        out.write(_render_json(payload) + "\n")
+        out.write((_render_json(payload) + "\n").encode())
 
     joint = report.joint_probs
     cond = report.conditional_probs
@@ -298,34 +302,37 @@ def cmd_premeasure(args) -> int:
 
 
 # Opens every `sample` line, before the trial number
-_TRIAL_KEY = '{"trial": '
+_TRIAL_KEY = b'{"trial": '
+# Row k: the four ASCII digits of k, the low digits of trial numbers k mod 10**4
+_DIGITS = np.indices((10,) * 4, np.uint8).reshape(4, -1).T + ord("0")
 
 
-def _event_lines(start: int, idx: np.ndarray, rests: list[str]) -> Iterator[str]:
-    """JSONL lines _TRIAL_KEY + str(trial) + rests[k] for trials start,
-    start + 1, ... with outcome indices k from idx, _SAMPLE_CHUNK at most per string.
+def _event_lines(start: int, idx: np.ndarray, rests: list[bytes]) -> Iterator[np.ndarray]:
+    """JSONL lines _TRIAL_KEY + str(trial) + rests[k] (rests of one length) for
+    trials start, start + 1, ... with outcome indices k from idx, as uint8
+    matrices of a row per line and _SAMPLE_CHUNK rows at most.
 
-    The rests are ASCII and of one length, so the lines whose trial numbers
-    have the same number of digits have the same width: each string is
-    built as one uint8 matrix with a row per line.
+    Each run of 10**4 trials copies its outcomes' lines, which hold its high
+    digits; a trial number's low (at most four) digits come from _DIGITS.
     """
     stop = start + len(idx)
     lo = start
     while lo < stop:
         digits = len(str(lo))
         hi = min(stop, 10**digits, lo + _SAMPLE_CHUNK)
-        # Each outcome's line with trial number 0...0, copied once per trial
-        templates = "".join(_TRIAL_KEY + "0" * digits + rest for rest in rests)
-        table = np.frombuffer(templates.encode("ascii"), np.uint8).reshape(len(rests), -1)
-        rows = table.take(idx[lo - start:hi - start], axis=0)
-        # then the trial numbers' decimal digits added in, last digit first;
-        # int32 divmod is about 4x faster than int64.
-        q = np.arange(lo, hi, dtype=np.int32 if hi <= 2**31 else np.int64)
-        text = np.empty((digits, hi - lo), np.uint8)
-        for d in range(digits - 1, -1, -1):
-            q, text[d] = np.divmod(q, 10)
-        rows[:, len(_TRIAL_KEY):len(_TRIAL_KEY) + digits] += text.T
-        yield str(rows, "ascii")  # decodes the array's buffer, no bytes copy
+        low = min(digits, 4)
+        rows = np.empty((hi - lo, len(_TRIAL_KEY) + digits + len(rests[0])), np.uint8)
+        # The low digits of each row, and of each row of _DIGITS, as one item
+        text = rows[:, len(_TRIAL_KEY) + digits - low:len(_TRIAL_KEY) + digits].view(f"V{low}")
+        table = np.ascontiguousarray(_DIGITS[:, -low:]).view(f"V{low}")
+        for run in range(lo - lo % 10**4, hi, 10**4):
+            a, b = max(run, lo), min(run + 10**4, hi)
+            # Each outcome's line, high digits in, per trial; "clip" lets take fill out unbuffered
+            lines = b"".join(_TRIAL_KEY + (b"%d" % run)[:-low] + b"0" * low + r for r in rests)
+            lines = np.frombuffer(lines, np.uint8).reshape(len(rests), -1)
+            lines.take(idx[a - start:b - start], axis=0, out=rows[a - lo:b - lo], mode="clip")
+            text[a - lo:b - lo] = table[a - run:b - run]
+        yield rows
         lo = hi
 
 
@@ -337,7 +344,7 @@ def cmd_sample(args) -> int:
     pa, pb = _fmt(settings.phi_a), _fmt(settings.phi_b)
     # Each line is '{"trial": ' + trial + the rest of the line for its outcome.
     rests = [
-        f', "phi_a": {pa}, "phi_b": {pb}, "a": "{a}", "b": "{b}"}}\n'
+        f', "phi_a": {pa}, "phi_b": {pb}, "a": "{a}", "b": "{b}"}}\n'.encode()
         for a, b in OUTCOMES
     ]
     counts = np.zeros(len(OUTCOMES), np.int64)
@@ -445,9 +452,7 @@ def main(argv: list[str] | None = None) -> int:
             args.parser.error(f"--threads must be >= 1, got {args.threads}")
         if getattr(args, "seed", 0) not in _SEEDS:
             args.parser.error(f"--seed must lie in [0, 2**64), got {args.seed}")
-        code = args.handler(args)
-        sys.stdout.flush()
-        return code
+        return args.handler(args)
     except UsageError as exc:
         print(exc, file=sys.stderr)
         return 2

@@ -1,17 +1,17 @@
 """Finite-statistics simulation of coincidence counting.
 
 Every trial yields one outcome per party (no missed detections; instrument
-loss is folded into the visibility upstream). Draws are inverse-CDF over
-the four outcomes in the canonical order (+,+), (+,-), (-,+), (-,-) using
-the splitmix64 stream, so a (probabilities, n, seed) triple fixes the event
+loss is folded into the visibility upstream). Draws are inverse-CDF over the
+four outcomes in the canonical order (+,+), (+,-), (-,+), (-,-) using the
+splitmix64 stream, so a (probabilities, n, seed) triple fixes the event
 stream bit-for-bit. Multi-setting runs give each setting its own sub-seeded
 stream (``rng.derive_seed``), so no setting's events depend on another's;
 ``estimate_columns`` is the one place that rule is applied.
 
-The core, ``outcome_blocks``, yields uint8 indices into OUTCOMES in blocks,
-so memory stays bounded whatever n is. The four counts (``sample_counts``)
-are all ``estimate_counts`` needs. ``sample_events`` and
-``estimate_correlation`` give the same numbers one EventRecord per trial.
+The core, ``outcome_blocks``, yields uint8 indices into OUTCOMES in blocks
+(drawn by ``draw_outcomes``), so memory stays bounded whatever n is. The four
+counts (``sample_counts``) are all ``estimate_counts`` needs. ``sample_events``
+and ``estimate_correlation`` give the same numbers one EventRecord per trial.
 """
 
 from __future__ import annotations
@@ -66,8 +66,14 @@ def outcome_blocks(probs, n: int, seed: int) -> Iterator[np.ndarray]:
     doubles = SplitMix64(seed).doubles
     for start in range(0, n, BLOCK):
         # Only the yielded uint8 block outlives this step, not its doubles.
-        idx = np.searchsorted(cdf, doubles(min(BLOCK, n - start)), side="right").astype(np.uint8)
-        yield np.minimum(idx, 3, out=idx)
+        yield draw_outcomes(cdf, doubles(min(BLOCK, n - start)))
+
+
+def draw_outcomes(cdf, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF outcome indices (uint8) of the doubles u: how many of
+    cdf[0..2], a nondecreasing cumulative table in OUTCOMES order, each one
+    reaches. A draw past a total that rounds below 1 is the last outcome."""
+    return (u >= cdf[0]).view(np.uint8) + (u >= cdf[1]) + (u >= cdf[2])
 
 
 def sample_counts(probs, n: int, seed: int) -> np.ndarray:

@@ -55,15 +55,18 @@ class SplitMix64:
     def doubles(self, n: int) -> np.ndarray:
         """Next n uniform doubles, vectorized; advances the state by n steps.
 
-        The i-th state ahead is state + i * gamma mod 2**64, so the whole
-        block is a pure elementwise function of the current state.
+        The i-th state ahead is state + i * gamma mod 2**64, so the block is
+        mixed in place, elementwise; the shifts' scratch array holds the result.
         """
         if n < 0:
             raise ValueError(f"n must be nonnegative, got {n}")
-        steps = np.arange(1, n + 1, dtype=np.uint64)
-        z = np.uint64(self._state) + steps * np.uint64(_GAMMA)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-        z = z ^ (z >> np.uint64(31))
+        z = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+        z += np.uint64(self._state)
+        t = np.empty_like(z)
+        for shift, mix in ((30, _MIX1), (27, _MIX2)):
+            z ^= np.right_shift(z, np.uint64(shift), out=t)
+            z *= np.uint64(mix)
+        z ^= np.right_shift(z, np.uint64(31), out=t)
+        z >>= np.uint64(11)
         self._state = (self._state + n * _GAMMA) & _MASK64
-        return (z >> np.uint64(11)).astype(np.float64) * _DOUBLE_SCALE
+        return np.multiply(z, _DOUBLE_SCALE, out=t.view(np.float64))

@@ -86,7 +86,12 @@ def whole_array_draw(probs, n: int, seed: int) -> np.ndarray:
     z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
     z = z ^ (z >> np.uint64(31))
     u = (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
-    cdf = np.cumsum(probs)
+    return searchsorted_draw(np.cumsum(probs), u)
+
+
+def searchsorted_draw(cdf, u) -> np.ndarray:
+    """Inverse-CDF outcome indices of the doubles u: how many entries of the
+    cumulative table cdf lie at or below each, capped at the last outcome."""
     return np.minimum(np.searchsorted(cdf, u, side="right"), 3).astype(np.uint8)
 
 

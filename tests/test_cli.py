@@ -431,13 +431,19 @@ def reference_lines(start, idx, rests):
     return "".join(f'{{"trial": {trial}{rests[k]}' for trial, k in enumerate(idx, start))
 
 
+def event_text(start, idx, rests):
+    """_event_lines' matrices joined and decoded, with rests given as text."""
+    rows = cli._event_lines(start, idx, [rest.encode() for rest in rests])
+    return b"".join(rows).decode()
+
+
 # Phases whose 9-digit echoes have different lengths ("0", "1.5", "1e-07", ...)
 echo_phases = st.sampled_from([0.0, 1.5, 1e-7, math.pi / 4, 2 * math.pi / 3, 6.0])
-# Near every change of the trial number's digit count that matters, and
-# near 2**31, where the digit arithmetic moves from int32 to int64
+# Near every change of the trial number's digit count that matters, near the
+# first join of two 10**4-trial runs, and near 2**31
 trial_starts = st.builds(
     lambda base, offset: max(base + offset, 0),
-    st.sampled_from([0, 10, 10**5, 10**6, 10**7, 2**31]),
+    st.sampled_from([0, 10, 10**4, 10**5, 10**6, 10**7, 2**31]),
     st.integers(-300, 300),
 )
 
@@ -457,6 +463,13 @@ trial_starts = st.builds(
 @example(10**7 - 4, [0, 3] * 4, 1.5, 1e-7)
 @example(2**31 - 4, [1, 2] * 4, 0.0, 6.0)
 @example(10**10 - 4, [3, 0] * 4, 0.0, 0.0)
+# a few lines on each side of a join of two 10**4-trial runs
+@example(9_998, [0, 1, 2, 3] * 2, 1.5, 0.0)
+@example(19_999, [3, 1] * 3, 0.0, 1e-7)
+@example(65_530, [2, 3, 0] * 5, 6.0, 1.5)
+@example(999_990, [1, 0, 3, 2] * 6, math.pi / 4, 0.0)
+@example(10**7 - 5, [0, 2] * 5, 0.0, 6.0)
+@example(2**31 - 3, [3, 2, 1] * 3, 1e-7, 1e-7)
 def test_event_lines_equal_per_event_strings(start, outcomes, phi_a, phi_b):
     pa, pb = cli._fmt(phi_a), cli._fmt(phi_b)
     rests = [
@@ -464,16 +477,18 @@ def test_event_lines_equal_per_event_strings(start, outcomes, phi_a, phi_b):
         for a, b in OUTCOMES
     ]
     idx = np.array(outcomes, dtype=np.uint8)
-    assert "".join(cli._event_lines(start, idx, rests)) == reference_lines(start, outcomes, rests)
+    assert event_text(start, idx, rests) == reference_lines(start, outcomes, rests)
 
 
 def test_event_lines_strings_hold_at_most_one_chunk():
     rests = [f', "a": "{a}", "b": "{b}"}}\n' for a, b in OUTCOMES]
     idx = np.arange(3 * cli._SAMPLE_CHUNK, dtype=np.uint8) % 4
     start = 10**5 - 7  # crosses a digit-count change as well
-    texts = list(cli._event_lines(start, idx, rests))
-    assert max(text.count("\n") for text in texts) == cli._SAMPLE_CHUNK
-    assert "".join(texts) == reference_lines(start, idx.tolist(), rests)
+    matrices = list(cli._event_lines(start, idx, [rest.encode() for rest in rests]))
+    assert all(rows.dtype == np.uint8 and rows.ndim == 2 for rows in matrices)
+    assert all(rows[:, -1].tolist() == [ord("\n")] * len(rows) for rows in matrices)
+    assert max(len(rows) for rows in matrices) == cli._SAMPLE_CHUNK
+    assert event_text(start, idx, rests) == reference_lines(start, idx.tolist(), rests)
 
 
 def test_sample_stdout_and_file_bytes_are_identical(tmp_path):
@@ -488,15 +503,15 @@ def test_sample_stdout_and_file_bytes_are_identical(tmp_path):
 
 
 def fail_after_first_chunk(monkeypatch):
-    """Make the second string _event_lines yields fail to write."""
+    """Make the second matrix _event_lines yields fail to write."""
     chunks = []
 
     def event_lines(*args):
-        for text in real(*args):
-            chunks.append(text)
+        for rows in real(*args):
+            chunks.append(rows)
             if len(chunks) > 1:
                 raise OSError(errno.ENOSPC, "No space left on device")
-            yield text
+            yield rows
 
     real = cli._event_lines
     monkeypatch.setattr(cli, "_event_lines", event_lines)
@@ -697,7 +712,8 @@ def fuzz_dir(tmp_path_factory):
 @given(command_lines())
 def test_fuzzed_command_lines_keep_the_exit_contract(fuzz_dir, argv):
     # An exception escaping main fails the test, as a traceback would.
-    out, err = io.StringIO(), io.StringIO()
+    # main writes bytes to sys.stdout.buffer, so stdout gets a binary buffer.
+    out, err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8"), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main([a.replace("{dir}", str(fuzz_dir)) for a in argv])
     err = err.getvalue()
@@ -711,6 +727,16 @@ def test_floats_printed_with_nine_significant_digits(capsys):
     _, out, _ = run_cli(capsys, "sweep", "--delta-min", "pi/7", "--delta-max", "pi", "--steps", "2")
     first = out.strip().splitlines()[1].split(",")
     assert first[0] == "0.448798951"  # pi/7 at 9 significant digits
+
+
+@given(st.floats())
+@example(-0.0)
+@example(5e-324)  # the least subnormal
+@example(math.nan)
+@example(-math.inf)
+def test_grid_rows_format_floats_as_text_does(x):
+    # _write_grid formats bytes; its rows must read as the text format did.
+    assert cli._FLOAT.encode() % x == (cli._FLOAT % x).encode()
 
 
 def test_module_entry_point_runs():
@@ -734,3 +760,37 @@ def test_closed_stdout_pipe_exits_quietly():
     proc.stderr.close()
     assert proc.wait(timeout=60) == 1
     assert err == b""
+
+
+def run_without_stdout(*args):
+    """`python -m biphoton ARGS >&-`: the command starts with fd 1 closed."""
+    return subprocess.run(
+        ["sh", "-c", 'exec "$0" -m biphoton "$@" >&-', sys.executable, *args],
+        capture_output=True, timeout=60,
+    )
+
+
+@pytest.mark.parametrize("argv", [["sample", "--samples", "3"], ["sweep", "--steps", "3"]])
+def test_missing_stdout_is_one_line_io_error(argv):
+    proc = run_without_stdout(*argv)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(b"biphoton: i/o error: ")
+    assert proc.stderr.count(b"\n") == 1
+
+
+def test_text_only_stdout_is_one_line_io_error():
+    # An in-process caller whose stdout has no binary buffer
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["bell", "--optimal", "--samples", "10"])
+    assert code == 1
+    assert out.getvalue() == ""
+    assert err.getvalue() == "biphoton: i/o error: standard output is closed or takes no bytes\n"
+
+
+def test_output_file_needs_no_stdout(tmp_path):
+    path = tmp_path / "events.jsonl"
+    proc = run_without_stdout("sample", "--samples", "3", "--seed", "7", "--output", str(path))
+    assert proc.returncode == 0
+    assert proc.stderr.startswith(b"sampled 3 events") and proc.stderr.count(b"\n") == 1
+    assert path.read_bytes().count(b"\n") == 3

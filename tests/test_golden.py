@@ -13,7 +13,7 @@ import hashlib
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
-from io import StringIO
+from io import BytesIO, StringIO, TextIOWrapper
 from pathlib import Path
 
 import pytest
@@ -71,10 +71,12 @@ HASHED_FILES = {
 
 
 def run(argv: list[str]) -> tuple[int, bytes, bytes]:
-    out, err = StringIO(), StringIO()
+    # main writes bytes to sys.stdout.buffer, so stdout gets a binary buffer too
+    out, err = TextIOWrapper(BytesIO(), encoding="utf-8"), StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main(argv)
-    return code, out.getvalue().encode(), err.getvalue().encode()
+    out.flush()
+    return code, out.buffer.getvalue(), err.getvalue().encode()
 
 
 def golden(name: str, suffix: str) -> bytes:

@@ -11,6 +11,7 @@ from biphoton.montecarlo import (
     BLOCK,
     EstimatorResult,
     bell_experiment,
+    draw_outcomes,
     estimate_correlation,
     estimate_counts,
     outcome_blocks,
@@ -27,7 +28,12 @@ from biphoton.optics import (
 )
 from biphoton.rng import SplitMix64, derive_seed
 
-from oracles import pm1_estimate_reference, splitmix64_reference, whole_array_draw
+from oracles import (
+    pm1_estimate_reference,
+    searchsorted_draw,
+    splitmix64_reference,
+    whole_array_draw,
+)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -106,6 +112,17 @@ def test_doubles_split_anywhere_equal_one_block(seed, a, b):
     split = SplitMix64(seed)
     first, second = split.doubles(a), split.doubles(b)
     assert np.concatenate([first, second]).tolist() == SplitMix64(seed).doubles(a + b).tolist()
+
+
+def test_doubles_memory_is_two_arrays():
+    n = 2**20
+    tracemalloc.start()
+    try:
+        SplitMix64(5).doubles(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 8 * n  # the state array and the result, 8 bytes each a draw
 
 
 def test_derive_seed_is_first_output_of_shifted_state():
@@ -219,6 +236,24 @@ def test_draws_past_the_table_total_are_the_last_outcome():
     idx = np.concatenate(list(outcome_blocks(probs, 1000, 3)))
     assert idx.max() == 3
     assert (idx == whole_array_draw(probs, 1000, 3)).all()
+
+
+@pytest.mark.parametrize(
+    "probs",
+    [
+        probs_of(table_at(0.0, 1.0)),  # (+,-) and (-,+) never occur: cdf[0:3] tie
+        probs_of(table_at(math.pi, 1.0)),  # (-,-) all but never occurs: cdf[2:4] tie
+        probs_of(table_at(0.7, 0.0)),  # the flat table
+        [0.25, 0.25, 0.25, 0.2],  # a total below 1
+    ],
+)
+def test_draw_kernel_equals_searchsorted_at_every_cdf_entry(probs):
+    cdf = np.cumsum(probs)
+    edges = [0.0, *cdf, *np.nextafter(cdf, 0.0), *np.nextafter(cdf, 1.0), np.nextafter(1.0, 0.0)]
+    u = np.array([x for x in edges if x < 1.0])
+    idx = draw_outcomes(cdf, u)
+    assert idx.dtype == np.uint8
+    assert idx.tolist() == searchsorted_draw(cdf, u).tolist()
 
 
 @st.composite
