@@ -242,7 +242,7 @@ def test_draws_past_the_table_total_are_the_last_outcome():
     "probs",
     [
         probs_of(table_at(0.0, 1.0)),  # (+,-) and (-,+) never occur: cdf[0:3] tie
-        probs_of(table_at(math.pi, 1.0)),  # (-,-) all but never occurs: cdf[2:4] tie
+        probs_of(table_at(math.pi, 1.0)),  # (+,+) and (-,-) all but never occur: cdf[2:4] tie
         probs_of(table_at(0.7, 0.0)),  # the flat table
         [0.25, 0.25, 0.25, 0.2],  # a total below 1
     ],
