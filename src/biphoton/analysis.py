@@ -17,7 +17,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .linalg import DensityMatrix
-from .optics import JointDistribution, Visibility, joint_tables
+from .optics import Visibility, joint_tables
 
 
 class Marginals(NamedTuple):
@@ -27,24 +27,18 @@ class Marginals(NamedTuple):
     b_minus: float
 
 
-# The singles and E of a joint table, from its four outcome probabilities in
-# OUTCOMES order; each may be a float or an array over settings.
-def _marginals(pp, pm, mp, mm) -> Marginals:
+# A joint table is its four outcome probabilities in OUTCOMES order, each a
+# float or an array over settings (as joint_tables' rows, or j.probs.values()).
+def marginals(table) -> Marginals:
+    """Single-detector probabilities (row/column sums of the joint table)."""
+    pp, pm, mp, mm = table
     return Marginals(a_plus=pp + pm, a_minus=mp + mm, b_plus=pp + mp, b_minus=pm + mm)
 
 
-def _correlation(pp, pm, mp, mm):
-    return pp + mm - pm - mp
-
-
-def marginals(j: JointDistribution) -> Marginals:
-    """Single-detector probabilities (row/column sums of the joint table)."""
-    return _marginals(*j.probs.values())
-
-
-def correlation(j: JointDistribution) -> float:
+def correlation(table):
     """Expectation of the +-1 outcome product: p(same) - p(opposite)."""
-    return _correlation(*j.probs.values())
+    pp, pm, mp, mm = table
+    return pp + mm - pm - mp
 
 
 class SweepResult(NamedTuple):
@@ -63,7 +57,7 @@ def sweep_correlation(grid: Sequence[float], vis: Visibility) -> SweepResult:
         raise ValueError("sweep grid must be non-empty")
     deltas = np.asarray(grid, dtype=float)
     tables = joint_tables(deltas, 0.0, vis)
-    e, singles = _correlation(*tables), _marginals(*tables)
+    e, singles = correlation(tables), marginals(tables)
     p = np.array(singles)
     # Written so that a NaN fails them too.
     if not np.all((-1.0 <= e) & (e <= 1.0)):
@@ -109,7 +103,7 @@ def chsh(s: ChshSettings, vis: Visibility) -> float:
     Local-realistic models obey |S| <= 2; this instrument reaches
     2 sqrt2 * v, so S exceeds 2 exactly when v > 1/sqrt2.
     """
-    e = _correlation(*joint_tables(*_chsh_angles(s), vis)).tolist()
+    e = correlation(joint_tables(*_chsh_angles(s), vis)).tolist()
     return e[0] + e[1] + e[2] - e[3]
 
 
@@ -140,5 +134,5 @@ def no_signaling_check(
     scan = np.asarray(phi_b_grid, dtype=float)
     fixed = np.full_like(scan, phi_a)
     # Row 0 scans B's setting under fixed A, row 1 scans A's under fixed B.
-    m = _marginals(*joint_tables(np.array([fixed, scan]), np.array([scan, fixed]), vis))
+    m = marginals(joint_tables(np.array([fixed, scan]), np.array([scan, fixed]), vis))
     return float(np.abs(np.array([m.a_plus[0], m.b_plus[1]]) - 0.5).max())

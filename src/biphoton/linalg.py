@@ -73,15 +73,6 @@ class StateVector:
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
 
-    def overlap(self, other: StateVector) -> complex:
-        """<self|other>; spaces must match."""
-        if self.space != other.space:
-            raise ValueError(
-                f"cannot overlap states on {format_space(self.space)} "
-                f"and {format_space(other.space)}"
-            )
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
     def to_json_dict(self) -> dict:
         return {
             "space": [list(factor) for factor in self.space],
@@ -115,14 +106,6 @@ class DensityMatrix:
         mat.setflags(write=False)
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "entries", mat)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "space": [list(factor) for factor in self.space],
-            "entries": [
-                [[float(z.real), float(z.imag)] for z in row] for row in self.entries
-            ],
-        }
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,26 +158,6 @@ def ket(space, *labels: str) -> StateVector:
 def tensor(u: StateVector, v: StateVector) -> StateVector:
     """Kronecker product; the result lives on the concatenated factor list."""
     return StateVector(u.space + v.space, np.kron(u.amplitudes, v.amplitudes))
-
-
-def tensor_operator(a: Operator, b: Operator) -> Operator:
-    return Operator(
-        a.input_space + b.input_space,
-        a.output_space + b.output_space,
-        np.kron(a.entries, b.entries),
-    )
-
-
-def compose(second: Operator, first: Operator) -> Operator:
-    """Operator product second @ first (first acts first)."""
-    if first.output_space != second.input_space:
-        raise ValueError(
-            f"cannot compose: first maps into {format_space(first.output_space)} "
-            f"but second expects {format_space(second.input_space)}"
-        )
-    return Operator(
-        first.input_space, second.output_space, second.entries @ first.entries
-    )
 
 
 def apply(op: Operator, psi: StateVector) -> StateVector:

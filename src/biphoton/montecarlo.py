@@ -10,8 +10,9 @@ stream (``rng.derive_seed``), so no setting's events depend on another's;
 
 The core, ``outcome_blocks``, yields uint8 indices into OUTCOMES in blocks
 (drawn by ``draw_outcomes``), so memory stays bounded whatever n is. The four
-counts (``sample_counts``) are all ``estimate_counts`` needs. ``sample_events``
-and ``estimate_correlation`` give the same numbers one EventRecord per trial.
+counts (``sample_counts``) are all ``estimate_counts`` needs, and every command
+samples through them. ``sample_events`` and ``estimate_correlation`` give the same
+numbers one EventRecord per trial; no command runs them.
 """
 
 from __future__ import annotations

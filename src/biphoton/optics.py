@@ -1,6 +1,11 @@
 """Two-photon interferometer: source states, optical elements, and the exact
 joint detection distribution as a function of the local phase settings.
 
+``joint_tables`` is the one statement of the circuit (source -> phase
+shifters -> splitters -> matched-outcome table), on arrays of settings.
+``phase_shifter`` and ``beam_splitter`` are the same elements as labelled
+operators, and ``joint_distribution`` is one table with its outcome labels.
+
 Conventions, fixed package-wide:
 
   * Symmetric lossless 50/50 splitters; reflection picks up a factor i:
@@ -23,13 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    Operator,
-    StateVector,
-    apply,
-    compose,
-    tensor_operator,
-)
+from .linalg import Operator, StateVector
 
 TWO_PI = 2.0 * math.pi
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -63,17 +62,9 @@ class PhaseSettings:
     phi_b: float
 
     def __post_init__(self):
-        # Python's float % rounds like numpy's, so this equals _wrap_angles.
-        for name in ("phi_a", "phi_b"):
-            phi = float(getattr(self, name))
-            if not math.isfinite(phi):
-                raise ValueError(f"phase must be finite, got {phi!r}")
-            object.__setattr__(self, name, phi % TWO_PI % TWO_PI)
-
-    @property
-    def delta(self) -> float:
-        """Fringe argument phi_a - phi_b."""
-        return self.phi_a - self.phi_b
+        phi_a, phi_b = _wrap_angles(np.array([self.phi_a, self.phi_b], dtype=float)).tolist()
+        object.__setattr__(self, "phi_a", phi_a)
+        object.__setattr__(self, "phi_b", phi_b)
 
 
 @dataclass(frozen=True)
@@ -119,10 +110,13 @@ def superposed_state(theta: float = 0.0) -> StateVector:
     return StateVector((A_PATHS,), amps)
 
 
+# Amplitudes over the path pairs (A1B1, A1B2, A2B1, A2B2).
+_SOURCE_AMPS = np.array([_INV_SQRT2, 0.0, 0.0, _INV_SQRT2], dtype=complex)
+
+
 def biphoton_state() -> StateVector:
     """Momentum-entangled pair: (|A1 B1> + |A2 B2>)/sqrt2."""
-    amps = np.array([_INV_SQRT2, 0.0, 0.0, _INV_SQRT2], dtype=complex)
-    return StateVector((A_PATHS, B_PATHS), amps)
+    return StateVector((A_PATHS, B_PATHS), _SOURCE_AMPS)
 
 
 def phase_shifter(mode: str, phi: float) -> Operator:
@@ -156,27 +150,24 @@ def beam_splitter(party: str) -> Operator:
     raise ValueError(f"party must be 'A' or 'B', got {party!r}")
 
 
-def phase_shift_operator(settings: PhaseSettings) -> Operator:
-    """Both shifters (phi_a on A2, phi_b on B1) as one 4x4 diagonal unitary."""
-    return tensor_operator(
-        phase_shifter("A2", settings.phi_a), phase_shifter("B1", settings.phi_b)
-    )
-
-
-def circuit_operator(settings: PhaseSettings) -> Operator:
-    """Full interferometer (shifters, then both splitters) as one 4x4 unitary."""
-    splitters = tensor_operator(beam_splitter("A"), beam_splitter("B"))
-    return compose(splitters, phase_shift_operator(settings))
+def _shifted_source(phi_a, phi_b) -> np.ndarray:
+    """Source amplitudes after the shifters (phi_a on A2, phi_b on B1), with
+    shape (4,) + the broadcast shape of the settings."""
+    # Phase on each path pair (A1B1, A1B2, A2B1, A2B2): phi_b on B1, phi_a on A2.
+    phase = np.zeros((4,) + np.broadcast(phi_a, phi_b).shape)
+    phase[0], phase[3] = phi_b, phi_a
+    phase = _wrap_angles(phase)
+    phase[2] = phase[0] + phase[3]
+    return _SOURCE_AMPS.reshape((4,) + (1,) * (phase.ndim - 1)) * np.exp(1j * phase)
 
 
 def phased_biphoton_state(settings: PhaseSettings) -> StateVector:
     """Entangled source state after the two phase shifters, before splitting."""
-    return apply(phase_shift_operator(settings), biphoton_state())
+    return StateVector((A_PATHS, B_PATHS), _shifted_source(settings.phi_a, settings.phi_b))
 
 
-# The labelled circuit's matrices, cached for joint_tables.
-_BS4 = tensor_operator(beam_splitter("A"), beam_splitter("B")).entries
-_SOURCE_AMPS = biphoton_state().amplitudes
+# Both splitters on the path pairs, as beam_splitter("A") (x) beam_splitter("B").
+_BS4 = np.kron(_BS_ENTRIES, _BS_ENTRIES)
 # Matched-outcome labelling: B's physical ports are read out swapped.
 _PORTS_OF_OUTCOMES = np.array([1, 0, 3, 2])
 
@@ -192,12 +183,7 @@ def joint_tables(phi_a, phi_b, vis: Visibility) -> np.ndarray:
     p(same ports) = v (1 + cos d)/4 + (1-v)/4 per pairing and
     p(opposite)  = v (1 - cos d)/4 + (1-v)/4, with d = phi_a - phi_b.
     """
-    # Phase on each path pair (A1B1, A1B2, A2B1, A2B2): phi_b on B1, phi_a on A2.
-    phase = np.zeros((4,) + np.broadcast(phi_a, phi_b).shape)
-    phase[0], phase[3] = phi_b, phi_a
-    phase = _wrap_angles(phase)
-    phase[2] = phase[0] + phase[3]
-    shifted = _SOURCE_AMPS.reshape((4,) + (1,) * (phase.ndim - 1)) * np.exp(1j * phase)
+    shifted = _shifted_source(phi_a, phi_b)
     # einsum rounds each point like one matrix-vector product; a BLAS
     # matrix-matrix product over the grid would round differently.
     out = np.einsum("ij,j...->i...", _BS4, shifted)

@@ -24,12 +24,13 @@ from biphoton.analysis import (
     sweep_correlation,
 )
 from biphoton.linalg import apply, density_of, ket, partial_trace, tensor
-from biphoton.montecarlo import bell_experiment, estimate_correlation, sample_events
+from biphoton.montecarlo import bell_experiment, estimate_counts, sample_counts
 from biphoton.optics import (
     A_PATHS,
     PhaseSettings,
     Visibility,
     joint_distribution,
+    joint_tables,
     phased_biphoton_state,
     superposed_state,
 )
@@ -75,7 +76,7 @@ def test_criterion_1_singles_flat_on_settings_grid():
             vis = Visibility(v)
             for phi_a in grid:
                 for phi_b in grid:
-                    m = marginals(joint_distribution(PhaseSettings(phi_a, phi_b), vis))
+                    m = marginals(joint_distribution(PhaseSettings(phi_a, phi_b), vis).probs.values())
                     for p in m:
                         assert abs(p - 0.5) < EXACT
     report(1, "all singles equal 1/2 on a 64x64 settings grid, four visibilities", watch, 1.0)
@@ -92,8 +93,8 @@ def test_criterion_2_fringe_exact_and_sampled():
         test_points = np.linspace(0.0, math.pi, 16)
         misses = 0
         for i, delta in enumerate(test_points):
-            j = joint_distribution(PhaseSettings(float(delta), 0.0), Visibility(1.0))
-            est = estimate_correlation(sample_events(j, 100_000, derive_seed(20260810, i)))
+            probs = joint_tables(float(delta), 0.0, Visibility(1.0))
+            est = estimate_counts(sample_counts(probs, 100_000, derive_seed(20260810, i)))
             if abs(est.estimate - math.cos(delta)) > 4 * est.stderr:
                 misses += 1
         assert misses <= 2
@@ -102,10 +103,10 @@ def test_criterion_2_fringe_exact_and_sampled():
 
 def test_criterion_3_matched_settings_never_mismatch():
     with Stopwatch() as watch:
-        j = joint_distribution(PhaseSettings(0.6, 0.6), Visibility(1.0))
-        events = sample_events(j, 10_000, 123)
-        mismatches = sum(1 for e in events if e.outcome_a != e.outcome_b)
-        assert mismatches == 0
+        counts = sample_counts(joint_tables(0.6, 0.6, Visibility(1.0)), 10_000, 123)
+        # Outcome indices 1 and 2 are (+,-) and (-,+).
+        assert counts[1] == counts[2] == 0
+        assert counts.sum() == 10_000
     report(3, "10^4 coincidences at equal settings, zero mismatches", watch, 1.0)
 
 
@@ -201,7 +202,7 @@ def test_criterion_8_matches_independent_amplitude_expansion():
             ref = joint_probs_reference(phi_a, phi_b, v)
             for pair, p in j.probs.items():
                 assert abs(p - ref[pair]) < EXACT
-            assert abs(correlation(j) - (ref[("+", "+")] + ref[("-", "-")] - ref[("+", "-")] - ref[("-", "+")])) < EXACT
+            assert abs(correlation(j.probs.values()) - (ref[("+", "+")] + ref[("-", "-")] - ref[("+", "-")] - ref[("-", "+")])) < EXACT
     report(8, "joint table equals the hand-expanded oracle on 1000 random settings", watch, 1.0)
 
 

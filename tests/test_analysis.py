@@ -20,7 +20,6 @@ from biphoton.analysis import (
 )
 from biphoton.linalg import density_of, partial_trace
 from biphoton.optics import (
-    JointDistribution,
     PhaseSettings,
     Visibility,
     biphoton_state,
@@ -35,9 +34,9 @@ TOL = 1e-12
 SQRT2 = math.sqrt(2.0)
 
 
-def uniform_table():
-    probs = {("+", "+"): 0.25, ("+", "-"): 0.25, ("-", "+"): 0.25, ("-", "-"): 0.25}
-    return JointDistribution(PhaseSettings(0, 0), probs)
+def table_at(phi_a, phi_b, v):
+    """joint_distribution's four probabilities, in OUTCOMES order."""
+    return joint_distribution(PhaseSettings(phi_a, phi_b), Visibility(v)).probs.values()
 
 
 # ---------------------------------------------------------------------------
@@ -45,41 +44,37 @@ def uniform_table():
 
 
 def test_marginals_of_circuit_table_are_half():
-    m = marginals(joint_distribution(PhaseSettings(0.7, 2.1), Visibility(1)))
+    m = marginals(table_at(0.7, 2.1, 1))
     np.testing.assert_allclose(list(m), [0.5] * 4, atol=TOL)
 
 
 def test_marginals_of_uniform_table():
-    m = marginals(uniform_table())
+    m = marginals([0.25] * 4)
     np.testing.assert_allclose(list(m), [0.5] * 4, atol=TOL)
 
 
 def test_marginals_of_deterministic_table():
-    j = JointDistribution(
-        PhaseSettings(0, 0),
-        {("+", "+"): 1.0, ("+", "-"): 0.0, ("-", "+"): 0.0, ("-", "-"): 0.0},
-    )
-    assert marginals(j) == (1.0, 0.0, 1.0, 0.0)
+    assert marginals([1.0, 0.0, 0.0, 0.0]) == (1.0, 0.0, 1.0, 0.0)
 
 
 def test_marginal_pairs_sum_to_one():
-    m = marginals(joint_distribution(PhaseSettings(1.0, 0.25), Visibility(0.6)))
+    m = marginals(table_at(1.0, 0.25, 0.6))
     assert abs(m.a_plus + m.a_minus - 1.0) < TOL
     assert abs(m.b_plus + m.b_minus - 1.0) < TOL
 
 
 def test_correlation_at_matched_settings():
-    e = correlation(joint_distribution(PhaseSettings(0, 0), Visibility(1)))
+    e = correlation(table_at(0, 0, 1))
     assert e == pytest.approx(1.0, abs=TOL)
 
 
 def test_correlation_at_quarter_turn():
-    e = correlation(joint_distribution(PhaseSettings(math.pi / 2, 0), Visibility(1)))
+    e = correlation(table_at(math.pi / 2, 0, 1))
     assert e == pytest.approx(0.0, abs=TOL)
 
 
 def test_correlation_at_pi_with_reduced_visibility():
-    e = correlation(joint_distribution(PhaseSettings(math.pi, 0), Visibility(0.8)))
+    e = correlation(table_at(math.pi, 0, 0.8))
     assert e == pytest.approx(-0.8, abs=TOL)
 
 
@@ -280,12 +275,12 @@ visibilities_with_ends = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1
 def test_sweep_correlation_equals_per_point_loop(grid, v):
     grid = grid + [0.0, math.pi, 2 * math.pi]
     vis = Visibility(v)
-    tables = [joint_distribution(PhaseSettings(d, 0.0), vis) for d in grid]
+    tables = [list(table_at(d, 0.0, v)) for d in grid]
     result = sweep_correlation(grid, vis)
     assert result.delta_grid.tolist() == grid
-    assert result.correlations.tolist() == [correlation(j) for j in tables]
-    assert np.transpose(result.singles).tolist() == [list(marginals(j)) for j in tables]
-    assert result.tables.T.tolist() == [list(j.probs.values()) for j in tables]
+    assert result.correlations.tolist() == [correlation(t) for t in tables]
+    assert np.transpose(result.singles).tolist() == [list(marginals(t)) for t in tables]
+    assert result.tables.T.tolist() == tables
 
 
 @settings(max_examples=100, deadline=None)
@@ -293,7 +288,7 @@ def test_sweep_correlation_equals_per_point_loop(grid, v):
 def test_chsh_equals_per_point_loop(a, ap, b, bp, v):
     s, vis = ChshSettings(a, ap, b, bp), Visibility(v)
     pairs = [(a, b), (a, bp), (ap, b), (ap, bp)]
-    e = [correlation(joint_distribution(PhaseSettings(pa, pb), vis)) for pa, pb in pairs]
+    e = [correlation(table_at(pa, pb, v)) for pa, pb in pairs]
     assert chsh(s, vis) == e[0] + e[1] + e[2] - e[3]
 
 
@@ -303,8 +298,8 @@ def test_no_signaling_check_equals_per_point_loop(phi_a, grid, v):
     vis = Visibility(v)
     worst = 0.0
     for phi in grid:
-        m_a = marginals(joint_distribution(PhaseSettings(phi_a, phi), vis))
+        m_a = marginals(table_at(phi_a, phi, v))
         worst = max(worst, abs(m_a.a_plus - 0.5))
-        m_b = marginals(joint_distribution(PhaseSettings(phi, phi_a), vis))
+        m_b = marginals(table_at(phi, phi_a, v))
         worst = max(worst, abs(m_b.b_plus - 0.5))
     assert no_signaling_check(phi_a, grid, vis) == worst

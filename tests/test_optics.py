@@ -1,11 +1,16 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biphoton.linalg import StateVector, apply, density_of, ket, partial_trace, tensor_operator
+from biphoton import optics
+from biphoton.linalg import StateVector, apply, density_of, ket, partial_trace
 from biphoton.optics import (
     A_PATHS,
     OUTCOMES,
@@ -15,7 +20,6 @@ from biphoton.optics import (
     _wrap_angles,
     beam_splitter,
     biphoton_state,
-    circuit_operator,
     joint_distribution,
     joint_tables,
     phase_shifter,
@@ -251,29 +255,36 @@ def test_correlation_depends_only_on_phase_difference():
         assert abs(e1 - e2) < TOL
 
 
-def test_circuit_operator_is_unitary():
-    u = circuit_operator(PhaseSettings(1.3, 4.4)).entries
+def labelled_circuit(s: PhaseSettings) -> np.ndarray:
+    """Shifters, then both splitters, as one 4x4 matrix of the labelled elements."""
+    shifters = np.kron(phase_shifter("A2", s.phi_a).entries, phase_shifter("B1", s.phi_b).entries)
+    return np.kron(beam_splitter("A").entries, beam_splitter("B").entries) @ shifters
+
+
+def test_labelled_circuit_is_unitary():
+    u = labelled_circuit(PhaseSettings(1.3, 4.4))
     assert np.max(np.abs(u.conj().T @ u - np.eye(4))) < TOL
 
 
-def test_joint_distribution_agrees_with_labelled_circuit():
-    # The lean evaluation path must match Born probabilities computed through
-    # the labelled operators, up to B's matched-outcome port relabelling.
+def test_labelled_elements_agree_with_hand_expanded_oracle():
+    # Born probabilities through the labelled operators must match the
+    # oracle, up to B's matched-outcome port relabelling.
     rng = np.random.default_rng(11)
     for _ in range(50):
         s = PhaseSettings(rng.uniform(0, 2 * math.pi), rng.uniform(0, 2 * math.pi))
         v = rng.uniform(0, 1)
-        raw = apply(circuit_operator(s), biphoton_state()).probabilities()
+        out = labelled_circuit(s) @ biphoton_state().amplitudes
+        raw = (np.abs(out) ** 2).tolist()
         relabeled = {
             ("+", "+"): raw[1],
             ("+", "-"): raw[0],
             ("-", "+"): raw[3],
             ("-", "-"): raw[2],
         }
-        j = joint_distribution(s, Visibility(v))
+        ref = joint_probs_reference(s.phi_a, s.phi_b, v)
         for pair in OUTCOMES:
             expected = v * relabeled[pair] + (1 - v) * 0.25
-            assert j.probs[pair] == pytest.approx(expected, abs=TOL)
+            assert ref[pair] == pytest.approx(expected, abs=TOL)
 
 
 def test_phased_biphoton_keeps_flat_subsystems():
@@ -317,7 +328,7 @@ def test_joint_tables_equal_the_labelled_matrices_in_scalar_order(pa, pb, v):
     s = PhaseSettings(pa, pb)
     za, zb = np.exp(1j * s.phi_a), np.exp(1j * s.phi_b)
     shifted = biphoton_state().amplitudes * np.array([zb, 1.0, za * zb, za])
-    out = tensor_operator(beam_splitter("A"), beam_splitter("B")).entries @ shifted
+    out = np.kron(beam_splitter("A").entries, beam_splitter("B").entries) @ shifted
     raw = (out * out.conj()).real
     expected = [v * raw[port] + (1.0 - v) * 0.25 for port in (1, 0, 3, 2)]
     assert joint_tables(pa, pb, Visibility(v)).tolist() == expected
@@ -350,3 +361,49 @@ def test_joint_tables_reject_nonfinite_without_warning(bad):
         joint_tables(np.array([0.0, bad]), 0.0, Visibility(1.0))
     with pytest.raises(ValueError, match="finite"):
         joint_tables(0.0, bad, Visibility(1.0))
+
+
+# ---------------------------------------------------------------------------
+# the array core against the labelled elements, bit for bit
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(edge_angles, wide_angles), st.one_of(edge_angles, wide_angles))
+def test_array_core_equals_labelled_elements_bit_for_bit(pa, pb):
+    # PhaseSettings' wrap is pinned by test_phase_settings_wrap_like_the_array_core.
+    s = PhaseSettings(pa, pb)
+    shifters = np.kron(phase_shifter("A2", s.phi_a).entries, phase_shifter("B1", s.phi_b).entries)
+    expected = shifters @ biphoton_state().amplitudes
+    assert phased_biphoton_state(s).amplitudes.tolist() == expected.tolist()
+
+
+def test_splitter_pair_is_the_labelled_kronecker_product():
+    expected = np.kron(beam_splitter("A").entries, beam_splitter("B").entries)
+    assert optics._BS4.tolist() == expected.tolist()
+
+
+# Each labelled object built while biphoton.cli imports, as its class name:
+# StateVector, DensityMatrix and Operator check themselves in __post_init__.
+IMPORT_PROBE = """
+import os, sys
+built = []
+def probe(frame, event, arg):
+    code = frame.f_code
+    if event == "call" and code.co_name == "__post_init__" and \\
+            code.co_filename.endswith(os.path.join("biphoton", "linalg.py")):
+        built.append(type(frame.f_locals["self"]).__name__)
+sys.setprofile(probe)
+import biphoton.cli
+sys.setprofile(None)
+print(built)
+"""
+
+
+def test_import_builds_no_labelled_object():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path}, check=True,
+    )
+    assert proc.stdout == "[]\n"

@@ -64,7 +64,7 @@ def test_premeasure_zero_matches_target_state():
     expected[5] = INV_SQRT2  # (A2, D2)
     psi = premeasure(0.0)
     np.testing.assert_allclose(psi.amplitudes, expected, atol=TOL)
-    overlap = psi.overlap(StateVector(SYSTEM_DETECTOR_SPACE, expected))
+    overlap = np.vdot(psi.amplitudes, StateVector(SYSTEM_DETECTOR_SPACE, expected).amplitudes)
     assert abs(overlap) ** 2 == pytest.approx(1.0, abs=TOL)
 
 
