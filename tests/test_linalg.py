@@ -108,6 +108,28 @@ def test_operator_rejects_non_unitary():
         Operator(A, A, [[1.0, 0.0], [1.0, 0.0]])
 
 
+def test_operator_shape_must_map_input_to_output_space():
+    # A 2x2 matrix cannot map a one-factor space onto the detector's three labels.
+    with pytest.raises(ValueError, match="do not map") as err:
+        Operator(A, D, np.eye(2))
+    assert "[A1,A2] (dim 2)" in str(err.value)
+    assert "[ready,D1,D2] (dim 3)" in str(err.value)
+
+
+def test_density_rejects_wrong_shape():
+    with pytest.raises(ValueError, match="do not fit"):
+        DensityMatrix(D, 0.5 * np.eye(2))
+
+
+def test_operator_and_density_entries_are_readonly():
+    op = phase_shifter("A2", 0.3)
+    rho = density_of(ket(A, "A1"))
+    with pytest.raises(ValueError):
+        op.entries[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        rho.entries[0, 0] = 0.0
+
+
 def test_rectangular_isometry_accepted():
     col = np.array([[1.0], [0.0]], dtype=complex)
     v = Operator((("x",),), A, col)
@@ -271,6 +293,11 @@ def test_tensor_then_partial_trace_round_trip(u_amps, v_amps):
 
 # ---------------------------------------------------------------------------
 # helpers and serialization
+
+
+def test_ket_needs_one_label_per_factor():
+    with pytest.raises(ValueError, match="one label per factor"):
+        ket((A_PATHS, B_PATHS), "A1")
 
 
 def test_ket_rejects_unknown_label():
