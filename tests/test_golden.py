@@ -43,6 +43,7 @@ CASES = {
     "bench_marginals": ["marginals", "--delta-min=-3.0", "--delta-max=2.5",
                         "--steps=200", "--visibility=0.55"],
     "bench_premeasure": ["premeasure", "--theta=-2.25"],
+    "premeasure_dump_state": ["premeasure", "--theta=-2.25", "--dump-state", "-"],
     # visibility, sample-size and seed edges
     "sweep_mc_blind": ["sweep", "--steps", "5", "--visibility", "0", "--mc", "1000,0"],
     "bell_below_threshold": ["bell", "--optimal", "--visibility", "0.6", "--samples",
