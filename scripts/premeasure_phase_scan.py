@@ -10,7 +10,6 @@ lives only in the correlation.
 """
 
 import argparse
-import cmath
 import math
 
 from biphoton import correlation_report, premeasure
@@ -25,12 +24,11 @@ def main() -> None:
     for k in range(args.steps):
         theta = 2 * math.pi * k / args.steps
         rep = correlation_report(premeasure(theta))
-        cc = rep.correlation_coherence
         print(
             f"{theta:.4f},{rep.joint_probs['A1']['D1']:.6f},"
             f"{rep.joint_probs['A2']['D2']:.6f},{rep.both_clicked_prob:.3e},"
             f"{rep.subsystem_coherence[0]:.3e},{rep.subsystem_coherence[1]:.3e},"
-            f"{abs(cc):.6f},{cmath.phase(cc):.6f}"
+            f"{rep.correlation_coherence_modulus:.6f},{rep.correlation_coherence_phase:.6f}"
         )
 
 

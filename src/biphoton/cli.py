@@ -9,7 +9,7 @@ flags and the seed, whatever the thread count.
 from __future__ import annotations
 
 import argparse
-import cmath
+import dataclasses
 import math
 import os
 import re
@@ -87,8 +87,13 @@ def _fmt(x: float) -> str:
 
 
 def _render_json(value, indent: int = 0) -> str:
-    """Deterministic JSON with floats at 9 significant digits."""
+    """Deterministic JSON with floats at 9 significant digits. A dataclass is an
+    object of its fields in order, an array a list, a complex number [re, im]."""
     pad = "  " * indent
+    if dataclasses.is_dataclass(value):
+        value = vars(value)
+    if isinstance(value, complex):
+        value = [value.real, value.imag]
     if isinstance(value, dict):
         if not value:
             return "{}"
@@ -97,7 +102,7 @@ def _render_json(value, indent: int = 0) -> str:
             for key, val in value.items()
         ]
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(value, (list, tuple)):
+    if isinstance(value, (list, tuple, np.ndarray)):
         return "[" + ", ".join(_render_json(v, indent) for v in value) + "]"
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -246,12 +251,7 @@ def cmd_bell(args) -> int:
     s_exact = chsh(settings, vis)
     sampled = bell_experiment(settings, vis, args.samples, args.seed)
     report = {
-        "angles": {
-            "a": settings.a,
-            "a_prime": settings.a_prime,
-            "b": settings.b,
-            "b_prime": settings.b_prime,
-        },
+        "angles": settings,
         "visibility": vis.v,
         "S_exact": s_exact,
         "S_hat": sampled.estimate,
@@ -268,17 +268,15 @@ def cmd_bell(args) -> int:
 def cmd_premeasure(args) -> int:
     psi = premeasure(args.theta)
     report = correlation_report(psi)
-    payload = {"theta": args.theta}
-    payload.update(report.to_json_dict())
+    payload = {"theta": args.theta, **vars(report)}
     if args.dump_state is not None:
         with _open_output(args.dump_state) as out:
-            out.write((_render_json(psi.to_json_dict()) + "\n").encode())
+            out.write((_render_json(psi) + "\n").encode())
     with _open_output(args.output) as out:
         out.write((_render_json(payload) + "\n").encode())
 
     joint = report.joint_probs
     cond = report.conditional_probs
-    cc = report.correlation_coherence
     cond_d1 = cond["A1"]["D1"]
     cond_d2 = cond["A2"]["D2"]
     lines = [
@@ -294,8 +292,8 @@ def cmd_premeasure(args) -> int:
         f"   P(A2,D2) = {_fmt(joint['A2']['D2'])}",
         f"  subsystem l1 coherence: system {_fmt(report.subsystem_coherence[0])}"
         f"   detector {_fmt(report.subsystem_coherence[1])}",
-        f"  cross-pair coherence: modulus {_fmt(abs(cc))}"
-        f"   phase {_fmt(cmath.phase(cc))} rad",
+        f"  cross-pair coherence: modulus {_fmt(report.correlation_coherence_modulus)}"
+        f"   phase {_fmt(report.correlation_coherence_phase)} rad",
     ]
     print("\n".join(lines), file=sys.stderr)
     return 0

@@ -41,10 +41,15 @@ def format_space(space: Space) -> str:
     return "x".join("[" + ",".join(factor) + "]" for factor in space)
 
 
-def _checked_complex(values, what: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=complex)
+def _frozen_copy(values, what: str, shape: tuple[int, ...], misfit) -> np.ndarray:
+    """A read-only complex copy of values, checked finite and of the given shape.
+    misfit(arr) is the error message for an array arr of another shape."""
+    arr = np.array(values, dtype=complex)
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{what} must have finite entries")
+    if arr.shape != shape:
+        raise ValueError(misfit(arr))
+    arr.setflags(write=False)
     return arr
 
 
@@ -57,27 +62,18 @@ class StateVector:
 
     def __post_init__(self):
         space = as_space(self.space)
-        amps = _checked_complex(self.amplitudes, "state amplitudes")
-        if amps.ndim != 1 or amps.size != space_dim(space):
-            raise ValueError(
-                f"amplitude vector of length {amps.size} does not fit "
-                f"space {format_space(space)} (dim {space_dim(space)})"
-            )
+        amps = _frozen_copy(self.amplitudes, "state amplitudes", (space_dim(space),), lambda a: (
+            f"amplitude vector of length {a.size} does not fit "
+            f"space {format_space(space)} (dim {space_dim(space)})"
+        ))
         norm = float(np.linalg.norm(amps))
         if abs(norm - 1.0) > TOL:
             raise ValueError(f"state is not normalized: ||psi|| = {norm!r}")
-        amps.setflags(write=False)
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "amplitudes", amps)
 
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
-
-    def to_json_dict(self) -> dict:
-        return {
-            "space": [list(factor) for factor in self.space],
-            "amplitudes": [[float(a.real), float(a.imag)] for a in self.amplitudes],
-        }
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,13 +85,11 @@ class DensityMatrix:
 
     def __post_init__(self):
         space = as_space(self.space)
-        mat = _checked_complex(self.entries, "density-matrix entries")
         d = space_dim(space)
-        if mat.shape != (d, d):
-            raise ValueError(
-                f"entries of shape {mat.shape} do not fit space "
-                f"{format_space(space)} (dim {d})"
-            )
+        mat = _frozen_copy(self.entries, "density-matrix entries", (d, d), lambda m: (
+            f"entries of shape {m.shape} do not fit space "
+            f"{format_space(space)} (dim {d})"
+        ))
         if float(np.max(np.abs(mat - mat.conj().T))) > TOL:
             raise ValueError("density matrix is not Hermitian")
         trace = complex(np.trace(mat))
@@ -103,7 +97,6 @@ class DensityMatrix:
             raise ValueError(f"density matrix trace is {trace!r}, not 1")
         if float(np.min(np.linalg.eigvalsh(mat))) < -EIG_TOL:
             raise ValueError("density matrix has a negative eigenvalue")
-        mat.setflags(write=False)
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "entries", mat)
 
@@ -119,20 +112,17 @@ class Operator:
     def __post_init__(self):
         in_space = as_space(self.input_space)
         out_space = as_space(self.output_space)
-        mat = _checked_complex(self.entries, "operator entries")
         d_in, d_out = space_dim(in_space), space_dim(out_space)
-        if mat.shape != (d_out, d_in):
-            raise ValueError(
-                f"entries of shape {mat.shape} do not map "
-                f"{format_space(in_space)} (dim {d_in}) to "
-                f"{format_space(out_space)} (dim {d_out})"
-            )
+        mat = _frozen_copy(self.entries, "operator entries", (d_out, d_in), lambda m: (
+            f"entries of shape {m.shape} do not map "
+            f"{format_space(in_space)} (dim {d_in}) to "
+            f"{format_space(out_space)} (dim {d_out})"
+        ))
         eye_in = np.eye(d_in)
         if float(np.max(np.abs(mat.conj().T @ mat - eye_in))) > TOL:
             raise ValueError("operator is not an isometry (V+V != I)")
         if d_in == d_out and float(np.max(np.abs(mat @ mat.conj().T - eye_in))) > TOL:
             raise ValueError("square operator is not unitary (UU+ != I)")
-        mat.setflags(write=False)
         object.__setattr__(self, "input_space", in_space)
         object.__setattr__(self, "output_space", out_space)
         object.__setattr__(self, "entries", mat)

@@ -74,6 +74,8 @@ class CorrelationReport:
     correlation_coherence: the cross-dyad matrix element
     <A1 D1|rho|A2 D2>, whose modulus and phase carry the superposition's
     phase after the subsystems themselves have gone flat.
+    correlation_coherence_modulus / correlation_coherence_phase: its
+    abs and cmath.phase (radians in [-pi, pi]).
     both_clicked_prob: total weight outside the two correlated dyads, the
     weight a "both records fired in one trial" reading would need.
     iff_violation_prob: probability that the outcome biconditional
@@ -86,21 +88,10 @@ class CorrelationReport:
     conditional_probs: dict[str, dict[str, float | None]]
     subsystem_coherence: tuple[float, float]
     correlation_coherence: complex
+    correlation_coherence_modulus: float
+    correlation_coherence_phase: float
     both_clicked_prob: float
     iff_violation_prob: float
-
-    def to_json_dict(self) -> dict:
-        cc = self.correlation_coherence
-        return {
-            "joint_probs": self.joint_probs,
-            "conditional_probs": self.conditional_probs,
-            "subsystem_coherence": list(self.subsystem_coherence),
-            "correlation_coherence": [cc.real, cc.imag],
-            "correlation_coherence_modulus": abs(cc),
-            "correlation_coherence_phase": cmath.phase(cc),
-            "both_clicked_prob": self.both_clicked_prob,
-            "iff_violation_prob": self.iff_violation_prob,
-        }
 
 
 def correlation_report(psi: StateVector) -> CorrelationReport:
@@ -144,6 +135,8 @@ def correlation_report(psi: StateVector) -> CorrelationReport:
         conditional_probs=conditional,
         subsystem_coherence=(l1_coherence(rho_sys), l1_coherence(rho_det)),
         correlation_coherence=cross_dyad,
+        correlation_coherence_modulus=abs(cross_dyad),
+        correlation_coherence_phase=cmath.phase(cross_dyad),
         both_clicked_prob=float(off_dyad),
         iff_violation_prob=float(iff_violation),
     )

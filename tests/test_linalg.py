@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from biphoton import optics
+from biphoton.cli import _render_json
 from biphoton.linalg import (
     DensityMatrix,
     Operator,
@@ -128,6 +131,29 @@ def test_operator_and_density_entries_are_readonly():
         op.entries[0, 0] = 0.0
     with pytest.raises(ValueError):
         rho.entries[0, 0] = 0.0
+
+
+def test_constructors_hold_a_copy_and_leave_the_callers_array_alone():
+    cases = [
+        (lambda a: StateVector(A, a).amplitudes, np.array([INV_SQRT2, 1j * INV_SQRT2])),
+        (lambda a: DensityMatrix(A, a).entries, np.diag([0.25, 0.75]).astype(complex)),
+        (lambda a: Operator(A, A, a).entries, np.array([[0, 1], [1, 0]], dtype=complex)),
+    ]
+    for entries_of, arr in cases:
+        held = entries_of(arr)
+        assert arr.flags.writeable
+        assert not np.shares_memory(arr, held)
+        before = held.copy()
+        arr[...] = 0.0
+        np.testing.assert_array_equal(held, before)
+    # The optics module's constant arrays are not frozen by the objects built on them.
+    for values, build in [
+        (optics._SOURCE_AMPS, optics.biphoton_state),
+        (optics._BS_ENTRIES, lambda: optics.beam_splitter("A")),
+    ]:
+        writeable = values.flags.writeable
+        build()
+        assert values.flags.writeable == writeable
 
 
 def test_rectangular_isometry_accepted():
@@ -306,7 +332,7 @@ def test_ket_rejects_unknown_label():
 
 
 def test_state_json_schema():
-    doc = biphoton_state().to_json_dict()
+    doc = json.loads(_render_json(biphoton_state()))
     assert doc["space"] == [["A1", "A2"], ["B1", "B2"]]
     assert len(doc["amplitudes"]) == 4
     assert doc["amplitudes"][0] == [pytest.approx(INV_SQRT2), 0.0]

@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from biphoton.analysis import l1_coherence
+from biphoton.cli import _render_json
 from biphoton.linalg import StateVector, apply, density_of, ket, partial_trace, tensor
 from biphoton.optics import A_PATHS, superposed_state
 from biphoton.premeasure import (
@@ -155,7 +157,8 @@ def test_unnormalized_states_cannot_be_built():
 
 
 def test_report_json_shape():
-    doc = correlation_report(premeasure(0.25)).to_json_dict()
+    rep = correlation_report(premeasure(0.25))
+    doc = json.loads(_render_json(rep))
     assert set(doc) == {
         "joint_probs",
         "conditional_probs",
@@ -169,6 +172,9 @@ def test_report_json_shape():
     assert doc["correlation_coherence_modulus"] == pytest.approx(0.5, abs=TOL)
     assert doc["correlation_coherence_phase"] == pytest.approx(-0.25, abs=1e-9)
     assert isinstance(doc["correlation_coherence"], list)
+    cc = rep.correlation_coherence
+    assert rep.correlation_coherence_modulus == abs(cc)
+    assert rep.correlation_coherence_phase == cmath.phase(cc)
 
 
 def test_uniform_state_has_off_dyad_weight():
