@@ -50,6 +50,11 @@ CASES = {
                              "3000", "--seed", "18446744073709551615"],
     "sample_single_event": ["sample", "--phi-a", "pi/2", "--samples", "1", "--seed", "0"],
     "sample_blind": ["sample", "--visibility", "0", "--samples", "64", "--seed", "5"],
+    # sampled estimates whose every sub-stream crosses several 2**16-draw joins
+    "bell_200003": ["bell", "--angles=0.21,1.43,0.66,-0.97", "--samples=200003",
+                    "--visibility=0.77", "--seed=2718281828"],
+    "sweep_mc_131075": ["sweep", "--delta-min=-1", "--delta-max=2", "--steps=3",
+                        "--visibility=0.9", "--mc=131075,11"],
 }
 
 # Several 64 Ki-line chunks of JSONL, and grids of several 1024-point blocks
