@@ -51,8 +51,11 @@ class EstimatorResult:
             raise ValueError(f"sample count must be >= 1, got {self.n!r}")
 
 
-# Trials drawn at a time: bounds the arrays held at once (about 40 MB)
-BLOCK = 1 << 20
+# Trials drawn at a time. Bounds the arrays held at once (a tracemalloc peak of
+# about 1.1 MiB: two of 8 bytes a trial, a few of one byte), so that they stay
+# in a 2 MiB L2 cache. On a Xeon with that L2, doubles + draw + bincount took
+# 8-19 ns a trial in 2**16 blocks, against 23-40 ns in 2**20 blocks.
+BLOCK = 1 << 16
 
 
 def outcome_blocks(probs, n: int, seed: int) -> Iterator[np.ndarray]:

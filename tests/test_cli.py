@@ -1,13 +1,16 @@
 import contextlib
 import errno
+import gc
 import io
 import json
 import math
 import os
+import re
 import stat
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -751,6 +754,49 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert len(proc.stdout.strip().splitlines()) == 3
+
+
+def test_module_entry_point_keeps_usage_exit():
+    proc = subprocess.run(
+        [sys.executable, "-m", "biphoton", "bell", "--seed", "-1"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "biphoton bell: error: --seed must lie in [0, 2**64), got -1\n"
+
+
+def test_main_never_freezes_the_collector(capsys):
+    frozen = gc.get_freeze_count()
+    assert main(["premeasure"]) == 0
+    assert main(["bell", "--optimal", "--samples", "10"]) == 0
+    capsys.readouterr()
+    assert gc.get_freeze_count() == frozen
+    assert gc.isenabled()
+
+
+def test_process_entry_freezes_start_up_objects():
+    # As `python -m biphoton` runs; the hook reads the freeze count at interpreter exit.
+    code = (
+        "import atexit, gc, runpy\n"
+        "atexit.register(lambda: print('frozen', gc.get_freeze_count()))\n"
+        "runpy.run_module('biphoton', run_name='__main__')\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "premeasure", "--output", os.devnull],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr.startswith("detection-model verdict")
+    label, count = proc.stdout.split()
+    assert label == "frozen" and int(count) > 0
+
+
+def test_console_script_is_the_process_entry():
+    # Read as text: tomllib is not in Python 3.10.
+    text = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+    scripts = text.split("\n[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    assert re.findall(r'^biphoton\s*=\s*"([^"]*)"', scripts, re.M) == ["biphoton.cli:run"]
 
 
 def test_closed_stdout_pipe_exits_quietly():

@@ -68,8 +68,9 @@ HASHED = {
                        "--visibility", "0.2"],
 }
 
-# Hashed from an --output file. 1 048 600 lines cross trial 2**20 and the
-# change from six- to seven-digit trial numbers.
+# Hashed from an --output file. 1 048 600 lines cross the 16 joins of 2**16-trial
+# blocks up to trial 2**20, and the change from six- to seven-digit trial numbers
+# inside a block.
 HASHED_FILES = {
     "sample_1048600": ["sample", "--samples", "1048600", "--phi-a", "0.9", "--phi-b", "-2.2",
                        "--visibility", "0.95", "--seed", "99"],

@@ -297,6 +297,18 @@ def test_sample_counts_memory_does_not_grow_with_n():
     assert abs(four - one) <= 0.1 * one
 
 
+def test_sample_counts_block_arrays_fit_in_l2():
+    # Whatever n is, one block's arrays (two of 8 bytes a trial, a few of one
+    # byte) are all that is held, and they fit in a 2 MiB L2 cache.
+    tracemalloc.start()
+    try:
+        sample_counts(probs_of(table_at(0.7, 0.9)), 4 * 2**20, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2**20
+
+
 # ---------------------------------------------------------------------------
 # array core against the per-event views
 
