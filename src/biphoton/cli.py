@@ -22,13 +22,10 @@ from contextlib import contextmanager
 import numpy as np
 
 from .analysis import CHSH_OPTIMAL, ChshSettings, chsh, sweep_correlation
-from .montecarlo import BLOCK, bell_experiment, estimate_columns, estimate_counts, outcome_blocks
+from .montecarlo import bell_experiment, estimate_columns, estimate_counts, outcome_blocks
 from .optics import OUTCOMES, PhaseSettings, Visibility, joint_tables
 from .premeasure import correlation_report, premeasure
 
-# JSONL lines `sample` formats per matrix; bounds the text held at once
-# (about 4 MB) whatever --samples is
-_SAMPLE_CHUNK = 1 << 16
 # Grid points `sweep` and `marginals` tabulate at a time; bounds the rows
 # held at once (well under 1 MB) whatever --steps is
 _GRID_CHUNK = 1 << 10
@@ -308,8 +305,8 @@ _DIGITS = np.indices((10,) * 4, np.uint8).reshape(4, -1).T + ord("0")
 
 def _event_lines(start: int, idx: np.ndarray, rests: list[bytes]) -> Iterator[np.ndarray]:
     """JSONL lines _TRIAL_KEY + str(trial) + rests[k] (rests of one length) for
-    trials start, start + 1, ... with outcome indices k from idx, as uint8
-    matrices of a row per line and _SAMPLE_CHUNK rows at most.
+    trials start, start + 1, ... with outcome indices k from idx: one uint8 matrix,
+    a row per line, per trial-number width, so the caller's block idx bounds memory.
 
     Each run of 10**4 trials copies its outcomes' lines, which hold its high
     digits; a trial number's low (at most four) digits come from _DIGITS.
@@ -318,7 +315,7 @@ def _event_lines(start: int, idx: np.ndarray, rests: list[bytes]) -> Iterator[np
     lo = start
     while lo < stop:
         digits = len(str(lo))
-        hi = min(stop, 10**digits, lo + _SAMPLE_CHUNK)
+        hi = min(stop, 10**digits)
         low = min(digits, 4)
         rows = np.empty((hi - lo, len(_TRIAL_KEY) + digits + len(rests[0])), np.uint8)
         # The low digits of each row, and of each row of _DIGITS, as one item
@@ -348,8 +345,8 @@ def cmd_sample(args) -> int:
     ]
     counts = np.zeros(len(OUTCOMES), np.int64)
     with _open_output(args.output) as out:
-        for k, idx in enumerate(outcome_blocks(probs, args.samples, args.seed)):
-            out.writelines(_event_lines(k * BLOCK, idx, rests))
+        for idx in outcome_blocks(probs, args.samples, args.seed):
+            out.writelines(_event_lines(int(counts.sum()), idx, rests))
             counts += np.bincount(idx, minlength=len(OUTCOMES))
     summary = "  ".join(f"{a}{b}: {c}" for (a, b), c in zip(OUTCOMES, counts))
     if args.samples >= 2:

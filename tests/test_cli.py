@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from biphoton import cli
 from biphoton.analysis import correlation, marginals
 from biphoton.cli import main, parse_angle
-from biphoton.montecarlo import estimate_counts, sample_counts
+from biphoton.montecarlo import BLOCK, estimate_counts, sample_counts
 from biphoton.optics import OUTCOMES, PhaseSettings, Visibility, joint_distribution
 from biphoton.rng import derive_seed
 
@@ -244,7 +244,7 @@ def test_grid_memory_does_not_grow_with_steps(command):
         finally:
             tracemalloc.stop()
 
-    small, large = peak(2**12), peak(2**17)
+    small, large = peak(2**12), peak(2**15)  # 4 and 32 blocks of the grid
     assert abs(large - small) <= 0.1 * small
 
 
@@ -466,6 +466,8 @@ trial_starts = st.builds(
 @example(10**7 - 4, [0, 3] * 4, 1.5, 1e-7)
 @example(2**31 - 4, [1, 2] * 4, 0.0, 6.0)
 @example(10**10 - 4, [3, 0] * 4, 0.0, 0.0)
+@example(10**17 - 4, [2, 1] * 4, 1e-7, 1.5)
+@example(cli._MAX_COUNT - 8, [0, 3, 1, 2] * 2, 6.0, 0.0)  # the largest trials, 18 digits
 # a few lines on each side of a join of two 10**4-trial runs
 @example(9_998, [0, 1, 2, 3] * 2, 1.5, 0.0)
 @example(19_999, [3, 1] * 3, 0.0, 1e-7)
@@ -483,14 +485,15 @@ def test_event_lines_equal_per_event_strings(start, outcomes, phi_a, phi_b):
     assert event_text(start, idx, rests) == reference_lines(start, outcomes, rests)
 
 
-def test_event_lines_strings_hold_at_most_one_chunk():
+def test_event_lines_yield_one_matrix_per_trial_width():
     rests = [f', "a": "{a}", "b": "{b}"}}\n' for a, b in OUTCOMES]
-    idx = np.arange(3 * cli._SAMPLE_CHUNK, dtype=np.uint8) % 4
-    start = 10**5 - 7  # crosses a digit-count change as well
+    idx = np.arange(3 * BLOCK, dtype=np.uint8) % 4
+    start = 10**5 - 7  # five-digit trials, then six-digit ones
     matrices = list(cli._event_lines(start, idx, [rest.encode() for rest in rests]))
     assert all(rows.dtype == np.uint8 and rows.ndim == 2 for rows in matrices)
     assert all(rows[:, -1].tolist() == [ord("\n")] * len(rows) for rows in matrices)
-    assert max(len(rows) for rows in matrices) == cli._SAMPLE_CHUNK
+    assert [len(rows) for rows in matrices] == [7, len(idx) - 7]
+    assert sum(len(rows) for rows in matrices) == len(idx)
     # Line by line: a failing == on the two ~13 MB strings makes pytest diff them for minutes.
     got = event_text(start, idx, rests).splitlines(keepends=True)
     want = reference_lines(start, idx.tolist(), rests).splitlines(keepends=True)
@@ -499,15 +502,28 @@ def test_event_lines_strings_hold_at_most_one_chunk():
     assert len(got) == len(want)
 
 
+def test_sample_memory_does_not_grow_with_samples():
+    def peak(samples):
+        tracemalloc.start()
+        try:
+            assert main(["sample", "--samples", str(samples), "--output", os.devnull]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(2 * BLOCK), peak(16 * BLOCK)
+    assert abs(large - small) <= 0.1 * small
+
+
 def test_sample_stdout_and_file_bytes_are_identical(tmp_path):
     path = tmp_path / "events.jsonl"
     argv = [sys.executable, "-m", "biphoton", "sample", "--samples",
-            str(cli._SAMPLE_CHUNK + 5), "--phi-a", "1.5", "--seed", "11"]
+            str(BLOCK + 5), "--phi-a", "1.5", "--seed", "11"]
     to_stdout = subprocess.run([*argv, "--output", "-"], capture_output=True, check=True)
     to_file = subprocess.run([*argv, "--output", str(path)], capture_output=True, check=True)
     assert to_file.stdout == b""
     assert path.read_bytes() == to_stdout.stdout
-    assert to_stdout.stdout.count(b"\n") == cli._SAMPLE_CHUNK + 5
+    assert to_stdout.stdout.count(b"\n") == BLOCK + 5
 
 
 def fail_after_first_chunk(monkeypatch):
@@ -531,7 +547,7 @@ def test_failed_sample_leaves_existing_output_unchanged(tmp_path, capsys, monkey
     path.write_text("earlier run\n")
     chunks = fail_after_first_chunk(monkeypatch)
     code, out, err = run_cli(
-        capsys, "sample", "--samples", str(2 * cli._SAMPLE_CHUNK), "--output", str(path)
+        capsys, "sample", "--samples", str(2 * BLOCK), "--output", str(path)
     )
     assert len(chunks) == 2
     assert code == 1
@@ -543,7 +559,7 @@ def test_failed_sample_leaves_existing_output_unchanged(tmp_path, capsys, monkey
 def test_failed_sample_creates_no_output(tmp_path, capsys, monkeypatch):
     fail_after_first_chunk(monkeypatch)
     code, _, _ = run_cli(
-        capsys, "sample", "--samples", str(2 * cli._SAMPLE_CHUNK),
+        capsys, "sample", "--samples", str(2 * BLOCK),
         "--output", str(tmp_path / "events.jsonl"),
     )
     assert code == 1

@@ -57,8 +57,8 @@ CASES = {
                         "--visibility=0.9", "--mc=131075,11"],
 }
 
-# Several 64 Ki-line chunks of JSONL, and grids of several 1024-point blocks
-# (sub-seeded --mc columns included): pins the joins between chunks.
+# JSONL across several 2**16-trial blocks, and grids of several 1024-point
+# blocks (sub-seeded --mc columns included): pins the joins between blocks.
 HASHED = {
     "sample_200k": ["sample", "--samples", "200000", "--phi-a", "2.3", "--phi-b", "4.1",
                     "--visibility", "0.8", "--seed", "7"],
