@@ -12,10 +12,9 @@ tests/test_mutants.py checks that each entry's text occurs exactly once in
 src/, so that the corpus cannot go stale without notice. Stdlib only; run it
 from any directory:
 
-    python tests/mutants.py          # every entry
-    python tests/mutants.py NAME...  # the entries named
+    python tests/mutants.py
 
-It exits 0 when every mutant is caught and 1 otherwise.
+It runs every entry and exits 0 when every mutant is caught and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -166,22 +165,17 @@ def failed_tests(src: Path, tests: tuple[str, ...]) -> set[str]:
     return set(tests) - passed
 
 
-def main(names: list[str]) -> int:
-    unknown = set(names) - {m.name for m in MUTANTS}
-    if unknown:
-        print(f"unknown mutants: {', '.join(sorted(unknown))}", file=sys.stderr)
-        return 2
-    chosen = [m for m in MUTANTS if not names or m.name in names]
+def main() -> int:
     with tempfile.TemporaryDirectory(prefix="biphoton-mutants-") as tmp:
         src = Path(tmp) / "src"
         shutil.copytree(SRC, src, ignore=shutil.ignore_patterns("__pycache__"))
-        every_test = tuple(dict.fromkeys(t for m in chosen for t in m.tests))
+        every_test = tuple(dict.fromkeys(t for m in MUTANTS for t in m.tests))
         broken = failed_tests(src, every_test)
         if broken:
             print(f"fail before any mutation: {', '.join(sorted(broken))}", file=sys.stderr)
             return 1
         survivors = []
-        for m in chosen:
+        for m in MUTANTS:
             path = src / "biphoton" / m.file
             text = path.read_text(encoding="utf-8")
             if text.count(m.old) != 1:
@@ -196,9 +190,9 @@ def main(names: list[str]) -> int:
             print(f"{m.name}: {'SURVIVED ' + ', '.join(sorted(passing)) if passing else 'caught'}")
             if passing:
                 survivors.append(m.name)
-    print(f"{len(chosen) - len(survivors)} of {len(chosen)} mutants caught")
+    print(f"{len(MUTANTS) - len(survivors)} of {len(MUTANTS)} mutants caught")
     return 1 if survivors else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
