@@ -192,7 +192,7 @@ def _write_grid(args, vis: Visibility, grid: tuple[float, float], header: str, c
             deltas = lo + np.arange(start, min(start + _GRID_CHUNK, args.steps)) * step
             block = np.column_stack(columns(start, sweep_correlation(deltas, vis)))
             row = b",".join([_FLOAT.encode()] * block.shape[1]) + b"\n"
-            out.write(b"".join([row % fields for fields in map(tuple, block.tolist())]))
+            out.write(row * len(block) % tuple(block.ravel().tolist()))
     return 0
 
 
@@ -301,6 +301,11 @@ def cmd_premeasure(args) -> int:
 _TRIAL_KEY = b'{"trial": '
 # Row k: the four ASCII digits of k, the low digits of trial numbers k mod 10**4
 _DIGITS = np.indices((10,) * 4, np.uint8).reshape(4, -1).T + ord("0")
+# _LOW_DIGITS[low][k]: the last low digits of k < 10**low, as one item. Built
+# once, not per block: each is a contiguous copy (up to 40 KB) for its V{low} view.
+_LOW_DIGITS = {
+    low: np.ascontiguousarray(_DIGITS[:10**low, -low:]).view(f"V{low}") for low in range(1, 5)
+}
 
 
 def _event_lines(start: int, idx: np.ndarray, rests: list[bytes]) -> Iterator[np.ndarray]:
@@ -309,7 +314,7 @@ def _event_lines(start: int, idx: np.ndarray, rests: list[bytes]) -> Iterator[np
     a row per line, per trial-number width, so the caller's block idx bounds memory.
 
     Each run of 10**4 trials copies its outcomes' lines, which hold its high
-    digits; a trial number's low (at most four) digits come from _DIGITS.
+    digits; a trial number's low (at most four) digits come from _LOW_DIGITS.
     """
     stop = start + len(idx)
     lo = start
@@ -318,9 +323,9 @@ def _event_lines(start: int, idx: np.ndarray, rests: list[bytes]) -> Iterator[np
         hi = min(stop, 10**digits)
         low = min(digits, 4)
         rows = np.empty((hi - lo, len(_TRIAL_KEY) + digits + len(rests[0])), np.uint8)
-        # The low digits of each row, and of each row of _DIGITS, as one item
+        # The low digits of each row as one item, like those of table
         text = rows[:, len(_TRIAL_KEY) + digits - low:len(_TRIAL_KEY) + digits].view(f"V{low}")
-        table = np.ascontiguousarray(_DIGITS[:, -low:]).view(f"V{low}")
+        table = _LOW_DIGITS[low]
         for run in range(lo - lo % 10**4, hi, 10**4):
             a, b = max(run, lo), min(run + 10**4, hi)
             # Each outcome's line, high digits in, per trial; "clip" lets take fill out unbuffered

@@ -52,10 +52,12 @@ class EstimatorResult:
 
 
 # Trials drawn at a time. Bounds the arrays held at once (a tracemalloc peak of
-# about 1.1 MiB: two of 8 bytes a trial, a few of one byte), so that they stay
-# in a 2 MiB L2 cache. On a Xeon with that L2, doubles + draw + bincount took
-# 8-19 ns a trial in 2**16 blocks, against 23-40 ns in 2**20 blocks.
-BLOCK = 1 << 16
+# about 0.34 MiB: two of 8 bytes a trial, a few of one byte), so that a draw of
+# any length stays well inside a 2 MiB L2 cache and adds little to a process's
+# start-up RSS. On a Xeon with that L2, doubles + draw + bincount of 2**22
+# trials took a median 15 ns a trial in 2**14 blocks and 14 ns in 2**16 blocks
+# (quartiles 14-16 and 13-14), against 34 ns in 2**20 blocks.
+BLOCK = 1 << 14
 
 
 def outcome_blocks(probs, n: int, seed: int) -> Iterator[np.ndarray]:

@@ -156,7 +156,8 @@ def _shifted_source(phi_a, phi_b) -> np.ndarray:
     # Phase on each path pair (A1B1, A1B2, A2B1, A2B2): phi_b on B1, phi_a on A2.
     phase = np.zeros((4,) + np.broadcast(phi_a, phi_b).shape)
     phase[0], phase[3] = phi_b, phi_a
-    phase = _wrap_angles(phase)
+    # Only the settings need wrapping: row 1 stays 0, and row 2 is set next.
+    phase[::3] = _wrap_angles(phase[::3])
     phase[2] = phase[0] + phase[3]
     return _SOURCE_AMPS.reshape((4,) + (1,) * (phase.ndim - 1)) * np.exp(1j * phase)
 

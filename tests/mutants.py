@@ -53,6 +53,13 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "block_of_2_16_trials",
+        "montecarlo.py",
+        "BLOCK = 1 << 14",
+        "BLOCK = 1 << 16",
+        ("tests/test_montecarlo.py::test_bell_experiment_working_set_is_one_small_block",),
+    ),
+    Mutant(
         "stderr_ddof_0",
         "montecarlo.py",
         "math.sqrt(same * diff / (n - 1)) / n",
@@ -82,6 +89,13 @@ MUTANTS = (
             "tests/test_analysis.py::test_sweep_rejects_tables_outside_the_ranges"
             "[bad1-correlation outside]",
         ),
+    ),
+    Mutant(
+        "only_phi_a_wrapped",
+        "optics.py",
+        "phase[::3] = _wrap_angles(phase[::3])",
+        "phase[3] = _wrap_angles(phase[3])",
+        ("tests/test_optics.py::test_joint_tables_of_raw_angles_equal_those_of_wrapped_angles",),
     ),
     Mutant(
         "high_digits_from_matrix_start",

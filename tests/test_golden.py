@@ -50,14 +50,14 @@ CASES = {
                              "3000", "--seed", "18446744073709551615"],
     "sample_single_event": ["sample", "--phi-a", "pi/2", "--samples", "1", "--seed", "0"],
     "sample_blind": ["sample", "--visibility", "0", "--samples", "64", "--seed", "5"],
-    # sampled estimates whose every sub-stream crosses several 2**16-draw joins
+    # sampled estimates whose every sub-stream crosses several 2**14-draw joins
     "bell_200003": ["bell", "--angles=0.21,1.43,0.66,-0.97", "--samples=200003",
                     "--visibility=0.77", "--seed=2718281828"],
     "sweep_mc_131075": ["sweep", "--delta-min=-1", "--delta-max=2", "--steps=3",
                         "--visibility=0.9", "--mc=131075,11"],
 }
 
-# JSONL across several 2**16-trial blocks, and grids of several 1024-point
+# JSONL across several 2**14-trial blocks, and grids of several 1024-point
 # blocks (sub-seeded --mc columns included): pins the joins between blocks.
 HASHED = {
     "sample_200k": ["sample", "--samples", "200000", "--phi-a", "2.3", "--phi-b", "4.1",
@@ -68,7 +68,7 @@ HASHED = {
                        "--visibility", "0.2"],
 }
 
-# Hashed from an --output file. 1 048 600 lines cross the 16 joins of 2**16-trial
+# Hashed from an --output file. 1 048 600 lines cross the 64 joins of 2**14-trial
 # blocks up to trial 2**20, and the change from six- to seven-digit trial numbers
 # inside a block.
 HASHED_FILES = {

@@ -309,6 +309,18 @@ def test_sample_counts_block_arrays_fit_in_l2():
     assert peak <= 2 * 2**20
 
 
+def test_bell_experiment_working_set_is_one_small_block():
+    # Four settings of 2**18 draws each hold one BLOCK's arrays at a time; at
+    # 2**14 trials a block they come to ~0.34 MiB, and 2**16 gives ~1.1 MiB.
+    tracemalloc.start()
+    try:
+        bell_experiment(CHSH_OPTIMAL, Visibility(0.9), 2**18, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 512 * 2**10
+
+
 # ---------------------------------------------------------------------------
 # array core against the per-event views
 

@@ -334,6 +334,15 @@ def test_joint_tables_equal_the_labelled_matrices_in_scalar_order(pa, pb, v):
     assert joint_tables(pa, pb, Visibility(v)).tolist() == expected
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(edge_angles, wide_angles), st.one_of(edge_angles, wide_angles),
+       visibilities_with_ends)
+def test_joint_tables_of_raw_angles_equal_those_of_wrapped_angles(pa, pb, v):
+    vis = Visibility(v)
+    wrapped = joint_tables(*_wrap_angles(np.array([pa, pb])), vis)
+    assert joint_tables(pa, pb, vis).tolist() == wrapped.tolist()
+
+
 def test_joint_tables_broadcast_shapes():
     vis = Visibility(0.8)
     grid = np.linspace(-7.0, 7.0, 9)
