@@ -8,6 +8,9 @@ its sources (without importing or changing them) and make that a test failure.
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -56,9 +59,28 @@ def test_run_reads_only_root_exports():
     names = root_names()
     assert names, "run.py reads no bp.<name>"
     for name in sorted(names):
-        # bp.cli is a submodule; every other name must be a root export.
+        # bp.cli is the submodule run.py imports; every other name must be a
+        # root export, and no export is a module.
         value = getattr(biphoton, name, None)
-        if isinstance(value, types.ModuleType):
-            assert value.__name__ == f"biphoton.{name}"
+        if name == "cli":
+            assert value is sys.modules["biphoton.cli"]
         else:
             assert name in biphoton.__all__, name
+            assert not isinstance(value, types.ModuleType), name
+    assert not [n for n in biphoton.__all__ if isinstance(getattr(biphoton, n), types.ModuleType)]
+
+
+def test_one_root_read_after_the_cli_loads_every_wrapped_module():
+    # run.py imports biphoton.cli and reads root names before tracing.install()
+    # looks each wrapped module up in sys.modules; a fresh interpreter shows
+    # what that import and one read load.
+    src = str(PERFBENCH.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import sys, biphoton.cli\nbiphoton.joint_distribution\nprint(*sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert {f"biphoton.{module}" for module, _ in wrapped_names()} <= loaded
