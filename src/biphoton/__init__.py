@@ -1,104 +1,94 @@
 """Exact state-vector model of a momentum-entangled two-photon
 interferometer, a unitary detection model, and deterministic coincidence
-sampling with coherence analysis."""
+sampling with coherence analysis.
 
-from .analysis import (
-    CHSH_OPTIMAL,
-    ChshSettings,
-    Marginals,
-    SweepResult,
-    chsh,
-    correlation,
-    fringe_visibility,
-    l1_coherence,
-    marginals,
-    no_signaling_check,
-    purity,
-    sweep_correlation,
-)
-from .linalg import (
-    DensityMatrix,
-    Operator,
-    StateVector,
-    apply,
-    density_of,
-    ket,
-    partial_trace,
-    tensor,
-)
-from .montecarlo import (
-    EstimatorResult,
-    EventRecord,
-    bell_experiment,
-    estimate_correlation,
-    estimate_counts,
-    outcome_blocks,
-    sample_counts,
-    sample_events,
-)
-from .optics import (
-    JointDistribution,
-    PhaseSettings,
-    Visibility,
-    beam_splitter,
-    biphoton_state,
-    joint_distribution,
-    joint_tables,
-    phase_shifter,
-    phased_biphoton_state,
-    superposed_state,
-)
-from .premeasure import (
-    CorrelationReport,
-    correlation_report,
-    detector_coupling,
-    premeasure,
-)
-from .rng import SplitMix64, derive_seed
+Importing the package loads none of its modules. The first read of a root
+name imports every module and binds every name below, so from then on the
+root is what an eager package would be. A command-line run loads only the
+modules its command needs.
+"""
 
-__all__ = [
-    "CHSH_OPTIMAL",
-    "ChshSettings",
-    "CorrelationReport",
-    "DensityMatrix",
-    "EstimatorResult",
-    "EventRecord",
-    "JointDistribution",
-    "Marginals",
-    "Operator",
-    "PhaseSettings",
-    "SplitMix64",
-    "StateVector",
-    "SweepResult",
-    "Visibility",
-    "apply",
-    "beam_splitter",
-    "bell_experiment",
-    "biphoton_state",
-    "chsh",
-    "correlation",
-    "correlation_report",
-    "density_of",
-    "derive_seed",
-    "detector_coupling",
-    "estimate_correlation",
-    "estimate_counts",
-    "fringe_visibility",
-    "joint_distribution",
-    "joint_tables",
-    "ket",
-    "l1_coherence",
-    "marginals",
-    "no_signaling_check",
-    "outcome_blocks",
-    "partial_trace",
-    "phase_shifter",
-    "phased_biphoton_state",
-    "premeasure",
-    "purity",
-    "sample_counts",
-    "sample_events",
-    "superposed_state",
-    "sweep_correlation",
-    "tensor",
-]
+import importlib
+import sys
+import types
+
+# The names the root exports, by the module that defines them.
+_EXPORTS = {
+    "analysis": (
+        "CHSH_OPTIMAL",
+        "ChshSettings",
+        "Marginals",
+        "SweepResult",
+        "chsh",
+        "correlation",
+        "fringe_visibility",
+        "l1_coherence",
+        "marginals",
+        "no_signaling_check",
+        "purity",
+        "sweep_correlation",
+    ),
+    "linalg": (
+        "DensityMatrix",
+        "Operator",
+        "StateVector",
+        "apply",
+        "density_of",
+        "ket",
+        "partial_trace",
+        "tensor",
+    ),
+    "montecarlo": (
+        "EstimatorResult",
+        "EventRecord",
+        "bell_experiment",
+        "estimate_correlation",
+        "estimate_counts",
+        "outcome_blocks",
+        "sample_counts",
+        "sample_events",
+    ),
+    "optics": (
+        "JointDistribution",
+        "PhaseSettings",
+        "Visibility",
+        "beam_splitter",
+        "biphoton_state",
+        "joint_distribution",
+        "joint_tables",
+        "phase_shifter",
+        "phased_biphoton_state",
+        "superposed_state",
+    ),
+    "premeasure": (
+        "CorrelationReport",
+        "correlation_report",
+        "detector_coupling",
+        "premeasure",
+    ),
+    "rng": ("SplitMix64", "derive_seed"),
+}
+
+__all__ = sorted(name for names in _EXPORTS.values() for name in names)
+
+
+def __getattr__(name: str):
+    if name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    namespace = globals()
+    for module_name, names in _EXPORTS.items():
+        module = importlib.import_module(f"{__name__}.{module_name}")
+        namespace.update((export, getattr(module, export)) for export in names)
+    return namespace[name]
+
+
+class _Package(types.ModuleType):
+    def __setattr__(self, name, value):
+        # The import system binds each submodule on the package as it loads
+        # it. The root name premeasure is the function, not its module.
+        if name == "premeasure" and isinstance(value, types.ModuleType):
+            value = value.premeasure
+        super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

@@ -11,13 +11,14 @@ v > 1/sqrt2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .linalg import DensityMatrix
 from .optics import Visibility, joint_tables
+
+if TYPE_CHECKING:
+    from .linalg import DensityMatrix
 
 
 class Marginals(NamedTuple):
@@ -78,8 +79,7 @@ def fringe_visibility(values: Iterable[float]) -> float:
     return (hi - lo) / (hi + lo)
 
 
-@dataclass(frozen=True)
-class ChshSettings:
+class ChshSettings(NamedTuple):
     """Two phase settings per party for the four-correlation CHSH sum."""
 
     a: float

@@ -9,7 +9,6 @@ flags and the seed, whatever the thread count.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import gc
 import math
 import os
@@ -24,7 +23,6 @@ import numpy as np
 from .analysis import CHSH_OPTIMAL, ChshSettings, chsh, sweep_correlation
 from .montecarlo import bell_experiment, estimate_columns, estimate_counts, outcome_blocks
 from .optics import OUTCOMES, PhaseSettings, Visibility, joint_tables
-from .premeasure import correlation_report, premeasure
 
 # Grid points `sweep` and `marginals` tabulate at a time; bounds the rows
 # held at once (well under 1 MB) whatever --steps is
@@ -85,11 +83,12 @@ def _fmt(x: float) -> str:
 
 
 def _render_json(value, indent: int = 0) -> str:
-    """Deterministic JSON with floats at 9 significant digits. A dataclass is an
-    object of its fields in order, an array a list, a complex number [re, im]."""
+    """Deterministic JSON with floats at 9 significant digits. A record (a
+    NamedTuple or a Record) is an object of its fields in order, an array a
+    list, a complex number [re, im]."""
     pad = "  " * indent
-    if dataclasses.is_dataclass(value):
-        value = vars(value)
+    if hasattr(value, "_asdict"):
+        value = value._asdict()
     if isinstance(value, complex):
         value = [value.real, value.imag]
     if isinstance(value, dict):
@@ -264,9 +263,12 @@ def cmd_bell(args) -> int:
 
 
 def cmd_premeasure(args) -> int:
+    # Imported here: no other command runs the detection model.
+    from .premeasure import correlation_report, premeasure
+
     psi = premeasure(args.theta)
     report = correlation_report(psi)
-    payload = {"theta": args.theta, **vars(report)}
+    payload = {"theta": args.theta, **report._asdict()}
     if args.dump_state is not None:
         with _open_output(args.dump_state) as out:
             out.write((_render_json(psi) + "\n").encode())

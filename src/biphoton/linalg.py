@@ -11,9 +11,9 @@ function, so everything here is safe to share across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
+
+from .records import Record
 
 # Structural tolerance for normalization / unitarity / hermiticity checks.
 TOL = 1e-12
@@ -53,40 +53,35 @@ def _frozen_copy(values, what: str, shape: tuple[int, ...], misfit) -> np.ndarra
     return arr
 
 
-@dataclass(frozen=True, eq=False)
-class StateVector:
+class StateVector(Record):
     """Normalized complex amplitudes over a labelled tensor-product basis."""
 
-    space: Space
-    amplitudes: np.ndarray
+    __slots__ = _fields = ("space", "amplitudes")
 
-    def __post_init__(self):
-        space = as_space(self.space)
-        amps = _frozen_copy(self.amplitudes, "state amplitudes", (space_dim(space),), lambda a: (
+    def __init__(self, space: Space, amplitudes: np.ndarray):
+        space = as_space(space)
+        amps = _frozen_copy(amplitudes, "state amplitudes", (space_dim(space),), lambda a: (
             f"amplitude vector of length {a.size} does not fit "
             f"space {format_space(space)} (dim {space_dim(space)})"
         ))
         norm = float(np.linalg.norm(amps))
         if abs(norm - 1.0) > TOL:
             raise ValueError(f"state is not normalized: ||psi|| = {norm!r}")
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "amplitudes", amps)
+        self._set(space, amps)
 
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
 
 
-@dataclass(frozen=True, eq=False)
-class DensityMatrix:
+class DensityMatrix(Record):
     """Hermitian, positive-semidefinite, trace-one matrix on a labelled basis."""
 
-    space: Space
-    entries: np.ndarray
+    __slots__ = _fields = ("space", "entries")
 
-    def __post_init__(self):
-        space = as_space(self.space)
+    def __init__(self, space: Space, entries: np.ndarray):
+        space = as_space(space)
         d = space_dim(space)
-        mat = _frozen_copy(self.entries, "density-matrix entries", (d, d), lambda m: (
+        mat = _frozen_copy(entries, "density-matrix entries", (d, d), lambda m: (
             f"entries of shape {m.shape} do not fit space "
             f"{format_space(space)} (dim {d})"
         ))
@@ -97,23 +92,19 @@ class DensityMatrix:
             raise ValueError(f"density matrix trace is {trace!r}, not 1")
         if float(np.min(np.linalg.eigvalsh(mat))) < -EIG_TOL:
             raise ValueError("density matrix has a negative eigenvalue")
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "entries", mat)
+        self._set(space, mat)
 
 
-@dataclass(frozen=True, eq=False)
-class Operator:
+class Operator(Record):
     """Unitary (square) or isometric (tall rectangular) labelled matrix."""
 
-    input_space: Space
-    output_space: Space
-    entries: np.ndarray
+    __slots__ = _fields = ("input_space", "output_space", "entries")
 
-    def __post_init__(self):
-        in_space = as_space(self.input_space)
-        out_space = as_space(self.output_space)
+    def __init__(self, input_space: Space, output_space: Space, entries: np.ndarray):
+        in_space = as_space(input_space)
+        out_space = as_space(output_space)
         d_in, d_out = space_dim(in_space), space_dim(out_space)
-        mat = _frozen_copy(self.entries, "operator entries", (d_out, d_in), lambda m: (
+        mat = _frozen_copy(entries, "operator entries", (d_out, d_in), lambda m: (
             f"entries of shape {m.shape} do not map "
             f"{format_space(in_space)} (dim {d_in}) to "
             f"{format_space(out_space)} (dim {d_out})"
@@ -123,9 +114,7 @@ class Operator:
             raise ValueError("operator is not an isometry (V+V != I)")
         if d_in == d_out and float(np.max(np.abs(mat @ mat.conj().T - eye_in))) > TOL:
             raise ValueError("square operator is not unitary (UU+ != I)")
-        object.__setattr__(self, "input_space", in_space)
-        object.__setattr__(self, "output_space", out_space)
-        object.__setattr__(self, "entries", mat)
+        self._set(in_space, out_space, mat)
 
 
 def ket(space, *labels: str) -> StateVector:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,8 +28,7 @@ from .optics import OUTCOMES, JointDistribution, PhaseSettings, Visibility, join
 from .rng import SplitMix64, derive_seed
 
 
-@dataclass(frozen=True, slots=True)
-class EventRecord:
+class EventRecord(NamedTuple):
     """One simulated coincidence: trial index, settings, outcome pair."""
 
     trial: int
@@ -38,17 +37,21 @@ class EventRecord:
     outcome_b: str
 
 
-@dataclass(frozen=True)
-class EstimatorResult:
+class _EstimatorFields(NamedTuple):
     estimate: float
     stderr: float
     n: int
 
-    def __post_init__(self):
-        if self.stderr < 0.0:
-            raise ValueError(f"stderr must be nonnegative, got {self.stderr!r}")
-        if self.n < 1:
-            raise ValueError(f"sample count must be >= 1, got {self.n!r}")
+
+class EstimatorResult(_EstimatorFields):
+    __slots__ = ()
+
+    def __new__(cls, estimate: float, stderr: float, n: int):
+        if stderr < 0.0:
+            raise ValueError(f"stderr must be nonnegative, got {stderr!r}")
+        if n < 1:
+            raise ValueError(f"sample count must be >= 1, got {n!r}")
+        return super().__new__(cls, estimate, stderr, n)
 
 
 # Trials drawn at a time. Bounds the arrays held at once (a tracemalloc peak of

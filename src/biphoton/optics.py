@@ -24,11 +24,14 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .linalg import Operator, StateVector
+from .records import Record
+
+if TYPE_CHECKING:
+    from .linalg import Operator, StateVector
 
 TWO_PI = 2.0 * math.pi
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -54,50 +57,52 @@ def _wrap_angles(phi: np.ndarray) -> np.ndarray:
     return phi % TWO_PI % TWO_PI
 
 
-@dataclass(frozen=True)
-class PhaseSettings:
-    """Local phase-shifter settings, normalized into [0, 2pi)."""
-
+class _PhaseFields(NamedTuple):
     phi_a: float
     phi_b: float
 
-    def __post_init__(self):
-        phi_a, phi_b = _wrap_angles(np.array([self.phi_a, self.phi_b], dtype=float)).tolist()
-        object.__setattr__(self, "phi_a", phi_a)
-        object.__setattr__(self, "phi_b", phi_b)
+
+class PhaseSettings(_PhaseFields):
+    """Local phase-shifter settings, normalized into [0, 2pi)."""
+
+    __slots__ = ()
+
+    def __new__(cls, phi_a: float, phi_b: float):
+        return super().__new__(cls, *_wrap_angles(np.array([phi_a, phi_b], dtype=float)).tolist())
 
 
-@dataclass(frozen=True)
-class Visibility:
+class _VisibilityFields(NamedTuple):
+    v: float
+
+
+class Visibility(_VisibilityFields):
     """Fringe contrast v in [0, 1]; v = 1 is the ideal instrument."""
 
-    v: float = 1.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        v = float(self.v)
+    def __new__(cls, v: float = 1.0):
+        v = float(v)
         if not (0.0 <= v <= 1.0):
             raise ValueError(f"visibility must lie in [0, 1], got {v!r}")
-        object.__setattr__(self, "v", v)
+        return super().__new__(cls, v)
 
 
-@dataclass(frozen=True, eq=False)
-class JointDistribution:
+class JointDistribution(Record):
     """Probability table over the four paired detector outcomes."""
 
-    settings: PhaseSettings
-    probs: dict[tuple[str, str], float]
+    __slots__ = _fields = ("settings", "probs")
 
-    def __post_init__(self):
-        if set(self.probs) != set(OUTCOMES):
+    def __init__(self, settings: PhaseSettings, probs: dict[tuple[str, str], float]):
+        if set(probs) != set(OUTCOMES):
             raise ValueError(f"need exactly the outcomes {OUTCOMES}")
-        probs = {k: float(self.probs[k]) for k in OUTCOMES}
+        probs = {k: float(probs[k]) for k in OUTCOMES}
         for pair, p in probs.items():
             if not (-1e-15 <= p <= 1.0 + 1e-15):
                 raise ValueError(f"probability {p!r} for {pair} outside [0, 1]")
         total = sum(probs.values())
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
-        object.__setattr__(self, "probs", probs)
+        self._set(settings, probs)
 
 
 def superposed_state(theta: float = 0.0) -> StateVector:
@@ -106,6 +111,8 @@ def superposed_state(theta: float = 0.0) -> StateVector:
     theta = 0 is the plain 50-50 superposition; both path probabilities are
     1/2 for every theta.
     """
+    from .linalg import StateVector
+
     amps = np.array([_INV_SQRT2, cmath.exp(1j * theta) * _INV_SQRT2])
     return StateVector((A_PATHS,), amps)
 
@@ -116,6 +123,8 @@ _SOURCE_AMPS = np.array([_INV_SQRT2, 0.0, 0.0, _INV_SQRT2], dtype=complex)
 
 def biphoton_state() -> StateVector:
     """Momentum-entangled pair: (|A1 B1> + |A2 B2>)/sqrt2."""
+    from .linalg import StateVector
+
     return StateVector((A_PATHS, B_PATHS), _SOURCE_AMPS)
 
 
@@ -125,6 +134,8 @@ def phase_shifter(mode: str, phi: float) -> Operator:
     Acts on the owning party's two-path space; output-port modes are not
     valid targets.
     """
+    from .linalg import Operator
+
     if mode in A_PATHS:
         party_paths = A_PATHS
     elif mode in B_PATHS:
@@ -143,6 +154,8 @@ _BS_ENTRIES = np.array([[1.0, 1j], [1j, 1.0]], dtype=complex) * _INV_SQRT2
 
 def beam_splitter(party: str) -> Operator:
     """Symmetric 50/50 splitter taking a party's paths to its detector ports."""
+    from .linalg import Operator
+
     if party == "A":
         return Operator((A_PATHS,), (A_PORTS,), _BS_ENTRIES)
     if party == "B":
@@ -164,6 +177,8 @@ def _shifted_source(phi_a, phi_b) -> np.ndarray:
 
 def phased_biphoton_state(settings: PhaseSettings) -> StateVector:
     """Entangled source state after the two phase shifters, before splitting."""
+    from .linalg import StateVector
+
     return StateVector((A_PATHS, B_PATHS), _shifted_source(settings.phi_a, settings.phi_b))
 
 

@@ -17,7 +17,6 @@ fired" reading to hold.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,6 +32,7 @@ from .linalg import (
     tensor,
 )
 from .optics import A_PATHS, superposed_state
+from .records import Record
 
 DETECTOR_LABELS = ("ready", "D1", "D2")
 SYSTEM_DETECTOR_SPACE = (A_PATHS, DETECTOR_LABELS)
@@ -64,8 +64,7 @@ def premeasure(theta: float = 0.0) -> StateVector:
     return apply(detector_coupling(), start)
 
 
-@dataclass(frozen=True, eq=False)
-class CorrelationReport:
+class CorrelationReport(Record):
     """Machine-checkable summary of a system-detector state.
 
     joint_probs / conditional_probs: outcome table and P(detector | system);
@@ -84,6 +83,16 @@ class CorrelationReport:
     exactly the off-dyad cells.
     """
 
+    __slots__ = _fields = (
+        "joint_probs",
+        "conditional_probs",
+        "subsystem_coherence",
+        "correlation_coherence",
+        "correlation_coherence_modulus",
+        "correlation_coherence_phase",
+        "both_clicked_prob",
+        "iff_violation_prob",
+    )
     joint_probs: dict[str, dict[str, float]]
     conditional_probs: dict[str, dict[str, float | None]]
     subsystem_coherence: tuple[float, float]

@@ -152,6 +152,28 @@ MUTANTS = (
             "tests/test_cli.py::test_grid_memory_does_not_grow_with_steps[marginals]",
         ),
     ),
+    Mutant(
+        "grid_leaks_a_byte_a_step",
+        "cli.py",
+        "out.write(row * len(block) % tuple(block.ravel().tolist()))",
+        "out.write(row * len(block) % tuple(block.ravel().tolist()))\n"
+        '            vars(args).setdefault("held", []).append(bytes(len(block)))',
+        (
+            "tests/test_cli.py::test_grid_memory_does_not_grow_with_steps[sweep]",
+            "tests/test_cli.py::test_grid_memory_does_not_grow_with_steps[marginals]",
+        ),
+    ),
+    Mutant(
+        "cli_imports_the_detection_model_eagerly",
+        "cli.py",
+        "from .optics import OUTCOMES, PhaseSettings, Visibility, joint_tables\n",
+        "from .optics import OUTCOMES, PhaseSettings, Visibility, joint_tables\n"
+        "from .premeasure import correlation_report, premeasure\n",
+        tuple(
+            f"tests/test_package.py::test_each_command_loads_only_the_modules_it_runs[{command}]"
+            for command in ("help", "sample", "bell", "sweep", "marginals")
+        ),
+    ),
 )
 
 

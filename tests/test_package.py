@@ -1,4 +1,5 @@
-"""What the package root binds, whatever was imported before it was read.
+"""What the package root binds, whatever was imported before it was read,
+and which modules each command loads.
 
 Which modules an interpreter has loaded, and in what order, is what these
 tests are about, so each case runs in a fresh interpreter.
@@ -11,18 +12,22 @@ from pathlib import Path
 
 import pytest
 
-ROOT = Path(__file__).resolve().parent.parent
+import biphoton
+
+# The directory this process imports biphoton from
+SRC = str(Path(biphoton.__file__).resolve().parent.parent)
 
 
-def fresh_python(code: str) -> str:
-    """Run code in a new interpreter that imports biphoton from src/; its stdout."""
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+def fresh_python(code: str, stream: str = "stdout") -> str:
+    """Run code in a new interpreter that imports biphoton from SRC; what it
+    wrote to stream."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
         env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout
+    return getattr(proc, stream)
 
 
 # Code run before the root is read; `premeasure` names a submodule and a function.
@@ -57,3 +62,30 @@ def test_root_exports_are_the_module_objects():
         "['biphoton.analysis', 'biphoton.linalg', 'biphoton.montecarlo', 'biphoton.optics', "
         "'biphoton.premeasure', 'biphoton.rng']",
     ]
+
+
+# Each command line, and whether it runs the detection model.
+COMMANDS = {
+    "help": (["--help"], False),
+    "sample": (["sample", "--samples", "3"], False),
+    "bell": (["bell", "--optimal", "--samples", "10"], False),
+    "sweep": (["sweep", "--steps", "3", "--mc", "10,1"], False),
+    "marginals": (["marginals", "--steps", "3"], False),
+    "premeasure": (["premeasure"], True),
+}
+
+
+@pytest.mark.parametrize("argv,detection_model", COMMANDS.values(), ids=COMMANDS)
+def test_each_command_loads_only_the_modules_it_runs(argv, detection_model):
+    # As `python -m biphoton ARGV` runs; the hook lists the loaded modules at exit.
+    out = fresh_python(
+        "import atexit, runpy, sys\n"
+        "atexit.register(lambda: print('loaded', *sys.modules, file=sys.stderr))\n"
+        "sys.argv[1:] = " + repr(argv) + "\n"
+        "runpy.run_module('biphoton', run_name='__main__')\n",
+        stream="stderr",
+    )
+    loaded = set(out.splitlines()[-1].split()[1:])
+    assert "biphoton.cli" in loaded
+    assert ("biphoton.premeasure" in loaded) == detection_model
+    assert "dataclasses" not in loaded

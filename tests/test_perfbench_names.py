@@ -74,7 +74,7 @@ def test_one_root_read_after_the_cli_loads_every_wrapped_module():
     # run.py imports biphoton.cli and reads root names before tracing.install()
     # looks each wrapped module up in sys.modules; a fresh interpreter shows
     # what that import and one read load.
-    src = str(PERFBENCH.parent / "src")
+    src = str(Path(biphoton.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     code = "import sys, biphoton.cli\nbiphoton.joint_distribution\nprint(*sys.modules)"
     proc = subprocess.run(
