@@ -3,9 +3,9 @@ interferometer, a unitary detection model, and deterministic coincidence
 sampling with coherence analysis.
 
 Importing the package loads none of its modules. The first read of a root
-name imports every module and binds every name below, so from then on the
-root is what an eager package would be. A command-line run loads only the
-modules its command needs.
+name, an export or a module, imports every module and binds every name
+below, so from then on the root is what an eager package would be. A
+command-line run loads only the modules its command needs.
 """
 
 import importlib
@@ -73,7 +73,7 @@ __all__ = sorted(name for names in _EXPORTS.values() for name in names)
 
 
 def __getattr__(name: str):
-    if name not in __all__:
+    if name not in __all__ and name not in _EXPORTS:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     namespace = globals()
     for module_name, names in _EXPORTS.items():

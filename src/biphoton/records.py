@@ -40,6 +40,10 @@ class Record:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
+    def __reduce__(self):
+        # copy and pickle build the copy through __init__, not by assignment
+        return type(self), tuple(self._asdict().values())
+
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={value!r}" for name, value in self._asdict().items())
         return f"{type(self).__name__}({fields})"

@@ -164,6 +164,16 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "records_copied_by_assignment",
+        "records.py",
+        "    def __reduce__(self):",
+        "    def _reduce(self):",
+        tuple(
+            f"tests/test_records.py::test_copies_and_unpickled_records_hold_the_same_fields[{name}]"
+            for name in ("JointDistribution", "StateVector", "CorrelationReport")
+        ),
+    ),
+    Mutant(
         "cli_imports_the_detection_model_eagerly",
         "cli.py",
         "from .optics import OUTCOMES, PhaseSettings, Visibility, joint_tables\n",

@@ -45,8 +45,18 @@ def test_root_names_are_the_exports_not_submodules(before):
         "\nimport types, biphoton\n"
         "print(type(biphoton.premeasure).__name__, biphoton.premeasure.__module__)\n"
         "print([n for n in biphoton.__all__ if isinstance(getattr(biphoton, n), types.ModuleType)])\n"
+        "print(*(getattr(biphoton, n).__name__ for n in ('analysis', 'linalg', 'optics', 'rng')))\n"
     ))
-    assert out.splitlines() == ["function biphoton.premeasure", "[]"]
+    assert out.splitlines() == [
+        "function biphoton.premeasure",
+        "[]",
+        "biphoton.analysis biphoton.linalg biphoton.optics biphoton.rng",
+    ]
+
+
+def test_a_module_read_first_loads_the_package():
+    out = fresh_python("import biphoton\nprint(biphoton.montecarlo.__name__, biphoton.premeasure.__name__)")
+    assert out.split() == ["biphoton.montecarlo", "premeasure"]
 
 
 def test_root_exports_are_the_module_objects():

@@ -8,8 +8,6 @@ its sources (without importing or changing them) and make that a test failure.
 
 import ast
 import importlib
-import os
-import subprocess
 import sys
 import types
 from pathlib import Path
@@ -18,6 +16,7 @@ import pytest
 
 import biphoton
 import biphoton.cli  # noqa: F401  (run.py imports it, so bp.cli exists)
+from test_package import fresh_python
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -74,13 +73,7 @@ def test_one_root_read_after_the_cli_loads_every_wrapped_module():
     # run.py imports biphoton.cli and reads root names before tracing.install()
     # looks each wrapped module up in sys.modules; a fresh interpreter shows
     # what that import and one read load.
-    src = str(Path(biphoton.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = "import sys, biphoton.cli\nbiphoton.joint_distribution\nprint(*sys.modules)"
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
-        env={**os.environ, "PYTHONPATH": path},
-    )
-    assert proc.returncode == 0, proc.stderr
-    loaded = set(proc.stdout.split())
+    loaded = set(fresh_python(
+        "import sys, biphoton.cli\nbiphoton.joint_distribution\nprint(*sys.modules)"
+    ).split())
     assert {f"biphoton.{module}" for module, _ in wrapped_names()} <= loaded

@@ -2,7 +2,9 @@
 or by identity as each documents, and checked by their constructors with
 fixed messages."""
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -44,6 +46,16 @@ def test_fields_cannot_be_assigned_or_deleted(make, field):
     with pytest.raises(AttributeError):
         record.extra = 1
     assert getattr(record, field) is before
+
+
+@pytest.mark.parametrize("make,field", INSTANCES.values(), ids=INSTANCES)
+def test_copies_and_unpickled_records_hold_the_same_fields(make, field):
+    record = make()
+    for twin in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        assert type(twin) is type(record)
+        assert repr(twin) == repr(record)
+        with pytest.raises(AttributeError):
+            setattr(twin, field, getattr(record, field))
 
 
 # Two constructions of one value, and a third of another.
