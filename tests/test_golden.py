@@ -3,18 +3,21 @@
 Each case pins the exact stdout and stderr of one ``biphoton`` command line
 under ``tests/golden/``: ``<name>.stdout`` and ``<name>.stderr``, or
 ``<name>.stdout.sha256`` for outputs too large to commit (written to an
-``--output`` file first when even a string of them is too large). A change that is
+``--output`` file first when even a string of them is too large). Help and
+usage-error cases also pin the exit status in ``<name>.status``. A change that is
 meant to alter output bytes re-pins them in its own commit with
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
 import hashlib
+import os
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from io import BytesIO, StringIO, TextIOWrapper
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -76,12 +79,28 @@ HASHED_FILES = {
                        "--visibility", "0.95", "--seed", "99"],
 }
 
+# Help of the program and of each subcommand, and a usage error argparse
+# raises itself: exit statuses other than a run's.
+EXITS = {
+    "help": ["--help"],
+    "help_sweep": ["sweep", "--help"],
+    "help_marginals": ["marginals", "--help"],
+    "help_bell": ["bell", "--help"],
+    "help_premeasure": ["premeasure", "--help"],
+    "help_sample": ["sample", "--help"],
+    "usage_unknown_flag": ["sweep", "--bogus"],
+}
+
 
 def run(argv: list[str]) -> tuple[int, bytes, bytes]:
-    # main writes bytes to sys.stdout.buffer, so stdout gets a binary buffer too
+    # main writes bytes to sys.stdout.buffer, so stdout gets a binary buffer too.
+    # argparse wraps help to the terminal's width, read from COLUMNS first.
     out, err = TextIOWrapper(BytesIO(), encoding="utf-8"), StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = main(argv)
+    with redirect_stdout(out), redirect_stderr(err), mock.patch.dict(os.environ, COLUMNS="80"):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # --help exits from inside main
+            code = exc.code
     out.flush()
     return code, out.buffer.getvalue(), err.getvalue().encode()
 
@@ -94,6 +113,14 @@ def golden(name: str, suffix: str) -> bytes:
 def test_transcript_is_byte_identical(name):
     code, out, err = run(CASES[name])
     assert code == 0
+    assert out == golden(name, ".stdout")
+    assert err == golden(name, ".stderr")
+
+
+@pytest.mark.parametrize("name", sorted(EXITS))
+def test_help_and_usage_transcript_is_byte_identical(name):
+    code, out, err = run(EXITS[name])
+    assert code == int(golden(name, ".status"))
     assert out == golden(name, ".stdout")
     assert err == golden(name, ".stderr")
 
@@ -133,6 +160,11 @@ def write_goldens() -> None:
     for name, argv in CASES.items():
         code, out, err = run(argv)
         assert code == 0, (name, err)
+        (GOLDEN / f"{name}.stdout").write_bytes(out)
+        (GOLDEN / f"{name}.stderr").write_bytes(err)
+    for name, argv in EXITS.items():
+        code, out, err = run(argv)
+        (GOLDEN / f"{name}.status").write_text(f"{code}\n")
         (GOLDEN / f"{name}.stdout").write_bytes(out)
         (GOLDEN / f"{name}.stderr").write_bytes(err)
     for name, argv in HASHED.items():
