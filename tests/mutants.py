@@ -99,7 +99,7 @@ MUTANTS = (
     ),
     Mutant(
         "high_digits_from_matrix_start",
-        "cli.py",
+        "commands.py",
         '(b"%d" % run)[:-low]',
         '(b"%d" % lo)[:-low]',
         (
@@ -116,7 +116,7 @@ MUTANTS = (
     ),
     Mutant(
         "sample_block_numbered_from_zero",
-        "cli.py",
+        "commands.py",
         "_event_lines(int(counts.sum()), idx, rests)",
         "_event_lines(0, idx, rests)",
         (
@@ -126,14 +126,14 @@ MUTANTS = (
     ),
     Mutant(
         "sample_formats_all_blocks_at_once",
-        "cli.py",
+        "commands.py",
         "for idx in outcome_blocks(probs, args.samples, args.seed):",
         "for idx in [np.concatenate(list(outcome_blocks(probs, args.samples, args.seed)))]:",
         ("tests/test_cli.py::test_sample_memory_does_not_grow_with_samples",),
     ),
     Mutant(
         "grid_steps_long_array",
-        "cli.py",
+        "commands.py",
         "deltas = lo + np.arange(start, min(start + _GRID_CHUNK, args.steps)) * step",
         "deltas = (lo + np.arange(args.steps) * step)[start:start + _GRID_CHUNK]",
         (
@@ -143,7 +143,7 @@ MUTANTS = (
     ),
     Mutant(
         "grid_rows_accumulate",
-        "cli.py",
+        "commands.py",
         "block = np.column_stack(columns(start, sweep_correlation(deltas, vis)))",
         "block = np.column_stack(columns(start, sweep_correlation(deltas, vis)))\n"
         '            vars(args).setdefault("held", []).append(block)',
@@ -154,7 +154,7 @@ MUTANTS = (
     ),
     Mutant(
         "grid_leaks_a_byte_a_step",
-        "cli.py",
+        "commands.py",
         "out.write(row * len(block) % tuple(block.ravel().tolist()))",
         "out.write(row * len(block) % tuple(block.ravel().tolist()))\n"
         '            vars(args).setdefault("held", []).append(bytes(len(block)))',
@@ -175,14 +175,31 @@ MUTANTS = (
     ),
     Mutant(
         "cli_imports_the_detection_model_eagerly",
-        "cli.py",
+        "commands.py",
         "from .optics import OUTCOMES, PhaseSettings, Visibility, joint_tables\n",
         "from .optics import OUTCOMES, PhaseSettings, Visibility, joint_tables\n"
         "from .premeasure import correlation_report, premeasure\n",
         tuple(
             f"tests/test_package.py::test_each_command_loads_only_the_modules_it_runs[{command}]"
-            for command in ("help", "sample", "bell", "sweep", "marginals")
+            for command in ("sample", "bell", "sweep", "marginals")
         ),
+    ),
+    Mutant(
+        "cli_imports_numpy_eagerly",
+        "cli.py",
+        "import sys\n\n_SEEDS",
+        "import sys\n\nimport numpy as np  # noqa: F401\n\n_SEEDS",
+        tuple(
+            f"tests/test_package.py::test_each_command_loads_only_the_modules_it_runs[{command}]"
+            for command in ("help", "sweep_help", "usage_error")
+        ),
+    ),
+    Mutant(
+        "freeze_before_the_run_imports_numpy",
+        "cli.py",
+        "    status = main()\n    gc.freeze()\n",
+        "    gc.freeze()\n    status = main()\n",
+        ("tests/test_cli.py::test_process_entry_freezes_start_up_objects",),
     ),
 )
 

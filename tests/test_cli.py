@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from biphoton import cli
+from biphoton import commands
 from biphoton.analysis import correlation, marginals
 from biphoton.cli import main, parse_angle
 from biphoton.montecarlo import BLOCK, estimate_counts, sample_counts
@@ -444,7 +444,7 @@ def reference_lines(start, idx, rests):
 
 def event_text(start, idx, rests):
     """_event_lines' matrices joined and decoded, with rests given as text."""
-    rows = cli._event_lines(start, idx, [rest.encode() for rest in rests])
+    rows = commands._event_lines(start, idx, [rest.encode() for rest in rests])
     return b"".join(rows).decode()
 
 
@@ -475,7 +475,7 @@ trial_starts = st.builds(
 @example(2**31 - 4, [1, 2] * 4, 0.0, 6.0)
 @example(10**10 - 4, [3, 0] * 4, 0.0, 0.0)
 @example(10**17 - 4, [2, 1] * 4, 1e-7, 1.5)
-@example(cli._MAX_COUNT - 8, [0, 3, 1, 2] * 2, 6.0, 0.0)  # the largest trials, 18 digits
+@example(commands._MAX_COUNT - 8, [0, 3, 1, 2] * 2, 6.0, 0.0)  # the largest trials, 18 digits
 # a few lines on each side of a join of two 10**4-trial runs
 @example(9_998, [0, 1, 2, 3] * 2, 1.5, 0.0)
 @example(19_999, [3, 1] * 3, 0.0, 1e-7)
@@ -484,7 +484,7 @@ trial_starts = st.builds(
 @example(10**7 - 5, [0, 2] * 5, 0.0, 6.0)
 @example(2**31 - 3, [3, 2, 1] * 3, 1e-7, 1e-7)
 def test_event_lines_equal_per_event_strings(start, outcomes, phi_a, phi_b):
-    pa, pb = cli._fmt(phi_a), cli._fmt(phi_b)
+    pa, pb = commands._fmt(phi_a), commands._fmt(phi_b)
     rests = [
         f', "phi_a": {pa}, "phi_b": {pb}, "a": "{a}", "b": "{b}"}}\n'
         for a, b in OUTCOMES
@@ -497,7 +497,7 @@ def test_event_lines_yield_one_matrix_per_trial_width():
     rests = [f', "a": "{a}", "b": "{b}"}}\n' for a, b in OUTCOMES]
     idx = np.arange(3 * BLOCK, dtype=np.uint8) % 4
     start = 10**5 - 7  # five-digit trials, then six-digit ones
-    matrices = list(cli._event_lines(start, idx, [rest.encode() for rest in rests]))
+    matrices = list(commands._event_lines(start, idx, [rest.encode() for rest in rests]))
     assert all(rows.dtype == np.uint8 and rows.ndim == 2 for rows in matrices)
     assert all(rows[:, -1].tolist() == [ord("\n")] * len(rows) for rows in matrices)
     assert [len(rows) for rows in matrices] == [7, len(idx) - 7]
@@ -545,8 +545,8 @@ def fail_after_first_chunk(monkeypatch):
                 raise OSError(errno.ENOSPC, "No space left on device")
             yield rows
 
-    real = cli._event_lines
-    monkeypatch.setattr(cli, "_event_lines", event_lines)
+    real = commands._event_lines
+    monkeypatch.setattr(commands, "_event_lines", event_lines)
     return chunks
 
 
@@ -661,7 +661,7 @@ def test_out_of_memory_is_one_line_exit_1(capsys, monkeypatch, argv, allocator):
     def refuse(*args, **kwargs):
         raise MemoryError(message)
 
-    monkeypatch.setattr(cli, allocator, refuse)
+    monkeypatch.setattr(commands, allocator, refuse)
     code, _, err = run_cli(capsys, *argv)
     assert code == 1
     assert err == f"biphoton: out of memory: {message}\n"
@@ -768,7 +768,7 @@ def test_floats_printed_with_nine_significant_digits(capsys):
 @example(-math.inf)
 def test_grid_rows_format_floats_as_text_does(x):
     # _write_grid formats bytes; its rows must read as the text format did.
-    assert cli._FLOAT.encode() % x == (cli._FLOAT % x).encode()
+    assert commands._FLOAT.encode() % x == (commands._FLOAT % x).encode()
 
 
 def test_module_entry_point_runs():
@@ -800,10 +800,16 @@ def test_main_never_freezes_the_collector(capsys):
 
 
 def test_process_entry_freezes_start_up_objects():
-    # As `python -m biphoton` runs; the hook reads the freeze count at interpreter exit.
+    # As `python -m biphoton` runs; at interpreter exit the hook reads the freeze
+    # count, and whether numpy's namespace, which loads inside main(), is still
+    # in a generation the collector walks (frozen objects are in none).
     code = (
-        "import atexit, gc, runpy\n"
-        "atexit.register(lambda: print('frozen', gc.get_freeze_count()))\n"
+        "import atexit, gc, runpy, sys\n"
+        "def report():\n"
+        "    ns = vars(sys.modules['numpy'])\n"
+        "    walked = any(o is ns for o in gc.get_objects())\n"
+        "    print('frozen', gc.get_freeze_count(), gc.is_tracked(ns), walked)\n"
+        "atexit.register(report)\n"
         "runpy.run_module('biphoton', run_name='__main__')\n"
     )
     proc = subprocess.run(
@@ -812,8 +818,9 @@ def test_process_entry_freezes_start_up_objects():
     )
     assert proc.returncode == 0
     assert proc.stderr.startswith("detection-model verdict")
-    label, count = proc.stdout.split()
+    label, count, tracked, walked = proc.stdout.split()
     assert label == "frozen" and int(count) > 0
+    assert tracked == "True" and walked == "False"
 
 
 def test_console_script_is_the_process_entry():

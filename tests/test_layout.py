@@ -1,8 +1,9 @@
 """The output format is decided in one module.
 
-``cli`` is the only module that turns values into output text: library types
-carry no serializer, and the 9-significant-digit float format is written
-once. These tests read the package sources with ``ast`` (without importing
+The command-line layer is the only one that turns values into output text,
+and of its two modules (``cli`` parses, ``commands`` runs) ``commands``
+writes every output byte: library types carry no serializer, and the
+9-significant-digit float format is written once. These tests read the package sources with ``ast`` (without importing
 them) and make a serializer or float format added elsewhere a test failure.
 """
 
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "biphoton"
-LIBRARY = sorted(p.name for p in SRC.glob("*.py") if p.name != "cli.py")
+LIBRARY = sorted(p.name for p in SRC.glob("*.py") if p.name not in ("cli.py", "commands.py"))
 
 
 def parse(name: str) -> ast.Module:
@@ -45,5 +46,5 @@ def test_no_float_format_outside_cli(name):
 
 def test_cli_holds_the_float_format():
     assert "%.9g" in {
-        node.value for node in ast.walk(parse("cli.py")) if isinstance(node, ast.Constant)
+        node.value for node in ast.walk(parse("commands.py")) if isinstance(node, ast.Constant)
     }

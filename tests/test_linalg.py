@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from biphoton import optics
-from biphoton.cli import _render_json
+from biphoton.commands import _render_json
 from biphoton.linalg import (
     DensityMatrix,
     Operator,

@@ -391,7 +391,7 @@ def test_splitter_pair_is_the_labelled_kronecker_product():
     assert optics._BS4.tolist() == expected.tolist()
 
 
-# Each labelled object built while biphoton.cli imports, as its class name:
+# Each labelled object built while biphoton.commands imports, as its class name:
 # StateVector, DensityMatrix and Operator check themselves in __post_init__.
 IMPORT_PROBE = """
 import os, sys
@@ -402,7 +402,7 @@ def probe(frame, event, arg):
             code.co_filename.endswith(os.path.join("biphoton", "linalg.py")):
         built.append(type(frame.f_locals["self"]).__name__)
 sys.setprofile(probe)
-import biphoton.cli
+import biphoton.commands
 sys.setprofile(None)
 print(built)
 """

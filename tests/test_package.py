@@ -18,15 +18,15 @@ import biphoton
 SRC = str(Path(biphoton.__file__).resolve().parent.parent)
 
 
-def fresh_python(code: str, stream: str = "stdout") -> str:
-    """Run code in a new interpreter that imports biphoton from SRC; what it
-    wrote to stream."""
+def fresh_python(code: str, stream: str = "stdout", status: int = 0) -> str:
+    """Run code in a new interpreter that imports biphoton from SRC, which must
+    exit with status; what it wrote to stream."""
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
         env={**os.environ, "PYTHONPATH": path},
     )
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == status, proc.stderr
     return getattr(proc, stream)
 
 
@@ -74,28 +74,40 @@ def test_root_exports_are_the_module_objects():
     ]
 
 
-# Each command line, and whether it runs the detection model.
+# numpy and the modules it backs: loaded only by a command line that runs
+SAMPLING = {"numpy", "biphoton.analysis", "biphoton.montecarlo", "biphoton.optics", "biphoton.rng"}
+
+# Each command line, its exit status, and what it loads beyond the parser:
+# nothing (help, and usage errors argparse reports), the commands and the
+# sampling modules, or those and the detection model.
 COMMANDS = {
-    "help": (["--help"], False),
-    "sample": (["sample", "--samples", "3"], False),
-    "bell": (["bell", "--optimal", "--samples", "10"], False),
-    "sweep": (["sweep", "--steps", "3", "--mc", "10,1"], False),
-    "marginals": (["marginals", "--steps", "3"], False),
-    "premeasure": (["premeasure"], True),
+    "help": (["--help"], 0, "parser"),
+    "sweep_help": (["sweep", "--help"], 0, "parser"),
+    "usage_error": (["sweep", "--bogus"], 2, "parser"),
+    "sample": (["sample", "--samples", "3"], 0, "sampling"),
+    "bell": (["bell", "--optimal", "--samples", "10"], 0, "sampling"),
+    "sweep": (["sweep", "--steps", "3", "--mc", "10,1"], 0, "sampling"),
+    "marginals": (["marginals", "--steps", "3"], 0, "sampling"),
+    "premeasure": (["premeasure"], 0, "detection model"),
 }
 
 
-@pytest.mark.parametrize("argv,detection_model", COMMANDS.values(), ids=COMMANDS)
-def test_each_command_loads_only_the_modules_it_runs(argv, detection_model):
+@pytest.mark.parametrize("argv,status,loads", COMMANDS.values(), ids=COMMANDS)
+def test_each_command_loads_only_the_modules_it_runs(argv, status, loads):
     # As `python -m biphoton ARGV` runs; the hook lists the loaded modules at exit.
     out = fresh_python(
         "import atexit, runpy, sys\n"
         "atexit.register(lambda: print('loaded', *sys.modules, file=sys.stderr))\n"
         "sys.argv[1:] = " + repr(argv) + "\n"
         "runpy.run_module('biphoton', run_name='__main__')\n",
-        stream="stderr",
+        stream="stderr", status=status,
     )
     loaded = set(out.splitlines()[-1].split()[1:])
     assert "biphoton.cli" in loaded
-    assert ("biphoton.premeasure" in loaded) == detection_model
+    runs = loads != "parser"
+    assert ("biphoton.commands" in loaded) == runs
+    assert ("numpy" in loaded) == runs
+    if not runs:
+        assert not loaded & SAMPLING
+    assert ("biphoton.premeasure" in loaded) == (loads == "detection model")
     assert "dataclasses" not in loaded

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from biphoton.analysis import l1_coherence
-from biphoton.cli import _render_json
+from biphoton.commands import _render_json
 from biphoton.linalg import StateVector, apply, density_of, ket, partial_trace, tensor
 from biphoton.optics import A_PATHS, superposed_state
 from biphoton.premeasure import (

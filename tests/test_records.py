@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from biphoton.analysis import ChshSettings
-from biphoton.cli import _render_json
+from biphoton.commands import _render_json
 from biphoton.linalg import DensityMatrix, Operator, StateVector
 from biphoton.montecarlo import EstimatorResult, EventRecord
 from biphoton.optics import OUTCOMES, JointDistribution, PhaseSettings, Visibility
