@@ -53,6 +53,18 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "sampling_leaks_a_byte_a_trial",
+        "montecarlo.py",
+        "        yield draw_outcomes(cdf, doubles(min(BLOCK, n - start)))\n",
+        "        yield draw_outcomes(cdf, doubles(min(BLOCK, n - start)))\n"
+        '        vars(outcome_blocks).setdefault("held", []).append(bytes(min(BLOCK, n - start)))\n',
+        (
+            "tests/test_cli.py::test_sample_memory_does_not_grow_with_samples",
+            "tests/test_montecarlo.py::test_sample_counts_block_arrays_fit_in_l2",
+            "tests/test_montecarlo.py::test_bell_experiment_working_set_is_one_small_block",
+        ),
+    ),
+    Mutant(
         "block_of_2_16_trials",
         "montecarlo.py",
         "BLOCK = 1 << 14",
