@@ -197,6 +197,17 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "sampling_imports_the_labelled_model",
+        "montecarlo.py",
+        "from .rng import SplitMix64, derive_seed\n",
+        "from .rng import SplitMix64, derive_seed\n"
+        "from . import linalg  # noqa: F401\n",
+        tuple(
+            f"tests/test_package.py::test_each_command_loads_only_the_modules_it_runs[{command}]"
+            for command in ("sample", "bell", "sweep", "marginals")
+        ),
+    ),
+    Mutant(
         "cli_imports_numpy_eagerly",
         "cli.py",
         "import sys\n\n_SEEDS",

@@ -1,8 +1,4 @@
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -390,29 +386,3 @@ def test_splitter_pair_is_the_labelled_kronecker_product():
     expected = np.kron(beam_splitter("A").entries, beam_splitter("B").entries)
     assert optics._BS4.tolist() == expected.tolist()
 
-
-# Each labelled object built while biphoton.commands imports, as its class name:
-# StateVector, DensityMatrix and Operator check themselves in __post_init__.
-IMPORT_PROBE = """
-import os, sys
-built = []
-def probe(frame, event, arg):
-    code = frame.f_code
-    if event == "call" and code.co_name == "__post_init__" and \\
-            code.co_filename.endswith(os.path.join("biphoton", "linalg.py")):
-        built.append(type(frame.f_locals["self"]).__name__)
-sys.setprofile(probe)
-import biphoton.commands
-sys.setprofile(None)
-print(built)
-"""
-
-
-def test_import_builds_no_labelled_object():
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", IMPORT_PROBE], capture_output=True, text=True,
-        env={**os.environ, "PYTHONPATH": path}, check=True,
-    )
-    assert proc.stdout == "[]\n"
