@@ -22,10 +22,8 @@ _EXPORTS = {
         "chsh",
         "correlation",
         "fringe_visibility",
-        "l1_coherence",
         "marginals",
         "no_signaling_check",
-        "purity",
         "sweep_correlation",
     ),
     "linalg": (
@@ -33,9 +31,16 @@ _EXPORTS = {
         "Operator",
         "StateVector",
         "apply",
+        "beam_splitter",
+        "biphoton_state",
         "density_of",
         "ket",
+        "l1_coherence",
         "partial_trace",
+        "phase_shifter",
+        "phased_biphoton_state",
+        "purity",
+        "superposed_state",
         "tensor",
     ),
     "montecarlo": (
@@ -52,13 +57,8 @@ _EXPORTS = {
         "JointDistribution",
         "PhaseSettings",
         "Visibility",
-        "beam_splitter",
-        "biphoton_state",
         "joint_distribution",
         "joint_tables",
-        "phase_shifter",
-        "phased_biphoton_state",
-        "superposed_state",
     ),
     "premeasure": (
         "CorrelationReport",

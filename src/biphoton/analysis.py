@@ -1,5 +1,5 @@
 """Statistics of the joint detection table: marginals, correlation fringes,
-fringe visibility, CHSH, coherence measures, and a no-signaling scan.
+fringe visibility, CHSH, and a no-signaling scan.
 
 The quantities here make the central dichotomy of the simulated experiment
 checkable: every single-detector marginal is flat at 1/2 whatever the phase
@@ -11,14 +11,11 @@ v > 1/sqrt2.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .optics import Visibility, joint_tables
-
-if TYPE_CHECKING:
-    from .linalg import DensityMatrix
 
 
 class Marginals(NamedTuple):
@@ -105,17 +102,6 @@ def chsh(s: ChshSettings, vis: Visibility) -> float:
     """
     e = correlation(joint_tables(*_chsh_angles(s), vis)).tolist()
     return e[0] + e[1] + e[2] - e[3]
-
-
-def l1_coherence(rho: DensityMatrix) -> float:
-    """Sum of moduli of off-diagonal entries in the declared basis."""
-    mags = np.abs(rho.entries)
-    return float(np.sum(mags) - np.sum(np.diag(mags)))
-
-
-def purity(rho: DensityMatrix) -> float:
-    """Tr(rho^2); 1 for pure states, 1/d for the maximally mixed state."""
-    return float(np.trace(rho.entries @ rho.entries).real)
 
 
 def no_signaling_check(

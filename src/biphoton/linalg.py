@@ -5,14 +5,25 @@ and operators are stored densely, carry their basis labels, and are checked
 eagerly at construction. "Exact" throughout means within ``TOL`` of the
 ideal value, which is far above accumulated double rounding at these sizes.
 
+The source states and optical elements are built here as labelled states and
+operators from the constants of ``optics``' array core, so both views hold the
+same numbers. Only the detection model and reads of the package root load
+this module: no array path imports it.
+
 All values are immutable after construction and every operation is a pure
 function, so everything here is safe to share across threads.
 """
 
 from __future__ import annotations
 
+import cmath
+
 import numpy as np
 
+from .optics import (
+    _BS_ENTRIES, _INV_SQRT2, _SOURCE_AMPS, A_PATHS, A_PORTS, B_PATHS, B_PORTS, PhaseSettings,
+    _shifted_source,
+)
 from .records import Record
 
 # Structural tolerance for normalization / unitarity / hermiticity checks.
@@ -169,3 +180,66 @@ def partial_trace(rho: DensityMatrix, keep: int) -> DensityMatrix:
     else:
         reduced = np.einsum("ijil->jl", blocks)
     return DensityMatrix((rho.space[keep],), reduced)
+
+
+def l1_coherence(rho: DensityMatrix) -> float:
+    """Sum of moduli of off-diagonal entries in the declared basis."""
+    mags = np.abs(rho.entries)
+    return float(np.sum(mags) - np.sum(np.diag(mags)))
+
+
+def purity(rho: DensityMatrix) -> float:
+    """Tr(rho^2); 1 for pure states, 1/d for the maximally mixed state."""
+    return float(np.trace(rho.entries @ rho.entries).real)
+
+
+PATH_MODES = A_PATHS + B_PATHS
+PORT_MODES = A_PORTS + B_PORTS
+
+
+def superposed_state(theta: float = 0.0) -> StateVector:
+    """Single photon split evenly over paths A1, A2 with relative phase theta.
+
+    theta = 0 is the plain 50-50 superposition; both path probabilities are
+    1/2 for every theta.
+    """
+    amps = np.array([_INV_SQRT2, cmath.exp(1j * theta) * _INV_SQRT2])
+    return StateVector((A_PATHS,), amps)
+
+
+def biphoton_state() -> StateVector:
+    """Momentum-entangled pair: (|A1 B1> + |A2 B2>)/sqrt2."""
+    return StateVector((A_PATHS, B_PATHS), _SOURCE_AMPS)
+
+
+def phased_biphoton_state(settings: PhaseSettings) -> StateVector:
+    """Entangled source state after the two phase shifters, before splitting."""
+    return StateVector((A_PATHS, B_PATHS), _shifted_source(settings.phi_a, settings.phi_b))
+
+
+def phase_shifter(mode: str, phi: float) -> Operator:
+    """Diagonal unitary multiplying one path mode's amplitude by e^{i phi}.
+
+    Acts on the owning party's two-path space; output-port modes are not
+    valid targets.
+    """
+    if mode in A_PATHS:
+        party_paths = A_PATHS
+    elif mode in B_PATHS:
+        party_paths = B_PATHS
+    elif mode in PORT_MODES:
+        raise ValueError(f"phase shifters sit on paths, not detector ports: {mode!r}")
+    else:
+        raise ValueError(f"unknown mode {mode!r}; paths are {PATH_MODES}")
+    diag = np.ones(2, dtype=complex)
+    diag[party_paths.index(mode)] = cmath.exp(1j * float(phi))
+    return Operator((party_paths,), (party_paths,), np.diag(diag))
+
+
+def beam_splitter(party: str) -> Operator:
+    """Symmetric 50/50 splitter taking a party's paths to its detector ports."""
+    if party == "A":
+        return Operator((A_PATHS,), (A_PORTS,), _BS_ENTRIES)
+    if party == "B":
+        return Operator((B_PATHS,), (B_PORTS,), _BS_ENTRIES)
+    raise ValueError(f"party must be 'A' or 'B', got {party!r}")

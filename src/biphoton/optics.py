@@ -2,9 +2,11 @@
 joint detection distribution as a function of the local phase settings.
 
 ``joint_tables`` is the one statement of the circuit (source -> phase
-shifters -> splitters -> matched-outcome table), on arrays of settings.
-``phase_shifter`` and ``beam_splitter`` are the same elements as labelled
-operators, and ``joint_distribution`` is one table with its outcome labels.
+shifters -> splitters -> matched-outcome table), on arrays of settings, and
+``joint_distribution`` is one table with its outcome labels. The labelled
+source states and elements (``biphoton_state``, ``phase_shifter``,
+``beam_splitter``) are built from the constants here, so both views hold the
+same numbers.
 
 Conventions, fixed package-wide:
 
@@ -22,16 +24,12 @@ Conventions, fixed package-wide:
 
 from __future__ import annotations
 
-import cmath
 import math
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from .records import Record
-
-if TYPE_CHECKING:
-    from .linalg import Operator, StateVector
 
 TWO_PI = 2.0 * math.pi
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -40,8 +38,6 @@ A_PATHS = ("A1", "A2")
 B_PATHS = ("B1", "B2")
 A_PORTS = ("A+", "A-")
 B_PORTS = ("B+", "B-")
-PATH_MODES = A_PATHS + B_PATHS
-PORT_MODES = A_PORTS + B_PORTS
 
 # Canonical outcome order for joint tables and inverse-CDF sampling.
 OUTCOMES = (("+", "+"), ("+", "-"), ("-", "+"), ("-", "-"))
@@ -105,62 +101,10 @@ class JointDistribution(Record):
         self._set(settings, probs)
 
 
-def superposed_state(theta: float = 0.0) -> StateVector:
-    """Single photon split evenly over paths A1, A2 with relative phase theta.
-
-    theta = 0 is the plain 50-50 superposition; both path probabilities are
-    1/2 for every theta.
-    """
-    from .linalg import StateVector
-
-    amps = np.array([_INV_SQRT2, cmath.exp(1j * theta) * _INV_SQRT2])
-    return StateVector((A_PATHS,), amps)
-
-
 # Amplitudes over the path pairs (A1B1, A1B2, A2B1, A2B2).
 _SOURCE_AMPS = np.array([_INV_SQRT2, 0.0, 0.0, _INV_SQRT2], dtype=complex)
-
-
-def biphoton_state() -> StateVector:
-    """Momentum-entangled pair: (|A1 B1> + |A2 B2>)/sqrt2."""
-    from .linalg import StateVector
-
-    return StateVector((A_PATHS, B_PATHS), _SOURCE_AMPS)
-
-
-def phase_shifter(mode: str, phi: float) -> Operator:
-    """Diagonal unitary multiplying one path mode's amplitude by e^{i phi}.
-
-    Acts on the owning party's two-path space; output-port modes are not
-    valid targets.
-    """
-    from .linalg import Operator
-
-    if mode in A_PATHS:
-        party_paths = A_PATHS
-    elif mode in B_PATHS:
-        party_paths = B_PATHS
-    elif mode in PORT_MODES:
-        raise ValueError(f"phase shifters sit on paths, not detector ports: {mode!r}")
-    else:
-        raise ValueError(f"unknown mode {mode!r}; paths are {PATH_MODES}")
-    diag = np.ones(2, dtype=complex)
-    diag[party_paths.index(mode)] = cmath.exp(1j * float(phi))
-    return Operator((party_paths,), (party_paths,), np.diag(diag))
-
-
+# One party's splitter, from its paths to its ports.
 _BS_ENTRIES = np.array([[1.0, 1j], [1j, 1.0]], dtype=complex) * _INV_SQRT2
-
-
-def beam_splitter(party: str) -> Operator:
-    """Symmetric 50/50 splitter taking a party's paths to its detector ports."""
-    from .linalg import Operator
-
-    if party == "A":
-        return Operator((A_PATHS,), (A_PORTS,), _BS_ENTRIES)
-    if party == "B":
-        return Operator((B_PATHS,), (B_PORTS,), _BS_ENTRIES)
-    raise ValueError(f"party must be 'A' or 'B', got {party!r}")
 
 
 def _shifted_source(phi_a, phi_b) -> np.ndarray:
@@ -173,13 +117,6 @@ def _shifted_source(phi_a, phi_b) -> np.ndarray:
     phase[::3] = _wrap_angles(phase[::3])
     phase[2] = phase[0] + phase[3]
     return _SOURCE_AMPS.reshape((4,) + (1,) * (phase.ndim - 1)) * np.exp(1j * phase)
-
-
-def phased_biphoton_state(settings: PhaseSettings) -> StateVector:
-    """Entangled source state after the two phase shifters, before splitting."""
-    from .linalg import StateVector
-
-    return StateVector((A_PATHS, B_PATHS), _shifted_source(settings.phi_a, settings.phi_b))
 
 
 # Both splitters on the path pairs, as beam_splitter("A") (x) beam_splitter("B").

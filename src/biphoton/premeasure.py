@@ -20,7 +20,6 @@ import cmath
 
 import numpy as np
 
-from .analysis import l1_coherence
 from .linalg import (
     Operator,
     StateVector,
@@ -28,10 +27,12 @@ from .linalg import (
     density_of,
     format_space,
     ket,
+    l1_coherence,
     partial_trace,
+    superposed_state,
     tensor,
 )
-from .optics import A_PATHS, superposed_state
+from .optics import A_PATHS
 from .records import Record
 
 DETECTOR_LABELS = ("ready", "D1", "D2")

@@ -14,26 +14,20 @@ import time
 import numpy as np
 import pytest
 
-from biphoton.analysis import (
-    CHSH_OPTIMAL,
-    chsh,
-    correlation,
+from biphoton.analysis import CHSH_OPTIMAL, chsh, correlation, marginals, sweep_correlation
+from biphoton.linalg import (
+    apply,
+    density_of,
+    ket,
     l1_coherence,
-    marginals,
-    purity,
-    sweep_correlation,
-)
-from biphoton.linalg import apply, density_of, ket, partial_trace, tensor
-from biphoton.montecarlo import bell_experiment, estimate_counts, sample_counts
-from biphoton.optics import (
-    A_PATHS,
-    PhaseSettings,
-    Visibility,
-    joint_distribution,
-    joint_tables,
+    partial_trace,
     phased_biphoton_state,
+    purity,
     superposed_state,
+    tensor,
 )
+from biphoton.montecarlo import bell_experiment, estimate_counts, sample_counts
+from biphoton.optics import A_PATHS, PhaseSettings, Visibility, joint_distribution, joint_tables
 from biphoton.premeasure import (
     correlation_report,
     detector_coupling,

@@ -12,21 +12,20 @@ from biphoton.analysis import (
     chsh,
     correlation,
     fringe_visibility,
-    l1_coherence,
     marginals,
     no_signaling_check,
-    purity,
     sweep_correlation,
 )
-from biphoton.linalg import density_of, partial_trace
-from biphoton.optics import (
-    PhaseSettings,
-    Visibility,
+from biphoton.linalg import (
     biphoton_state,
-    joint_distribution,
+    density_of,
+    l1_coherence,
+    partial_trace,
     phased_biphoton_state,
+    purity,
     superposed_state,
 )
+from biphoton.optics import PhaseSettings, Visibility, joint_distribution
 
 from oracles import chsh_reference
 

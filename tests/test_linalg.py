@@ -13,20 +13,15 @@ from biphoton.linalg import (
     Operator,
     StateVector,
     apply,
+    beam_splitter,
+    biphoton_state,
     density_of,
     ket,
     partial_trace,
+    phase_shifter,
     tensor,
 )
-from biphoton.optics import (
-    A_PATHS,
-    A_PORTS,
-    B_PATHS,
-    B_PORTS,
-    beam_splitter,
-    biphoton_state,
-    phase_shifter,
-)
+from biphoton.optics import A_PATHS, A_PORTS, B_PATHS, B_PORTS
 from biphoton.premeasure import DETECTOR_LABELS, detector_coupling
 
 TOL = 1e-12
@@ -148,8 +143,8 @@ def test_constructors_hold_a_copy_and_leave_the_callers_array_alone():
         np.testing.assert_array_equal(held, before)
     # The optics module's constant arrays are not frozen by the objects built on them.
     for values, build in [
-        (optics._SOURCE_AMPS, optics.biphoton_state),
-        (optics._BS_ENTRIES, lambda: optics.beam_splitter("A")),
+        (optics._SOURCE_AMPS, biphoton_state),
+        (optics._BS_ENTRIES, lambda: beam_splitter("A")),
     ]:
         writeable = values.flags.writeable
         build()

@@ -6,7 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from biphoton import optics
-from biphoton.linalg import StateVector, apply, density_of, ket, partial_trace
+from biphoton.linalg import (
+    StateVector,
+    apply,
+    beam_splitter,
+    biphoton_state,
+    density_of,
+    ket,
+    partial_trace,
+    phase_shifter,
+    phased_biphoton_state,
+    superposed_state,
+)
 from biphoton.optics import (
     A_PATHS,
     OUTCOMES,
@@ -14,13 +25,8 @@ from biphoton.optics import (
     PhaseSettings,
     Visibility,
     _wrap_angles,
-    beam_splitter,
-    biphoton_state,
     joint_distribution,
     joint_tables,
-    phase_shifter,
-    phased_biphoton_state,
-    superposed_state,
 )
 
 from oracles import joint_probs_reference

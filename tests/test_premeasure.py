@@ -7,10 +7,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from biphoton.analysis import l1_coherence
 from biphoton.commands import _render_json
-from biphoton.linalg import StateVector, apply, density_of, ket, partial_trace, tensor
-from biphoton.optics import A_PATHS, superposed_state
+from biphoton.linalg import (
+    StateVector,
+    apply,
+    density_of,
+    ket,
+    l1_coherence,
+    partial_trace,
+    superposed_state,
+    tensor,
+)
+from biphoton.optics import A_PATHS
 from biphoton.premeasure import (
     DETECTOR_LABELS,
     SYSTEM_DETECTOR_SPACE,
