@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 import os
 import sys
-import tempfile
 from collections.abc import Iterator
 from contextlib import contextmanager
 
@@ -92,14 +91,15 @@ def _open_output(path: str | None):
     try:
         mode = os.stat(target).st_mode & 0o7777
     except FileNotFoundError:
-        umask = os.umask(0)
-        os.umask(umask)
-        mode = 0o666 & ~umask
-    fd, tmp = tempfile.mkstemp(prefix=".biphoton-", dir=os.path.dirname(target))
+        mode = None
+    # Created as open() creates a file, so a new target gets the umask's mode
+    tmp = os.path.join(os.path.dirname(target), f".biphoton-{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with open(fd, "wb") as handle:
             yield handle
-        os.chmod(tmp, mode)
+        if mode is not None:
+            os.chmod(tmp, mode)
         os.replace(tmp, target)
     except BaseException:
         os.unlink(tmp)

@@ -176,6 +176,13 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "output_zeroes_the_umask",
+        "commands.py",
+        "        mode = None\n",
+        "        mode = None\n        os.umask(os.umask(0))\n",
+        ("tests/test_cli.py::test_new_output_file_leaves_the_process_umask_alone",),
+    ),
+    Mutant(
         "records_copied_by_assignment",
         "records.py",
         "    def __reduce__(self):",

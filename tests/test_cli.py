@@ -512,15 +512,25 @@ def test_event_lines_yield_one_matrix_per_trial_width():
 
 def test_sample_memory_does_not_grow_with_samples():
     def peak(samples):
+        # With the collector off, the peak does not depend on when it runs.
+        enabled = gc.isenabled()
+        gc.disable()
         tracemalloc.start()
         try:
             assert main(["sample", "--samples", str(samples), "--output", os.devnull]) == 0
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+            if enabled:
+                gc.enable()
 
-    small, large = peak(2 * BLOCK), peak(16 * BLOCK)
-    assert abs(large - small) <= 0.1 * small
+    peak(8 * BLOCK)  # a first run also holds what the first call of a command builds
+    # The peak holds one block's lines, so both runs must reach a whole block of
+    # six-digit trials (from 8 blocks) and no seven-digit one (to 61 blocks).
+    small, large = peak(8 * BLOCK), peak(61 * BLOCK)
+    # large - small held within -0.7..+2.9 KB over 60 repeats; a bytes(170)
+    # kept per block, over the 53 extra blocks, is the smallest leak it catches.
+    assert abs(large - small) <= 8 * 1024
 
 
 def test_sample_stdout_and_file_bytes_are_identical(tmp_path):
@@ -589,6 +599,21 @@ def test_output_file_modes_match_plain_open(tmp_path, capsys):
     finally:
         os.umask(umask)
 
+
+def test_new_output_file_leaves_the_process_umask_alone(tmp_path, capsys, monkeypatch):
+    # Setting the umask, even for an instant, sets it for every thread of the process.
+    plain = tmp_path / "plain.csv"
+    plain.write_text("")
+
+    def umask(mask):
+        raise AssertionError(f"os.umask({mask:#o}) called")
+
+    monkeypatch.setattr(os, "umask", umask)
+    fresh = tmp_path / "fresh.csv"
+    code, _, err = run_cli(capsys, "sweep", "--steps", "3", "--output", str(fresh))
+    assert code == 0, err
+    assert stat.S_IMODE(fresh.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode)
+    assert sorted(os.listdir(tmp_path)) == ["fresh.csv", "plain.csv"]
 
 def test_output_to_a_pipe_writes_in_place(tmp_path, capsys):
     fifo = tmp_path / "events.pipe"
