@@ -106,6 +106,14 @@ def test_doubles_live_in_unit_interval():
     assert np.all(u >= 0.0) and np.all(u < 1.0)
 
 
+def test_doubles_reject_a_negative_count_and_keep_the_state():
+    rng = SplitMix64(3)
+    with pytest.raises(ValueError) as err:
+        rng.doubles(-1)
+    assert str(err.value) == "n must be nonnegative, got -1"
+    assert rng.next_u64() == SplitMix64(3).next_u64()
+
+
 @given(st.integers(0, 2**64 - 1), st.integers(0, 400), st.integers(0, 400))
 @settings(max_examples=100)
 def test_doubles_split_anywhere_equal_one_block(seed, a, b):

@@ -151,6 +151,13 @@ def test_report_of_product_state():
     assert rep.conditional_probs["A2"]["D2"] is None
 
 
+def test_undefined_conditionals_render_as_null():
+    rep = correlation_report(tensor(ket((A_PATHS,), "A1"), ket((DETECTOR_LABELS,), "D1")))
+    assert '"A2": {\n      "ready": null,\n      "D1": null,\n      "D2": null\n    }' in (
+        _render_json(rep)
+    )
+
+
 def test_report_rejects_other_spaces():
     with pytest.raises(ValueError, match="expected a state on"):
         correlation_report(superposed_state(0.0))

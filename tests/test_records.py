@@ -14,7 +14,7 @@ from biphoton.commands import _render_json
 from biphoton.linalg import DensityMatrix, Operator, StateVector
 from biphoton.montecarlo import EstimatorResult, EventRecord
 from biphoton.optics import OUTCOMES, JointDistribution, PhaseSettings, Visibility
-from biphoton.premeasure import correlation_report, premeasure
+from biphoton.premeasure import CorrelationReport, correlation_report, premeasure
 
 A = (("A1", "A2"),)
 PORTS = (("A+", "A-"),)
@@ -197,3 +197,32 @@ def test_records_render_as_objects_of_their_fields_in_order():
         "correlation_coherence_modulus", "correlation_coherence_phase", "both_clicked_prob",
         "iff_violation_prob",
     ]
+
+
+# The base __init__ (CorrelationReport keeps it) takes the fields by position, then by name.
+BAD_FIELDS = {
+    "too many": ((0,) * 9, {}),
+    "too few": ((0,) * 7, {}),
+    "unknown name": ((0,) * 7, {"iff_violation_prob": 0, "both_clicked": 0}),
+    "name and position": ((0,) * 8, {"iff_violation_prob": 0}),
+}
+
+
+@pytest.mark.parametrize("values,named", BAD_FIELDS.values(), ids=BAD_FIELDS)
+def test_record_init_takes_exactly_its_fields(values, named):
+    with pytest.raises(TypeError) as err:
+        CorrelationReport(*values, **named)
+    assert str(err.value) == (
+        "CorrelationReport takes the fields ('joint_probs', 'conditional_probs', "
+        "'subsystem_coherence', 'correlation_coherence', 'correlation_coherence_modulus', "
+        "'correlation_coherence_phase', 'both_clicked_prob', 'iff_violation_prob')"
+    )
+
+
+def test_render_json_of_null_an_empty_object_and_an_unknown_type():
+    assert _render_json(None) == "null"
+    assert _render_json({}) == "{}"
+    assert _render_json({"a": {}, "b": None}) == '{\n  "a": {},\n  "b": null\n}'
+    with pytest.raises(TypeError) as err:
+        _render_json({"a": [1, {2}]})
+    assert str(err.value) == "cannot render set as JSON"
