@@ -615,6 +615,7 @@ def test_new_output_file_leaves_the_process_umask_alone(tmp_path, capsys, monkey
     assert stat.S_IMODE(fresh.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode)
     assert sorted(os.listdir(tmp_path)) == ["fresh.csv", "plain.csv"]
 
+
 def test_output_to_a_pipe_writes_in_place(tmp_path, capsys):
     fifo = tmp_path / "events.pipe"
     os.mkfifo(fifo)

@@ -149,10 +149,6 @@ def test_report_of_product_state():
     assert abs(rep.correlation_coherence) < TOL
     # Conditioning on the zero-weight outcome A2 is undefined, not zero.
     assert rep.conditional_probs["A2"]["D2"] is None
-
-
-def test_undefined_conditionals_render_as_null():
-    rep = correlation_report(tensor(ket((A_PATHS,), "A1"), ket((DETECTOR_LABELS,), "D1")))
     assert '"A2": {\n      "ready": null,\n      "D1": null,\n      "D2": null\n    }' in (
         _render_json(rep)
     )
