@@ -45,7 +45,6 @@ _EXPORTS = {
     ),
     "montecarlo": (
         "EstimatorResult",
-        "EventRecord",
         "bell_experiment",
         "estimate_correlation",
         "estimate_counts",

@@ -11,8 +11,9 @@ stream (``rng.derive_seed``), so no setting's events depend on another's;
 The core, ``outcome_blocks``, yields uint8 indices into OUTCOMES in blocks
 (drawn by ``draw_outcomes``), so memory stays bounded whatever n is. The four
 counts (``sample_counts``) are all ``estimate_counts`` needs, and every command
-samples through them. ``sample_events`` and ``estimate_correlation`` give the same
-numbers one EventRecord per trial; no command runs them.
+samples through them. ``sample_events`` (the joined index array) and
+``estimate_correlation`` (its estimate) are one-call views of the same core; no
+command runs them, but the benchmark's library replay does.
 """
 
 from __future__ import annotations
@@ -24,17 +25,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .analysis import ChshSettings, _chsh_angles
-from .optics import OUTCOMES, JointDistribution, PhaseSettings, Visibility, joint_tables
+from .optics import OUTCOMES, JointDistribution, Visibility, joint_tables
 from .rng import SplitMix64, derive_seed
-
-
-class EventRecord(NamedTuple):
-    """One simulated coincidence: trial index, settings, outcome pair."""
-
-    trial: int
-    settings: PhaseSettings
-    outcome_a: str
-    outcome_b: str
 
 
 class _EstimatorFields(NamedTuple):
@@ -113,17 +105,14 @@ def estimate_columns(tables, n: int, seed: int, first: int = 0) -> list[Estimato
     ]
 
 
-def sample_events(j: JointDistribution, n: int, seed: int) -> list[EventRecord]:
-    """outcome_blocks as EventRecords; trial indices run 0..n-1."""
-    blocks = outcome_blocks([j.probs[pair] for pair in OUTCOMES], n, seed)
-    idx = np.concatenate(list(blocks)).tolist()
-    return [EventRecord(trial, j.settings, *OUTCOMES[k]) for trial, k in enumerate(idx)]
+def sample_events(j: JointDistribution, n: int, seed: int) -> np.ndarray:
+    """outcome_blocks of table j joined: entry i is trial i's uint8 index into OUTCOMES."""
+    return np.concatenate(list(outcome_blocks(list(j.probs.values()), n, seed)))
 
 
-def estimate_correlation(events: list[EventRecord]) -> EstimatorResult:
-    """estimate_counts over a list of EventRecords."""
-    diff = sum(e.outcome_a != e.outcome_b for e in events)
-    return estimate_counts([len(events) - diff, diff, 0, 0])
+def estimate_correlation(events: np.ndarray) -> EstimatorResult:
+    """estimate_counts of an array of outcome indices, as sample_events returns."""
+    return estimate_counts(np.bincount(events, minlength=len(OUTCOMES)))
 
 
 def bell_experiment(

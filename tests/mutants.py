@@ -93,6 +93,20 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "sample_events_table_reversed",
+        "montecarlo.py",
+        "list(j.probs.values())",
+        "list(j.probs.values())[::-1]",
+        ("tests/test_montecarlo.py::test_per_event_views_equal_the_core",),
+    ),
+    Mutant(
+        "estimate_correlation_skips_the_first_event",
+        "montecarlo.py",
+        "np.bincount(events, minlength=len(OUTCOMES))",
+        "np.bincount(events[1:], minlength=len(OUTCOMES))",
+        ("tests/test_montecarlo.py::test_per_event_views_equal_the_core",),
+    ),
+    Mutant(
         "nan_blind_range_check",
         "analysis.py",
         "if not np.all((-1.0 <= e) & (e <= 1.0)):",

@@ -3,7 +3,10 @@
 The harness in ``perfbench/`` wraps functions by (module, attribute) name and
 calls the package through its root. A rename in ``src/`` would leave its
 counters reading zero, or fail only when the benchmark runs; these tests read
-its sources (without importing or changing them) and make that a test failure.
+its sources (without changing them) and make that a test failure. The last
+test runs the traced run's library replay and memory probe in-process, so that a
+change of what a wrapped function takes or returns fails here too, not only
+under ``--trace 1``.
 """
 
 import ast
@@ -16,9 +19,14 @@ import pytest
 
 import biphoton
 import biphoton.cli  # noqa: F401  (run.py imports it, so bp.cli exists)
+from biphoton.montecarlo import sample_events
 from test_package import fresh_python
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+sys.path.insert(0, str(PERFBENCH))
+import run  # noqa: E402
+import tracing  # noqa: E402
+import workloads  # noqa: E402
 
 
 def parse(name: str) -> ast.Module:
@@ -77,3 +85,23 @@ def test_one_root_read_after_the_cli_loads_every_wrapped_module():
         "import sys, biphoton.cli\nbiphoton.joint_distribution\nprint(*sys.modules)"
     ).split())
     assert {f"biphoton.{module}" for module, _ in wrapped_names()} <= loaded
+
+
+@pytest.mark.parametrize("workload", sorted(workloads.CYCLES))
+def test_replay_and_memory_probe_run_on_each_workload(workload):
+    op = next(workloads.cycles(workload, 1))[0]
+    tracer = tracing.Tracer()
+    with tracer.install(), tracer.root(0, "replay"):
+        run.replay(biphoton, op)
+    work = {}
+    for span in tracer.spans:
+        work.setdefault(span[tracing.NAME], []).append(span[tracing.WORK])
+    # estimate_correlation's work unit, len(events), counts what sample_events drew.
+    assert work["montecarlo.sample_events"] == [run.REPLAY_EVENTS]
+    assert work["montecarlo.estimate_correlation"] == [run.REPLAY_EVENTS]
+    phi_a, phi_b, v, seed = op.replay
+    j = biphoton.joint_distribution(biphoton.PhaseSettings(phi_a, phi_b), biphoton.Visibility(v))
+    assert len(sample_events(j, 12_345, seed)) == 12_345
+    # One byte an event for the joined indices, as much for the blocks joined,
+    # and one block's arrays: a per-event object would take tens of bytes.
+    assert 0 < run.bytes_per_event(biphoton, op) <= 8

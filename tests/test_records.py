@@ -12,7 +12,7 @@ import pytest
 from biphoton.analysis import ChshSettings
 from biphoton.commands import _render_json
 from biphoton.linalg import DensityMatrix, Operator, StateVector
-from biphoton.montecarlo import EstimatorResult, EventRecord
+from biphoton.montecarlo import EstimatorResult
 from biphoton.optics import OUTCOMES, JointDistribution, PhaseSettings, Visibility
 from biphoton.premeasure import CorrelationReport, correlation_report, premeasure
 
@@ -27,7 +27,6 @@ INSTANCES = {
     "JointDistribution": (lambda: JointDistribution(PhaseSettings(0, 0), TABLE), "probs"),
     "ChshSettings": (lambda: ChshSettings(0.0, 1.0, 2.0, 3.0), "b"),
     "EstimatorResult": (lambda: EstimatorResult(0.5, 0.1, 10), "n"),
-    "EventRecord": (lambda: EventRecord(3, PhaseSettings(0, 0), "+", "-"), "outcome_a"),
     "StateVector": (lambda: StateVector(A, [1.0, 0.0]), "amplitudes"),
     "DensityMatrix": (lambda: DensityMatrix(A, np.eye(2) / 2), "entries"),
     "Operator": (lambda: Operator(A, PORTS, np.eye(2)), "input_space"),
@@ -74,11 +73,6 @@ VALUES = {
         lambda: EstimatorResult(0.5, 0.1, 10),
         lambda: EstimatorResult(estimate=0.5, stderr=0.1, n=10),
         lambda: EstimatorResult(0.5, 0.1, 11),
-    ),
-    "EventRecord": (
-        lambda: EventRecord(3, PhaseSettings(0, 0), "+", "-"),
-        lambda: EventRecord(3, PhaseSettings(2 * math.pi, 0), "+", "-"),
-        lambda: EventRecord(3, PhaseSettings(0, 0), "-", "-"),
     ),
 }
 
@@ -177,9 +171,8 @@ def test_constructors_reject_bad_fields_with_their_messages(make, message):
 
 
 def test_records_render_as_objects_of_their_fields_in_order():
-    assert _render_json(EventRecord(7, PhaseSettings(-1.0, 0.5), "+", "-")) == (
-        '{\n  "trial": 7,\n  "settings": {\n    "phi_a": 5.28318531,\n    "phi_b": 0.5\n  },\n'
-        '  "outcome_a": "+",\n  "outcome_b": "-"\n}'
+    assert _render_json({"trial": 7, "settings": PhaseSettings(-1.0, 0.5)}) == (
+        '{\n  "trial": 7,\n  "settings": {\n    "phi_a": 5.28318531,\n    "phi_b": 0.5\n  }\n}'
     )
     assert _render_json(ChshSettings(0.0, 1.0, 2.0, 3.0)) == (
         '{\n  "a": 0,\n  "a_prime": 1,\n  "b": 2,\n  "b_prime": 3\n}'
