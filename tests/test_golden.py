@@ -69,6 +69,13 @@ HASHED = {
                       "--visibility", "0.9", "--mc", "50,11"],
     "marginals_3073": ["marginals", "--delta-min", "-1", "--delta-max", "7", "--steps", "3073",
                        "--visibility", "0.2"],
+    # Two 1024-row joins, then a block of one row; columns that hold 0 at v = 1
+    "sweep_2049_v1": ["sweep", "--steps", "2049", "--visibility", "1"],
+    # Every column but delta prints one text in each block
+    "marginals_1025_blind": ["marginals", "--steps", "1025", "--visibility", "0"],
+    # Every optional flag omitted: pins the grid and visibility defaults
+    "sweep_defaults": ["sweep"],
+    "marginals_defaults": ["marginals"],
 }
 
 # Hashed from an --output file. 1 048 600 lines cross the 64 joins of 2**14-trial
