@@ -15,10 +15,11 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .analysis import CHSH_OPTIMAL, ChshSettings, chsh, sweep_correlation
 from .cli import _SEEDS, parse_angle
-from .montecarlo import bell_experiment, estimate_columns, estimate_counts, outcome_blocks
 from .optics import OUTCOMES, PhaseSettings, Visibility, joint_tables
+
+# The analysis and sampling modules are imported by the handlers that run
+# them: `premeasure` loads neither, and the exact grids load no sampling.
 
 # Grid points `sweep` and `marginals` tabulate at a time; bounds the rows
 # held at once (well under 1 MB) whatever --steps is
@@ -132,20 +133,41 @@ def _grid(args) -> tuple[float, float]:
     return lo, step
 
 
+def _csv_rows(block: np.ndarray) -> bytes:
+    """One CSV line per row of block, every field printed with _FLOAT.
+
+    A column whose least and greatest entries print one text, both nonzero and
+    of one sign, prints that text in every row, as correctly rounded %.9g is
+    monotone; it is formatted once, into the row, not once per row. The sign
+    test keeps out NaN and a mix of -0.0 and 0.0.
+    """
+    fields, varying = [], []
+    for j, (a, b) in enumerate(zip(block.min(axis=0).tolist(), block.max(axis=0).tolist())):
+        text = _fmt(a)
+        if text == _fmt(b) and (a > 0 or b < 0):
+            fields.append(text)
+        else:
+            fields.append(_FLOAT)
+            varying.append(j)
+    row = (",".join(fields) + "\n").encode()
+    return row * len(block) % tuple(block[:, varying].ravel().tolist())
+
+
 def _write_grid(args, vis: Visibility, grid: tuple[float, float], header: str, columns) -> int:
     """Write header, then one CSV row per grid point, _GRID_CHUNK points at a time.
 
     columns(start, result) gives the fields, as columns, of the rows of the block
     from grid index start, whose sweep_correlation is result. No array is --steps long.
     """
+    from .analysis import sweep_correlation
+
     lo, step = grid
     with _open_output(args.output) as out:
         out.write(header.encode() + b"\n")
         for start in range(0, args.steps, _GRID_CHUNK):
             deltas = lo + np.arange(start, min(start + _GRID_CHUNK, args.steps)) * step
             block = np.column_stack(columns(start, sweep_correlation(deltas, vis)))
-            row = b",".join([_FLOAT.encode()] * block.shape[1]) + b"\n"
-            out.write(row * len(block) % tuple(block.ravel().tolist()))
+            out.write(_csv_rows(block))
     return 0
 
 
@@ -163,6 +185,7 @@ def cmd_sweep(args) -> int:
         if seed not in _SEEDS:
             args.parser.error(f"--mc seed must lie in [0, 2**64), got {seed}")
         header += ",E_hat,stderr"
+        from .montecarlo import estimate_columns
 
     def columns(start, result):
         m = result.singles
@@ -183,6 +206,9 @@ def cmd_marginals(args) -> int:
 
 
 def cmd_bell(args) -> int:
+    from .analysis import CHSH_OPTIMAL, ChshSettings, chsh
+    from .montecarlo import bell_experiment
+
     vis = _visibility(args)
     if args.optimal:
         settings = CHSH_OPTIMAL
@@ -294,6 +320,8 @@ def _event_lines(start: int, idx: np.ndarray, rests: list[bytes]) -> Iterator[np
 
 
 def cmd_sample(args) -> int:
+    from .montecarlo import estimate_counts, outcome_blocks
+
     vis = _visibility(args)
     _check_count(args, args.samples, 1, "--samples", "--samples must be >= 1")
     settings = PhaseSettings(args.phi_a, args.phi_b)

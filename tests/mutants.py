@@ -181,12 +181,42 @@ MUTANTS = (
     Mutant(
         "grid_leaks_a_byte_a_step",
         "commands.py",
-        "out.write(row * len(block) % tuple(block.ravel().tolist()))",
-        "out.write(row * len(block) % tuple(block.ravel().tolist()))\n"
+        "out.write(_csv_rows(block))",
+        "out.write(_csv_rows(block))\n"
         '            vars(args).setdefault("held", []).append(bytes(len(block)))',
         (
             "tests/test_cli.py::test_grid_memory_does_not_grow_with_steps[sweep]",
             "tests/test_cli.py::test_grid_memory_does_not_grow_with_steps[marginals]",
+        ),
+    ),
+    Mutant(
+        "csv_rows_without_sign_guard",
+        "commands.py",
+        "if text == _fmt(b) and (a > 0 or b < 0):",
+        "if text == _fmt(b):",
+        (
+            "tests/test_cli.py::test_csv_rows_equal_the_per_field_format",
+            "tests/test_cli.py::test_csv_rows_equal_the_per_field_format_at_the_edges"
+            "[nan_among_values]",
+        ),
+    ),
+    Mutant(
+        "sample_summary_estimate_from_three_events",
+        "commands.py",
+        "if args.samples >= 2:",
+        "if args.samples > 2:",
+        ("tests/test_cli.py::test_sample_summary_of_two_events_carries_the_estimate",),
+    ),
+    Mutant(
+        "violation_at_two_and_a_half_stderr",
+        "commands.py",
+        "3.0 * sampled.stderr",
+        "2.5 * sampled.stderr",
+        (
+            "tests/test_cli.py::test_bell_violation_is_s_hat_more_than_three_stderr_above_two"
+            "[below]",
+            "tests/test_cli.py::test_bell_violation_is_s_hat_more_than_three_stderr_above_two"
+            "[at]",
         ),
     ),
     Mutant(
@@ -218,6 +248,17 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "commands_import_the_sampling_modules_eagerly",
+        "commands.py",
+        "the exact grids load no sampling.\n",
+        "the exact grids load no sampling.\n"
+        "from .montecarlo import estimate_columns  # noqa: F401\n",
+        tuple(
+            f"tests/test_package.py::test_each_command_loads_only_the_modules_it_runs[{command}]"
+            for command in ("sweep_exact", "marginals", "premeasure")
+        ),
+    ),
+    Mutant(
         "sampling_imports_the_labelled_model",
         "montecarlo.py",
         "from .rng import SplitMix64, derive_seed\n",
@@ -225,7 +266,7 @@ MUTANTS = (
         "from . import linalg  # noqa: F401\n",
         tuple(
             f"tests/test_package.py::test_each_command_loads_only_the_modules_it_runs[{command}]"
-            for command in ("sample", "bell", "sweep", "marginals")
+            for command in ("sample", "bell", "sweep")
         ),
     ),
     Mutant(

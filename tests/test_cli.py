@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from biphoton import commands
 from biphoton.analysis import correlation, marginals
 from biphoton.cli import main, parse_angle
-from biphoton.montecarlo import BLOCK, estimate_counts, sample_counts
+from biphoton.montecarlo import BLOCK, EstimatorResult, estimate_counts, sample_counts
 from biphoton.optics import OUTCOMES, PhaseSettings, Visibility, joint_distribution
 from biphoton.rng import derive_seed
 
@@ -311,6 +311,23 @@ def test_bell_half_visibility_no_violation(capsys):
     assert report["violation"] is False
 
 
+@pytest.mark.parametrize(
+    "s_hat,violation",
+    [(math.nextafter(2.75, 0.0), False), (2.75, False), (math.nextafter(2.75, 3.0), True)],
+    ids=["below", "at", "above"],
+)
+def test_bell_violation_is_s_hat_more_than_three_stderr_above_two(capsys, monkeypatch, s_hat,
+                                                                  violation):
+    # stderr 0.25: 3 stderr and S_hat - 2 near 0.75 are exact, so the flag flips
+    # between neighbouring floats
+    monkeypatch.setattr("biphoton.montecarlo.bell_experiment",
+                        lambda settings, vis, n, seed: EstimatorResult(s_hat, 0.25, n))
+    code, out, _ = run_cli(capsys, "bell", "--optimal", "--samples", "10")
+    assert code == 0
+    report = json.loads(out)
+    assert (report["stderr"], report["violation"]) == (0.25, violation)
+
+
 def test_bell_degenerate_angles(capsys):
     code, out, _ = run_cli(
         capsys, "bell", "--angles", "0,0,0,0", "--samples", "1000",
@@ -419,6 +436,17 @@ def test_sample_summary_estimate_near_zero(capsys):
     assert code == 0
     e_hat = float(err.split("E_hat = ")[1].split(" ")[0])
     assert abs(e_hat) < 0.013
+
+
+def test_sample_summary_of_two_events_carries_the_estimate(capsys):
+    code, out, err = run_cli(capsys, "sample", "--phi-a", "pi/2", "--samples", "2", "--seed", "3")
+    assert code == 0
+    events = [json.loads(line) for line in out.splitlines()]
+    counts = [sum((e["a"], e["b"]) == outcome for e in events) for outcome in OUTCOMES]
+    est = estimate_counts(np.array(counts))
+    tallies = "  ".join(f"{a}{b}: {c}" for (a, b), c in zip(OUTCOMES, counts))
+    assert err == (f"sampled 2 events  {tallies}  "
+                   f"E_hat = {commands._fmt(est.estimate)} +- {commands._fmt(est.stderr)}\n")
 
 
 def test_sample_rejects_zero_samples(capsys):
@@ -687,7 +715,9 @@ def test_out_of_memory_is_one_line_exit_1(capsys, monkeypatch, argv, allocator):
     def refuse(*args, **kwargs):
         raise MemoryError(message)
 
-    monkeypatch.setattr(commands, allocator, refuse)
+    # Patched where it is defined: each handler imports it from there when it runs
+    home = "analysis" if allocator == "sweep_correlation" else "montecarlo"
+    monkeypatch.setattr(f"biphoton.{home}.{allocator}", refuse)
     code, _, err = run_cli(capsys, *argv)
     assert code == 1
     assert err == f"biphoton: out of memory: {message}\n"
@@ -793,8 +823,61 @@ def test_floats_printed_with_nine_significant_digits(capsys):
 @example(math.nan)
 @example(-math.inf)
 def test_grid_rows_format_floats_as_text_does(x):
-    # _write_grid formats bytes; its rows must read as the text format did.
+    # _csv_rows formats a varying field as bytes and a constant one as text: they must agree.
     assert commands._FLOAT.encode() % x == (commands._FLOAT % x).encode()
+
+
+def per_field_rows(block: np.ndarray) -> bytes:
+    """Every field of block printed on its own: the reference for _csv_rows."""
+    n, k = block.shape
+    return ((",".join(["%.9g"] * k) + "\n") * n % tuple(block.ravel().tolist())).encode()
+
+
+# A value x and its neighbours either side of a 9-digit rounding boundary
+STRADDLE = 1.000000005
+assert len({commands._fmt(x) for x in (math.nextafter(STRADDLE, 0.0), STRADDLE,
+                                        math.nextafter(STRADDLE, 2.0))}) == 2
+
+# Blocks whose column ends tie, straddle or hide what the middle holds
+EDGE_BLOCKS = {
+    "signed_zeros": [[0.0, -0.0], [-0.0, 0.0], [0.0, -0.0]],
+    "nan_among_values": [[1.0, math.nan], [math.nan, 2.0], [1.0, 2.0]],
+    "every_nan": [[math.nan], [math.nan]],
+    "infinities": [[math.inf, -math.inf, math.inf], [math.inf, -math.inf, -math.inf]],
+    "subnormals": [[5e-324, -5e-324, 1e-310], [5e-324, -5e-324, 1e-310], [5e-324, -1e-323, 2e-310]],
+    "straddle": [[math.nextafter(STRADDLE, 0.0), -STRADDLE], [math.nextafter(STRADDLE, 2.0), -STRADDLE]],
+    "one_row": [[0.5, -0.0, math.nan, math.inf, 5e-324]],
+    "every_column_constant": [[0.5, -0.25, 1e-300, math.inf]] * 5,
+    "equal_at_nine_digits": [[1.0, -3.0], [1.0000000001, -3.0000000001]],
+}
+
+
+@pytest.mark.parametrize("rows", EDGE_BLOCKS.values(), ids=EDGE_BLOCKS)
+def test_csv_rows_equal_the_per_field_format_at_the_edges(rows):
+    block = np.array(rows, dtype=float)
+    assert commands._csv_rows(block) == per_field_rows(block)
+
+
+def _near(x: float) -> list[float]:
+    return [x, math.nextafter(x, math.inf), math.nextafter(x, -math.inf)]
+
+
+# What one column draws its entries from
+COLUMN_POOLS = st.one_of(
+    st.floats().map(lambda x: [x]),
+    st.floats().map(_near),
+    st.just([0.0, -0.0]),
+    st.floats().map(lambda x: [x, math.nan]),
+    st.lists(st.floats(), min_size=1, max_size=4),
+)
+
+
+@given(st.data(), st.integers(1, 12), st.integers(1, 6))
+def test_csv_rows_equal_the_per_field_format(data, n, k):
+    pools = [data.draw(COLUMN_POOLS) for _ in range(k)]
+    columns = [data.draw(st.lists(st.sampled_from(p), min_size=n, max_size=n)) for p in pools]
+    block = np.array(columns, dtype=float).T
+    assert commands._csv_rows(block) == per_field_rows(block)
 
 
 def test_module_entry_point_runs():

@@ -75,14 +75,14 @@ def test_root_exports_are_the_module_objects():
 
 
 # The biphoton modules each kind of command line loads: the parser alone (help,
-# and usage errors argparse reports), the commands and the sampling modules, or
-# those and the labelled model the detection model is built on.
+# and usage errors argparse reports); the commands and the exact model; those
+# and the sampling modules; or the commands and the labelled model the
+# detection model is built on.
 PARSER = {"biphoton", "biphoton.cli"}
-SAMPLING = PARSER | {
-    "biphoton.analysis", "biphoton.commands", "biphoton.montecarlo", "biphoton.optics",
-    "biphoton.records", "biphoton.rng",
-}
-DETECTION_MODEL = SAMPLING | {"biphoton.linalg", "biphoton.premeasure"}
+COMMANDS_MODULE = PARSER | {"biphoton.commands", "biphoton.optics", "biphoton.records"}
+EXACT = COMMANDS_MODULE | {"biphoton.analysis"}
+SAMPLING = EXACT | {"biphoton.montecarlo", "biphoton.rng"}
+DETECTION_MODEL = COMMANDS_MODULE | {"biphoton.linalg", "biphoton.premeasure"}
 
 # Each command line, its exit status, and the biphoton modules it loads
 COMMANDS = {
@@ -92,7 +92,8 @@ COMMANDS = {
     "sample": (["sample", "--samples", "3"], 0, SAMPLING),
     "bell": (["bell", "--optimal", "--samples", "10"], 0, SAMPLING),
     "sweep": (["sweep", "--steps", "3", "--mc", "10,1"], 0, SAMPLING),
-    "marginals": (["marginals", "--steps", "3"], 0, SAMPLING),
+    "sweep_exact": (["sweep", "--steps", "3"], 0, EXACT),
+    "marginals": (["marginals", "--steps", "3"], 0, EXACT),
     "premeasure": (["premeasure"], 0, DETECTION_MODEL),
 }
 
