@@ -58,6 +58,14 @@ CASES = {
                     "--visibility=0.77", "--seed=2718281828"],
     "sweep_mc_131075": ["sweep", "--delta-min=-1", "--delta-max=2", "--steps=3",
                         "--visibility=0.9", "--mc=131075,11"],
+    # Every optional flag omitted: pins the theta, sample-count and seed defaults
+    "premeasure_defaults": ["premeasure"],
+    "bell_defaults": ["bell", "--optimal"],
+    # The coupled state where cos and sin change sign, and where -0 is printed
+    "premeasure_dump_state_pi_2": ["premeasure", "--theta=pi/2", "--dump-state", "-"],
+    "premeasure_dump_state_pi": ["premeasure", "--theta=pi", "--dump-state", "-"],
+    "premeasure_dump_state_minus_pi_4": ["premeasure", "--theta=-pi/4", "--dump-state", "-"],
+    "premeasure_dump_state_3": ["premeasure", "--theta=3", "--dump-state", "-"],
 }
 
 # JSONL across several 2**14-trial blocks, and grids of several 1024-point
@@ -76,6 +84,7 @@ HASHED = {
     # Every optional flag omitted: pins the grid and visibility defaults
     "sweep_defaults": ["sweep"],
     "marginals_defaults": ["marginals"],
+    "sample_defaults": ["sample"],
 }
 
 # Hashed from an --output file. 1 048 600 lines cross the 64 joins of 2**14-trial
