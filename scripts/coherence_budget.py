@@ -37,7 +37,7 @@ def main() -> None:
         rho_a = partial_trace(rho, 0)
         rho_b = partial_trace(rho, 1)
         # The only off-diagonal pair of the composite state sits at (A1B1, A2B2).
-        phase = cmath.phase(rho.entries[0, 3])
+        phase = cmath.phase(rho.entries[0][3])
         print(
             f"{settings.phi_a:.4f},{settings.phi_b:.4f},"
             f"{l1_coherence(rho_a):.3e},{purity(rho_a):.6f},"

@@ -1,8 +1,10 @@
 """The command handlers: what `biphoton <command>` runs once its flags parse.
 
 biphoton.cli imports this module only after parsing, so `--help` and the
-usage errors argparse reports load neither numpy nor the modules it imports.
-Every byte a command writes is formatted here.
+usage errors argparse reports load none of it. Each handler imports what it
+runs: numpy and the array core (optics) load for every command but
+`premeasure`, whose labelled detection model is stdlib only. Every byte a
+command writes is formatted here.
 """
 
 from __future__ import annotations
@@ -12,14 +14,13 @@ import os
 import sys
 from collections.abc import Iterator
 from contextlib import contextmanager
-
-import numpy as np
+from functools import cache
 
 from .cli import _SEEDS, parse_angle
-from .optics import OUTCOMES, PhaseSettings, Visibility, joint_tables
 
-# The analysis and sampling modules are imported by the handlers that run
-# them: `premeasure` loads neither, and the exact grids load no sampling.
+# numpy and the analysis, sampling and detection modules are imported by the
+# functions that run them: `premeasure` loads no numpy, and the exact grids
+# load no sampling.
 
 # Grid points `sweep` and `marginals` tabulate at a time; bounds the rows
 # held at once (well under 1 MB) whatever --steps is
@@ -53,7 +54,7 @@ def _render_json(value, indent: int = 0) -> str:
             for key, val in value.items()
         ]
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(value, (list, tuple, np.ndarray)):
+    if isinstance(value, (list, tuple)):
         return "[" + ", ".join(_render_json(v, indent) for v in value) + "]"
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -108,6 +109,8 @@ def _open_output(path: str | None):
 
 
 def _visibility(args) -> Visibility:
+    from .optics import Visibility
+
     try:
         return Visibility(args.visibility)
     except ValueError as exc:
@@ -133,7 +136,7 @@ def _grid(args) -> tuple[float, float]:
     return lo, step
 
 
-def _csv_rows(block: np.ndarray) -> bytes:
+def _csv_rows(block) -> bytes:
     """One CSV line per row of block, every field printed with _FLOAT.
 
     A column whose least and greatest entries print one text, both nonzero and
@@ -159,6 +162,8 @@ def _write_grid(args, vis: Visibility, grid: tuple[float, float], header: str, c
     columns(start, result) gives the fields, as columns, of the rows of the block
     from grid index start, whose sweep_correlation is result. No array is --steps long.
     """
+    import numpy as np
+
     from .analysis import sweep_correlation
 
     lo, step = grid
@@ -281,23 +286,29 @@ def cmd_premeasure(args) -> int:
 
 # Opens every `sample` line, before the trial number
 _TRIAL_KEY = b'{"trial": '
-# Row k: the four ASCII digits of k, the low digits of trial numbers k mod 10**4
-_DIGITS = np.indices((10,) * 4, np.uint8).reshape(4, -1).T + ord("0")
-# _LOW_DIGITS[low][k]: the last low digits of k < 10**low, as one item. Built
-# once, not per block: each is a contiguous copy (up to 40 KB) for its V{low} view.
-_LOW_DIGITS = {
-    low: np.ascontiguousarray(_DIGITS[:10**low, -low:]).view(f"V{low}") for low in range(1, 5)
-}
 
 
-def _event_lines(start: int, idx: np.ndarray, rests: list[bytes]) -> Iterator[np.ndarray]:
+@cache
+def _low_digits(low: int):
+    """Row k: the low ASCII digits of k < 10**low, as one item, for the low
+    (at most four) digits of trial numbers. Built once a process, not per
+    block: a contiguous array (up to 40 KB) for its V{low} view."""
+    import numpy as np
+
+    digits = np.indices((10,) * low, np.uint8).reshape(low, -1).T + ord("0")
+    return np.ascontiguousarray(digits).view(f"V{low}")
+
+
+def _event_lines(start: int, idx, rests: list[bytes]) -> Iterator:
     """JSONL lines _TRIAL_KEY + str(trial) + rests[k] (rests of one length) for
     trials start, start + 1, ... with outcome indices k from idx: one uint8 matrix,
     a row per line, per trial-number width, so the caller's block idx bounds memory.
 
     Each run of 10**4 trials copies its outcomes' lines, which hold its high
-    digits; a trial number's low (at most four) digits come from _LOW_DIGITS.
+    digits; a trial number's low (at most four) digits come from _low_digits.
     """
+    import numpy as np
+
     stop = start + len(idx)
     lo = start
     while lo < stop:
@@ -307,7 +318,7 @@ def _event_lines(start: int, idx: np.ndarray, rests: list[bytes]) -> Iterator[np
         rows = np.empty((hi - lo, len(_TRIAL_KEY) + digits + len(rests[0])), np.uint8)
         # The low digits of each row as one item, like those of table
         text = rows[:, len(_TRIAL_KEY) + digits - low:len(_TRIAL_KEY) + digits].view(f"V{low}")
-        table = _LOW_DIGITS[low]
+        table = _low_digits(low)
         for run in range(lo - lo % 10**4, hi, 10**4):
             a, b = max(run, lo), min(run + 10**4, hi)
             # Each outcome's line, high digits in, per trial; "clip" lets take fill out unbuffered
@@ -320,7 +331,10 @@ def _event_lines(start: int, idx: np.ndarray, rests: list[bytes]) -> Iterator[np
 
 
 def cmd_sample(args) -> int:
+    import numpy as np
+
     from .montecarlo import estimate_counts, outcome_blocks
+    from .optics import OUTCOMES, PhaseSettings, joint_tables
 
     vis = _visibility(args)
     _check_count(args, args.samples, 1, "--samples", "--samples must be >= 1")

@@ -1,14 +1,16 @@
 """Dense complex linear algebra on labelled tensor-product spaces.
 
 Every Hilbert space in this package is tiny (dimension 2 to 6), so states
-and operators are stored densely, carry their basis labels, and are checked
-eagerly at construction. "Exact" throughout means within ``TOL`` of the
-ideal value, which is far above accumulated double rounding at these sizes.
+and operators are stored densely over plain Python complex numbers: a
+state's amplitudes are a tuple, and a matrix is a tuple of row tuples. Each
+carries its basis labels and is checked eagerly at construction. "Exact"
+throughout means within ``TOL`` of the ideal value, which is far above
+accumulated double rounding at these sizes.
 
-The source states and optical elements are built here as labelled states and
-operators from the constants of ``optics``' array core, so both views hold the
-same numbers. Only the detection model and reads of the package root load
-this module: no array path imports it.
+This module loads no numpy, so the detection model built on it runs without
+it. The source states and the splitter are built from the constants of
+``optics``' array core, which those three constructors import when called,
+so both views hold the same numbers. No array path imports this module.
 
 All values are immutable after construction and every operation is a pure
 function, so everything here is safe to share across threads.
@@ -17,19 +19,15 @@ function, so everything here is safe to share across threads.
 from __future__ import annotations
 
 import cmath
+import math
 
-import numpy as np
-
-from .optics import (
-    _BS_ENTRIES, _INV_SQRT2, _SOURCE_AMPS, A_PATHS, A_PORTS, B_PATHS, B_PORTS, PhaseSettings,
-    _shifted_source,
-)
-from .records import Record
+from .records import A_PATHS, A_PORTS, B_PATHS, B_PORTS, Record
 
 # Structural tolerance for normalization / unitarity / hermiticity checks.
 TOL = 1e-12
 # Density-matrix eigenvalues may dip slightly negative from rounding.
 EIG_TOL = 1e-10
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)  # optics._INV_SQRT2, without loading numpy
 
 # A space is an ordered tuple of tensor factors; each factor is an ordered
 # tuple of basis labels. The composite basis is lexicographic in declared
@@ -52,16 +50,61 @@ def format_space(space: Space) -> str:
     return "x".join("[" + ",".join(factor) + "]" for factor in space)
 
 
-def _frozen_copy(values, what: str, shape: tuple[int, ...], misfit) -> np.ndarray:
-    """A read-only complex copy of values, checked finite and of the given shape.
-    misfit(arr) is the error message for an array arr of another shape."""
-    arr = np.array(values, dtype=complex)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{what} must have finite entries")
-    if arr.shape != shape:
-        raise ValueError(misfit(arr))
-    arr.setflags(write=False)
-    return arr
+def _nested(values, what: str) -> tuple:
+    """(entries, shape): values, a number or nested sequences of numbers, as
+    finite complex numbers in tuples nested alike, and the shape they form."""
+    try:
+        items = iter(values)
+    except TypeError:  # a number, or a numpy scalar or 0-d array
+        items = None
+    if items is None:
+        z = complex(values)
+        if not cmath.isfinite(z):
+            raise ValueError(f"{what} must have finite entries")
+        return z, ()
+    pairs = [_nested(v, what) for v in items]
+    shapes = {shape for _, shape in pairs}
+    if len(shapes) > 1:
+        raise ValueError(f"{what} do not form a regular array")
+    return tuple(z for z, _ in pairs), (len(pairs), *(shapes.pop() if shapes else ()))
+
+
+def _complex_entries(values, what: str, shape: tuple[int, ...], misfit) -> tuple:
+    """values as complex numbers in nested tuples, checked finite and of the
+    given shape. misfit(found) is the error message for values of shape found."""
+    entries, found = _nested(values, what)
+    if found != shape:
+        raise ValueError(misfit(found))
+    return entries
+
+
+def _gram_defect(vectors) -> float:
+    """Largest |<u, v> - delta_uv| over pairs of the vectors: 0 when orthonormal."""
+    return max(
+        (abs(sum(x.conjugate() * y for x, y in zip(u, v)) - (i == j))
+         for i, u in enumerate(vectors) for j, v in enumerate(vectors)),
+        default=0.0,
+    )
+
+
+def _has_eigenvalue_below(mat, floor: float) -> bool:
+    """Whether the Hermitian mat has an eigenvalue below floor.
+
+    Exactly then mat - floor*I is not positive definite, that is, some pivot
+    of its LDL^H factorization (Gaussian elimination without row exchanges,
+    whose pivots are the ratios of successive leading principal minors) is
+    not positive. Decided up to rounding of order 1e-16 at these sizes.
+    """
+    rows = [[z - floor * (i == j) for j, z in enumerate(row)] for i, row in enumerate(mat)]
+    for j, pivot_row in enumerate(rows):
+        pivot = pivot_row[j].real
+        if not pivot > 0.0:
+            return True
+        for row in rows[j + 1:]:
+            factor = row[j] / pivot
+            for k in range(j + 1, len(rows)):
+                row[k] -= factor * pivot_row[k]
+    return False
 
 
 class StateVector(Record):
@@ -69,19 +112,19 @@ class StateVector(Record):
 
     __slots__ = _fields = ("space", "amplitudes")
 
-    def __init__(self, space: Space, amplitudes: np.ndarray):
+    def __init__(self, space: Space, amplitudes):
         space = as_space(space)
-        amps = _frozen_copy(amplitudes, "state amplitudes", (space_dim(space),), lambda a: (
-            f"amplitude vector of length {a.size} does not fit "
+        amps = _complex_entries(amplitudes, "state amplitudes", (space_dim(space),), lambda s: (
+            f"amplitude vector of length {math.prod(s)} does not fit "
             f"space {format_space(space)} (dim {space_dim(space)})"
         ))
-        norm = float(np.linalg.norm(amps))
+        norm = math.sqrt(sum(abs(z) ** 2 for z in amps))
         if abs(norm - 1.0) > TOL:
             raise ValueError(f"state is not normalized: ||psi|| = {norm!r}")
         self._set(space, amps)
 
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
+    def probabilities(self) -> tuple[float, ...]:
+        return tuple(m * m for m in map(abs, self.amplitudes))
 
 
 class DensityMatrix(Record):
@@ -89,19 +132,20 @@ class DensityMatrix(Record):
 
     __slots__ = _fields = ("space", "entries")
 
-    def __init__(self, space: Space, entries: np.ndarray):
+    def __init__(self, space: Space, entries):
         space = as_space(space)
         d = space_dim(space)
-        mat = _frozen_copy(entries, "density-matrix entries", (d, d), lambda m: (
-            f"entries of shape {m.shape} do not fit space "
+        mat = _complex_entries(entries, "density-matrix entries", (d, d), lambda s: (
+            f"entries of shape {s} do not fit space "
             f"{format_space(space)} (dim {d})"
         ))
-        if float(np.max(np.abs(mat - mat.conj().T))) > TOL:
+        if any(abs(z - w.conjugate()) > TOL for row, col in zip(mat, zip(*mat))
+               for z, w in zip(row, col)):
             raise ValueError("density matrix is not Hermitian")
-        trace = complex(np.trace(mat))
+        trace = sum(row[i] for i, row in enumerate(mat))
         if abs(trace - 1.0) > TOL:
             raise ValueError(f"density matrix trace is {trace!r}, not 1")
-        if float(np.min(np.linalg.eigvalsh(mat))) < -EIG_TOL:
+        if _has_eigenvalue_below(mat, -EIG_TOL):
             raise ValueError("density matrix has a negative eigenvalue")
         self._set(space, mat)
 
@@ -111,19 +155,19 @@ class Operator(Record):
 
     __slots__ = _fields = ("input_space", "output_space", "entries")
 
-    def __init__(self, input_space: Space, output_space: Space, entries: np.ndarray):
+    def __init__(self, input_space: Space, output_space: Space, entries):
         in_space = as_space(input_space)
         out_space = as_space(output_space)
         d_in, d_out = space_dim(in_space), space_dim(out_space)
-        mat = _frozen_copy(entries, "operator entries", (d_out, d_in), lambda m: (
-            f"entries of shape {m.shape} do not map "
+        mat = _complex_entries(entries, "operator entries", (d_out, d_in), lambda s: (
+            f"entries of shape {s} do not map "
             f"{format_space(in_space)} (dim {d_in}) to "
             f"{format_space(out_space)} (dim {d_out})"
         ))
-        eye_in = np.eye(d_in)
-        if float(np.max(np.abs(mat.conj().T @ mat - eye_in))) > TOL:
+        # (V+V)_ij is <column i, column j>, and (UU+)_ij the conjugate of <row i, row j>.
+        if _gram_defect(tuple(zip(*mat))) > TOL:
             raise ValueError("operator is not an isometry (V+V != I)")
-        if d_in == d_out and float(np.max(np.abs(mat @ mat.conj().T - eye_in))) > TOL:
+        if d_in == d_out and _gram_defect(mat) > TOL:
             raise ValueError("square operator is not unitary (UU+ != I)")
         self._set(in_space, out_space, mat)
 
@@ -140,14 +184,14 @@ def ket(space, *labels: str) -> StateVector:
         if label not in factor:
             raise ValueError(f"label {label!r} not in factor {factor!r}")
         index = index * len(factor) + factor.index(label)
-    amps = np.zeros(space_dim(space), dtype=complex)
+    amps = [0j] * space_dim(space)
     amps[index] = 1.0
     return StateVector(space, amps)
 
 
 def tensor(u: StateVector, v: StateVector) -> StateVector:
     """Kronecker product; the result lives on the concatenated factor list."""
-    return StateVector(u.space + v.space, np.kron(u.amplitudes, v.amplitudes))
+    return StateVector(u.space + v.space, [x * y for x in u.amplitudes for y in v.amplitudes])
 
 
 def apply(op: Operator, psi: StateVector) -> StateVector:
@@ -157,12 +201,14 @@ def apply(op: Operator, psi: StateVector) -> StateVector:
             f"operator input space {format_space(op.input_space)} does not "
             f"match state space {format_space(psi.space)}"
         )
-    return StateVector(op.output_space, op.entries @ psi.amplitudes)
+    amps = psi.amplitudes
+    return StateVector(op.output_space, [sum(u * z for u, z in zip(row, amps)) for row in op.entries])
 
 
 def density_of(psi: StateVector) -> DensityMatrix:
     """Rank-one projector |psi><psi|."""
-    return DensityMatrix(psi.space, np.outer(psi.amplitudes, psi.amplitudes.conj()))
+    amps = psi.amplitudes
+    return DensityMatrix(psi.space, [[x * y.conjugate() for y in amps] for x in amps])
 
 
 def partial_trace(rho: DensityMatrix, keep: int) -> DensityMatrix:
@@ -174,23 +220,26 @@ def partial_trace(rho: DensityMatrix, keep: int) -> DensityMatrix:
     if keep not in (0, 1):
         raise ValueError(f"keep must be 0 or 1, got {keep!r}")
     d0, d1 = len(rho.space[0]), len(rho.space[1])
-    blocks = rho.entries.reshape(d0, d1, d0, d1)
-    if keep == 0:
-        reduced = np.einsum("ijkj->ik", blocks)
-    else:
-        reduced = np.einsum("ijil->jl", blocks)
+    m = rho.entries
+    if keep == 0:  # <i|rho_0|k> = sum over j of <i j|rho|k j>
+        reduced = [[sum(m[i * d1 + j][k * d1 + j] for j in range(d1)) for k in range(d0)]
+                   for i in range(d0)]
+    else:  # <j|rho_1|l> = sum over i of <i j|rho|i l>
+        reduced = [[sum(m[i * d1 + j][i * d1 + l] for i in range(d0)) for l in range(d1)]
+                   for j in range(d1)]
     return DensityMatrix((rho.space[keep],), reduced)
 
 
 def l1_coherence(rho: DensityMatrix) -> float:
     """Sum of moduli of off-diagonal entries in the declared basis."""
-    mags = np.abs(rho.entries)
-    return float(np.sum(mags) - np.sum(np.diag(mags)))
+    return sum((abs(z) for i, row in enumerate(rho.entries) for j, z in enumerate(row) if i != j),
+               0.0)
 
 
 def purity(rho: DensityMatrix) -> float:
     """Tr(rho^2); 1 for pure states, 1/d for the maximally mixed state."""
-    return float(np.trace(rho.entries @ rho.entries).real)
+    return sum((z * w).real for row, col in zip(rho.entries, zip(*rho.entries))
+               for z, w in zip(row, col))
 
 
 PATH_MODES = A_PATHS + B_PATHS
@@ -203,18 +252,22 @@ def superposed_state(theta: float = 0.0) -> StateVector:
     theta = 0 is the plain 50-50 superposition; both path probabilities are
     1/2 for every theta.
     """
-    amps = np.array([_INV_SQRT2, cmath.exp(1j * theta) * _INV_SQRT2])
-    return StateVector((A_PATHS,), amps)
+    return StateVector((A_PATHS,), [_INV_SQRT2, cmath.exp(1j * theta) * _INV_SQRT2])
 
 
 def biphoton_state() -> StateVector:
     """Momentum-entangled pair: (|A1 B1> + |A2 B2>)/sqrt2."""
-    return StateVector((A_PATHS, B_PATHS), _SOURCE_AMPS)
+    from .optics import _SOURCE_AMPS
+
+    return StateVector((A_PATHS, B_PATHS), _SOURCE_AMPS.tolist())
 
 
-def phased_biphoton_state(settings: PhaseSettings) -> StateVector:
-    """Entangled source state after the two phase shifters, before splitting."""
-    return StateVector((A_PATHS, B_PATHS), _shifted_source(settings.phi_a, settings.phi_b))
+def phased_biphoton_state(settings) -> StateVector:
+    """Entangled source state after the two phase shifters, before splitting;
+    settings is an optics.PhaseSettings."""
+    from .optics import _shifted_source
+
+    return StateVector((A_PATHS, B_PATHS), _shifted_source(settings.phi_a, settings.phi_b).tolist())
 
 
 def phase_shifter(mode: str, phi: float) -> Operator:
@@ -231,15 +284,17 @@ def phase_shifter(mode: str, phi: float) -> Operator:
         raise ValueError(f"phase shifters sit on paths, not detector ports: {mode!r}")
     else:
         raise ValueError(f"unknown mode {mode!r}; paths are {PATH_MODES}")
-    diag = np.ones(2, dtype=complex)
+    diag = [1.0, 1.0]
     diag[party_paths.index(mode)] = cmath.exp(1j * float(phi))
-    return Operator((party_paths,), (party_paths,), np.diag(diag))
+    return Operator((party_paths,), (party_paths,), [[diag[0], 0.0], [0.0, diag[1]]])
 
 
 def beam_splitter(party: str) -> Operator:
     """Symmetric 50/50 splitter taking a party's paths to its detector ports."""
+    from .optics import _BS_ENTRIES
+
     if party == "A":
-        return Operator((A_PATHS,), (A_PORTS,), _BS_ENTRIES)
+        return Operator((A_PATHS,), (A_PORTS,), _BS_ENTRIES.tolist())
     if party == "B":
-        return Operator((B_PATHS,), (B_PORTS,), _BS_ENTRIES)
+        return Operator((B_PATHS,), (B_PORTS,), _BS_ENTRIES.tolist())
     raise ValueError(f"party must be 'A' or 'B', got {party!r}")

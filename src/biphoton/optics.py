@@ -29,15 +29,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .records import Record
+from .records import A_PATHS, A_PORTS, B_PATHS, B_PORTS, Record  # noqa: F401 (re-exported)
 
 TWO_PI = 2.0 * math.pi
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
-
-A_PATHS = ("A1", "A2")
-B_PATHS = ("B1", "B2")
-A_PORTS = ("A+", "A-")
-B_PORTS = ("B+", "B-")
 
 # Canonical outcome order for joint tables and inverse-CDF sampling.
 OUTCOMES = (("+", "+"), ("+", "-"), ("-", "+"), ("-", "-"))

@@ -18,8 +18,6 @@ from __future__ import annotations
 
 import cmath
 
-import numpy as np
-
 from .linalg import (
     Operator,
     StateVector,
@@ -32,8 +30,7 @@ from .linalg import (
     superposed_state,
     tensor,
 )
-from .optics import A_PATHS
-from .records import Record
+from .records import A_PATHS, Record
 
 DETECTOR_LABELS = ("ready", "D1", "D2")
 SYSTEM_DETECTOR_SPACE = (A_PATHS, DETECTOR_LABELS)
@@ -48,11 +45,10 @@ def detector_ready() -> StateVector:
 
 def detector_coupling() -> Operator:
     """6x6 unitary with U|Ai>|ready> = |Ai>|Di>, i = 1, 2."""
-    swap_ready_d1 = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=complex)
-    swap_ready_d2 = np.array([[0, 0, 1], [0, 1, 0], [1, 0, 0]], dtype=complex)
-    u = np.zeros((6, 6), dtype=complex)
-    u[0:3, 0:3] = swap_ready_d1
-    u[3:6, 3:6] = swap_ready_d2
+    swap_ready_d1 = ((0, 1, 0), (1, 0, 0), (0, 0, 1))
+    swap_ready_d2 = ((0, 0, 1), (0, 1, 0), (1, 0, 0))
+    zeros = (0, 0, 0)
+    u = [row + zeros for row in swap_ready_d1] + [zeros + row for row in swap_ready_d2]
     return Operator(SYSTEM_DETECTOR_SPACE, SYSTEM_DETECTOR_SPACE, u)
 
 
@@ -111,19 +107,16 @@ def correlation_report(psi: StateVector) -> CorrelationReport:
             f"expected a state on {format_space(SYSTEM_DETECTOR_SPACE)}, "
             f"got {format_space(psi.space)}"
         )
-    table = psi.probabilities().reshape(2, 3)
+    probs = psi.probabilities()
+    # Row i of the outcome table: system outcome A_PATHS[i] with each detector label.
+    n = len(DETECTOR_LABELS)
+    table = [probs[i * n:(i + 1) * n] for i in range(len(A_PATHS))]
 
-    joint = {
-        a: {d: float(table[i, j]) for j, d in enumerate(DETECTOR_LABELS)}
-        for i, a in enumerate(A_PATHS)
-    }
+    joint = {a: dict(zip(DETECTOR_LABELS, row)) for a, row in zip(A_PATHS, table)}
     conditional: dict[str, dict[str, float | None]] = {}
-    for i, a in enumerate(A_PATHS):
-        p_a = float(table[i].sum())
-        conditional[a] = {
-            d: (float(table[i, j] / p_a) if p_a > 0.0 else None)
-            for j, d in enumerate(DETECTOR_LABELS)
-        }
+    for a, row in zip(A_PATHS, table):
+        p_a = sum(row)
+        conditional[a] = {d: (p / p_a if p_a > 0.0 else None) for d, p in zip(DETECTOR_LABELS, row)}
 
     off_dyad = sum(
         joint[a][d] for a in A_PATHS for d in DETECTOR_LABELS if (a, d) not in DYADS
@@ -138,7 +131,7 @@ def correlation_report(psi: StateVector) -> CorrelationReport:
     rho = density_of(psi)
     rho_sys, rho_det = partial_trace(rho, 0), partial_trace(rho, 1)
     # Indices 1 and 5 are the dyad basis states (A1,D1) and (A2,D2).
-    cross_dyad = complex(rho.entries[1, 5])
+    cross_dyad = rho.entries[1][5]
 
     return CorrelationReport(
         joint_probs=joint,

@@ -1,11 +1,19 @@
-"""Base of the package's immutable types that compare by identity.
+"""Base of the package's immutable types that compare by identity, and the
+labels of the interferometer's modes.
 
 Types that compare by value are NamedTuples. Neither kind is a dataclass: a
 dataclass generates and compiles code for each class in every process that
-imports it.
+imports it. Stdlib only: the array core (optics) and the labelled model
+(linalg) both read the labels here, and the labelled model loads no numpy.
 """
 
 from __future__ import annotations
+
+# Each party's two paths, and its two detector ports
+A_PATHS = ("A1", "A2")
+B_PATHS = ("B1", "B2")
+A_PORTS = ("A+", "A-")
+B_PORTS = ("B+", "B-")
 
 
 class Record:

@@ -117,6 +117,67 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "no_signaling_reads_a_from_the_wrong_scan",
+        "analysis.py",
+        "m.a_plus[0]",
+        "m.a_plus[1]",
+        ("tests/test_analysis.py::test_no_signaling_check_reads_each_partys_scan[A]",),
+    ),
+    Mutant(
+        "correlation_guard_rejects_minus_one",
+        "analysis.py",
+        "(-1.0 <= e)",
+        "(-1.0 < e)",
+        ("tests/test_analysis.py::test_sweep_accepts_tables_on_the_range_ends[edge1]",),
+    ),
+    Mutant(
+        "correlation_guard_rejects_plus_one",
+        "analysis.py",
+        "(e <= 1.0)",
+        "(e < 1.0)",
+        ("tests/test_analysis.py::test_sweep_accepts_tables_on_the_range_ends[edge0]",),
+    ),
+    Mutant(
+        "marginal_guard_rejects_zero",
+        "analysis.py",
+        "(0.0 <= p)",
+        "(0.0 < p)",
+        tuple(
+            f"tests/test_analysis.py::test_sweep_accepts_tables_on_the_range_ends[edge{k}]"
+            for k in range(2)
+        ),
+    ),
+    Mutant(
+        "marginal_guard_rejects_one",
+        "analysis.py",
+        "(p <= 1.0)",
+        "(p < 1.0)",
+        tuple(
+            f"tests/test_analysis.py::test_sweep_accepts_tables_on_the_range_ends[edge{k}]"
+            for k in range(2)
+        ),
+    ),
+    Mutant(
+        "partial_trace_keeps_the_other_factor",
+        "linalg.py",
+        "if keep == 0:  #",
+        "if keep == 1:  #",
+        (
+            "tests/test_linalg.py::test_partial_trace_keep_detector_matches_explicit_summation",
+            "tests/test_premeasure.py::test_coupling_does_not_disturb_eigenstates",
+        ),
+    ),
+    Mutant(
+        "positivity_skips_its_last_pivot",
+        "linalg.py",
+        "for j, pivot_row in enumerate(rows):",
+        "for j, pivot_row in enumerate(rows[:-1]):",
+        (
+            "tests/test_linalg.py::test_density_rejects_negative_eigenvalue",
+            "tests/test_linalg.py::test_positivity_check_agrees_with_eigvalsh",
+        ),
+    ),
+    Mutant(
         "only_phi_a_wrapped",
         "optics.py",
         "phase[::3] = _wrap_angles(phase[::3])",
@@ -239,9 +300,9 @@ MUTANTS = (
     Mutant(
         "cli_imports_the_detection_model_eagerly",
         "commands.py",
-        "from .optics import OUTCOMES, PhaseSettings, Visibility, joint_tables\n",
-        "from .optics import OUTCOMES, PhaseSettings, Visibility, joint_tables\n"
-        "from .premeasure import correlation_report, premeasure\n",
+        "from .cli import _SEEDS, parse_angle\n",
+        "from .cli import _SEEDS, parse_angle\n"
+        "from .premeasure import correlation_report, premeasure  # noqa: F401\n",
         tuple(
             f"tests/test_package.py::test_each_command_loads_only_the_modules_it_runs[{command}]"
             for command in ("sample", "bell", "sweep", "marginals")
@@ -250,13 +311,20 @@ MUTANTS = (
     Mutant(
         "commands_import_the_sampling_modules_eagerly",
         "commands.py",
-        "the exact grids load no sampling.\n",
-        "the exact grids load no sampling.\n"
+        "# load no sampling.\n",
+        "# load no sampling.\n"
         "from .montecarlo import estimate_columns  # noqa: F401\n",
         tuple(
             f"tests/test_package.py::test_each_command_loads_only_the_modules_it_runs[{command}]"
             for command in ("sweep_exact", "marginals", "premeasure")
         ),
+    ),
+    Mutant(
+        "commands_import_numpy_eagerly",
+        "commands.py",
+        "from functools import cache\n",
+        "from functools import cache\n\nimport numpy as np  # noqa: F401\n",
+        ("tests/test_package.py::test_each_command_loads_only_the_modules_it_runs[premeasure]",),
     ),
     Mutant(
         "sampling_imports_the_labelled_model",

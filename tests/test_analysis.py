@@ -114,6 +114,39 @@ def test_sweep_rejects_tables_outside_the_ranges(monkeypatch, bad, message):
         sweep_correlation([0.0, 1.0], Visibility(1))
 
 
+# Tables on the edges of the ranges: E at +1 or -1, every single at 0 or 1.
+@pytest.mark.parametrize("edge", [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
+def test_sweep_accepts_tables_on_the_range_ends(monkeypatch, edge):
+    def table(deltas, phi_b, vis):
+        return np.repeat(np.array(edge)[:, None], len(deltas), axis=1)
+
+    monkeypatch.setattr(analysis, "joint_tables", table)
+    result = sweep_correlation([0.0, 1.0], Visibility(1))
+    assert result.correlations.tolist() == [correlation(edge)] * 2
+    assert sorted(set(np.ravel(result.singles).tolist())) == [0.0, 1.0]
+
+
+ULP_PAST_ONE = 1.0 + 2.0**-52
+
+
+@pytest.mark.parametrize(
+    "bad,message",
+    [
+        ([ULP_PAST_ONE, 0.0, 0.0, 0.0], "correlation outside"),  # E = 1 + 2**-52
+        ([0.0, ULP_PAST_ONE, 0.0, 0.0], "correlation outside"),  # E = -1 - 2**-52
+        ([0.5, 0.5 + 2.0**-52, 0.0, 0.0], "marginal outside"),  # P(A+) = 1 + 2**-52
+        ([0.25, 0.25, math.nan, 0.25], "correlation outside"),
+    ],
+)
+def test_sweep_rejects_tables_an_ulp_outside_the_ranges(monkeypatch, bad, message):
+    def table(deltas, phi_b, vis):
+        return np.repeat(np.array(bad)[:, None], len(deltas), axis=1)
+
+    monkeypatch.setattr(analysis, "joint_tables", table)
+    with pytest.raises(ValueError, match=message):
+        sweep_correlation([0.0, 1.0], Visibility(1))
+
+
 def test_sweep_rejects_empty_grid():
     with pytest.raises(ValueError, match="non-empty"):
         sweep_correlation([], Visibility(1))
@@ -254,6 +287,32 @@ def test_coherence_sits_in_the_composite_at_any_phases():
 def test_no_signaling_deviation_is_null(v):
     grid = np.linspace(0.0, 2 * math.pi, 32, endpoint=False)
     assert no_signaling_check(1.234, grid, Visibility(v)) < TOL
+
+
+def signaling_tables(party: str):
+    """A stand-in for joint_tables in which party's singles follow the other
+    party's setting: P(party +) = 1/2 + sin(remote phase)/20, the other party's
+    singles stay at 1/2, and the four entries still sum to 1."""
+
+    def tables(phi_a, phi_b, vis):
+        s = 0.05 * np.sin(np.asarray(phi_b if party == "A" else phi_a, dtype=float))
+        q = np.full_like(s, 0.25)
+        if party == "A":  # P(A+) = pp + pm
+            return np.array([q + s, q, q - s, q])
+        return np.array([q + s, q - s, q, q])  # P(B+) = pp + mp
+
+    return tables
+
+
+@pytest.mark.parametrize("party", ["A", "B"])
+def test_no_signaling_check_reads_each_partys_scan(monkeypatch, party):
+    # The scan that moves B's setting must be read at A's singles, and the one
+    # that moves A's setting at B's: at phi_a = 0 the other rows stay flat.
+    monkeypatch.setattr(analysis, "joint_tables", signaling_tables(party))
+    grid = [0.3, 1.2, 2.0, -0.7]
+    worst = no_signaling_check(0.0, grid, Visibility(1))
+    assert worst == pytest.approx(max(0.05 * abs(math.sin(g)) for g in grid), abs=1e-15)
+    assert worst > 0.04
 
 
 def test_no_signaling_rejects_empty_grid():

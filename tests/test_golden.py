@@ -12,6 +12,7 @@ meant to alter output bytes re-pins them in its own commit with
 
 import hashlib
 import os
+import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -21,6 +22,7 @@ from unittest import mock
 
 import pytest
 
+import biphoton
 from biphoton.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -169,6 +171,50 @@ def test_output_file_matches_stdout_transcript(tmp_path):
     assert code == 0 and out == b""
     assert path.read_bytes() == golden("bench_sample", ".stdout")
     assert err == golden("bench_sample", ".stderr")
+
+
+# Golden command lines whose numbers pass through numpy's SIMD kernels: the
+# exact table, grid formatting, splitmix64 draws, the inverse CDF and counts.
+DISPATCH_CASES = ("bench_sweep", "bench_sweep_mc", "bench_bell", "bench_sample", "marginals_3073")
+
+
+def test_goldens_hold_with_numpy_cpu_dispatch_off():
+    # numpy picks a SIMD kernel per CPU at import. With every dispatch target
+    # this host enables turned off, a child runs the cases on the baseline
+    # kernels; its bytes must still be the goldens'. Only enabled targets may
+    # be named, so the list comes from numpy itself.
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    targets = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+    if not targets:
+        pytest.skip("numpy enables no dispatch target on this host")
+    code = (
+        "import hashlib, sys\n"
+        f"from {umath.__name__.rpartition('.')[0]} import _multiarray_umath as umath\n"
+        "import test_golden as g\n"
+        "print('enabled', *(t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)))\n"
+        "for name in sys.argv[1:]:\n"
+        "    code, out, err = g.run({**g.CASES, **g.HASHED}[name])\n"
+        "    print(name, code, hashlib.sha256(out).hexdigest(), hashlib.sha256(err).hexdigest())\n"
+    )
+    src = str(Path(biphoton.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, str(Path(__file__).parent), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, "NPY_DISABLE_CPU_FEATURES": " ".join(targets)}
+    proc = subprocess.run([sys.executable, "-c", code, *DISPATCH_CASES],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    enabled, *rows = proc.stdout.splitlines()
+    assert enabled == "enabled"
+    expected = []
+    for name in DISPATCH_CASES:
+        if name in CASES:
+            out = hashlib.sha256(golden(name, ".stdout")).hexdigest()
+        else:
+            out = golden(name, ".stdout.sha256").decode().strip()
+        expected.append(f"{name} 0 {out} {hashlib.sha256(golden(name, '.stderr')).hexdigest()}")
+    assert rows == expected
 
 
 def write_goldens() -> None:

@@ -76,13 +76,15 @@ def test_root_exports_are_the_module_objects():
 
 # The biphoton modules each kind of command line loads: the parser alone (help,
 # and usage errors argparse reports); the commands and the exact model; those
-# and the sampling modules; or the commands and the labelled model the
-# detection model is built on.
+# and the sampling modules; or the commands and the stdlib-only labelled model
+# the detection model is built on, without the array core.
 PARSER = {"biphoton", "biphoton.cli"}
 COMMANDS_MODULE = PARSER | {"biphoton.commands", "biphoton.optics", "biphoton.records"}
 EXACT = COMMANDS_MODULE | {"biphoton.analysis"}
 SAMPLING = EXACT | {"biphoton.montecarlo", "biphoton.rng"}
-DETECTION_MODEL = COMMANDS_MODULE | {"biphoton.linalg", "biphoton.premeasure"}
+DETECTION_MODEL = PARSER | {
+    "biphoton.commands", "biphoton.records", "biphoton.linalg", "biphoton.premeasure",
+}
 
 # Each command line, its exit status, and the biphoton modules it loads
 COMMANDS = {
@@ -110,6 +112,6 @@ def test_each_command_loads_only_the_modules_it_runs(argv, status, modules):
     )
     loaded = set(out.splitlines()[-1].split()[1:])
     assert {m for m in loaded if m.partition(".")[0] == "biphoton"} == modules
-    # numpy backs every module past the parser
-    assert ("numpy" in loaded) == (modules != PARSER)
+    # numpy backs the array core and every module that imports it
+    assert ("numpy" in loaded) == ("biphoton.optics" in modules)
     assert "dataclasses" not in loaded

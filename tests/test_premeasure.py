@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from biphoton.commands import _render_json
@@ -52,7 +52,7 @@ def test_coupling_maps_ready_states_to_records():
 
 
 def test_coupling_is_unitary():
-    u = detector_coupling().entries
+    u = np.asarray(detector_coupling().entries)
     assert np.max(np.abs(u.conj().T @ u - np.eye(6))) < TOL
     assert np.max(np.abs(u @ u.conj().T - np.eye(6))) < TOL
 
@@ -89,8 +89,8 @@ def test_premeasure_is_linear_in_the_input(theta):
     # The coupled state must equal the amplitude-weighted sum of the two
     # eigenstate outputs: that is linearity of the evolution as a test.
     weights = superposed_state(theta).amplitudes
-    expected = weights[0] * coupled_eigenstate(1).amplitudes
-    expected = expected + weights[1] * coupled_eigenstate(2).amplitudes
+    expected = weights[0] * np.asarray(coupled_eigenstate(1).amplitudes)
+    expected = expected + weights[1] * np.asarray(coupled_eigenstate(2).amplitudes)
     np.testing.assert_allclose(premeasure(theta).amplitudes, expected, atol=TOL)
 
 
@@ -195,3 +195,72 @@ def test_uniform_state_has_off_dyad_weight():
     rep = correlation_report(psi)
     assert rep.both_clicked_prob == pytest.approx(4 / 6, abs=TOL)
     assert rep.iff_violation_prob == pytest.approx(4 / 6, abs=TOL)
+
+
+# ---------------------------------------------------------------------------
+# the stdlib model against the numpy formulation it replaced
+
+
+def numpy_report(theta: float) -> tuple[np.ndarray, dict]:
+    """The coupled state and its report, computed as the numpy formulation of the
+    detection model computed them: kron, a matrix-vector product, np.abs, outer
+    products, einsum partial traces, and l1 as the sum of all moduli less the
+    diagonal's."""
+    split = np.array([INV_SQRT2, cmath.exp(1j * theta) * INV_SQRT2])
+    u = np.zeros((6, 6), dtype=complex)
+    u[0:3, 0:3] = [[0, 1, 0], [1, 0, 0], [0, 0, 1]]
+    u[3:6, 3:6] = [[0, 0, 1], [0, 1, 0], [1, 0, 0]]
+    psi = u @ np.kron(split, np.array([1, 0, 0], dtype=complex))
+    table = (np.abs(psi) ** 2).reshape(2, 3)
+    joint = {a: dict(zip(DETECTOR_LABELS, table[i].tolist())) for i, a in enumerate(A_PATHS)}
+    conditional = {
+        a: {d: float(table[i, j] / table[i].sum()) for j, d in enumerate(DETECTOR_LABELS)}
+        for i, a in enumerate(A_PATHS)
+    }
+    rho = np.outer(psi, psi.conj())
+    blocks = rho.reshape(2, 3, 2, 3)
+
+    def l1(m):
+        mags = np.abs(m)
+        return float(np.sum(mags) - np.sum(np.diag(mags)))
+
+    cross = complex(rho[1, 5])
+    off_dyad = sum(joint[a][d] for a in A_PATHS for d in DETECTOR_LABELS if (a, d) not in (
+        ("A1", "D1"), ("A2", "D2")))
+    return psi, {
+        "joint_probs": joint,
+        "conditional_probs": conditional,
+        "subsystem_coherence": (l1(np.einsum("ijkj->ik", blocks)), l1(np.einsum("ijil->jl", blocks))),
+        "correlation_coherence": cross,
+        "correlation_coherence_modulus": abs(cross),
+        "correlation_coherence_phase": cmath.phase(cross),
+        "both_clicked_prob": off_dyad,
+        "iff_violation_prob": off_dyad,
+    }
+
+
+def bits(z: complex) -> tuple[str, str]:
+    """The exact value of z, the sign of a zero included."""
+    return float(z.real).hex(), float(z.imag).hex()
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False))
+@example(0.0)
+@example(-0.0)
+@example(math.pi / 2)
+@example(math.pi)
+@example(-math.pi / 4)
+@example(3.0)
+def test_report_equals_the_numpy_formulation(theta):
+    psi = premeasure(theta)
+    rep = correlation_report(psi)
+    ref_psi, ref = numpy_report(theta)
+    # Every field prints alike, as the command writes it...
+    assert _render_json(rep) == _render_json(ref)
+    # ...and the amplitudes, the cross-dyad element and the coherences are the same doubles.
+    assert [bits(z) for z in psi.amplitudes] == [bits(z) for z in ref_psi.tolist()]
+    assert bits(rep.correlation_coherence) == bits(ref["correlation_coherence"])
+    assert [x.hex() for x in rep.subsystem_coherence] == [
+        x.hex() for x in ref["subsystem_coherence"]
+    ]
