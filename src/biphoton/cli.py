@@ -178,8 +178,9 @@ def run() -> None:
 
     Every object left (numpy's and ours, ~22k after a run) is frozen before
     the exit, so the collection at interpreter exit walks none of them. The
-    freeze comes after main() because a run imports numpy there. main()
-    never freezes: in-process callers keep their collector as it was.
+    freeze comes after main() because a run imports numpy there (every
+    command but premeasure). main() never freezes: in-process callers keep
+    their collector as it was.
     """
     status = main()
     gc.freeze()

@@ -53,10 +53,12 @@ def format_space(space: Space) -> str:
 def _nested(values, what: str) -> tuple:
     """(entries, shape): values, a number or nested sequences of numbers, as
     finite complex numbers in tuples nested alike, and the shape they form."""
-    try:
-        items = iter(values)
-    except TypeError:  # a number, or a numpy scalar or 0-d array
-        items = None
+    items = None
+    if not isinstance(values, (int, float, complex)):  # the usual leaves skip iter()'s TypeError
+        try:
+            items = iter(values)
+        except TypeError:  # another numpy scalar, or a 0-d array
+            pass
     if items is None:
         z = complex(values)
         if not cmath.isfinite(z):

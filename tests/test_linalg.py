@@ -87,6 +87,13 @@ def test_state_amplitudes_are_readonly():
         psi.amplitudes[0] = 0.0
 
 
+def test_constructors_reject_ragged_entries():
+    with pytest.raises(ValueError, match="regular array"):
+        DensityMatrix(A, [[0.5, 0.0], [0.5]])
+    with pytest.raises(ValueError, match="regular array"):
+        StateVector(A, [INV_SQRT2, [INV_SQRT2]])
+
+
 def test_density_rejects_non_hermitian():
     with pytest.raises(ValueError, match="Hermitian"):
         DensityMatrix(A, [[0.5, 0.5], [0.0, 0.5]])
