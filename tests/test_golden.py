@@ -63,7 +63,7 @@ CASES = {
     # Every optional flag omitted: pins the theta, sample-count and seed defaults
     "premeasure_defaults": ["premeasure"],
     "bell_defaults": ["bell", "--optimal"],
-    # The coupled state where cos and sin change sign, and where -0 is printed
+    # The coupled state on either side of where cos theta and sin theta change sign
     "premeasure_dump_state_pi_2": ["premeasure", "--theta=pi/2", "--dump-state", "-"],
     "premeasure_dump_state_pi": ["premeasure", "--theta=pi", "--dump-state", "-"],
     "premeasure_dump_state_minus_pi_4": ["premeasure", "--theta=-pi/4", "--dump-state", "-"],
