@@ -8,9 +8,10 @@ throughout means within ``TOL`` of the ideal value, which is far above
 accumulated double rounding at these sizes.
 
 This module loads no numpy, so the detection model built on it runs without
-it. The source states and the splitter are built from the constants of
-``optics``' array core, which those three constructors import when called,
-so both views hold the same numbers. No array path imports this module.
+it. The source states and the splitter are built from the constants in
+``records``, which ``optics``' array core is built from too, so both views
+hold the same numbers. Only ``phased_biphoton_state`` imports ``optics``,
+when called, for its shifted source. No array path imports this module.
 
 All values are immutable after construction and every operation is a pure
 function, so everything here is safe to share across threads.
@@ -21,13 +22,12 @@ from __future__ import annotations
 import cmath
 import math
 
-from .records import A_PATHS, A_PORTS, B_PATHS, B_PORTS, Record
+from .records import A_PATHS, A_PORTS, B_PATHS, B_PORTS, BS_ENTRIES, INV_SQRT2, SOURCE_AMPS, Record
 
 # Structural tolerance for normalization / unitarity / hermiticity checks.
 TOL = 1e-12
 # Density-matrix eigenvalues may dip slightly negative from rounding.
 EIG_TOL = 1e-10
-_INV_SQRT2 = 1.0 / math.sqrt(2.0)  # optics._INV_SQRT2, without loading numpy
 
 # A space is an ordered tuple of tensor factors; each factor is an ordered
 # tuple of basis labels. The composite basis is lexicographic in declared
@@ -40,10 +40,7 @@ def as_space(space) -> Space:
 
 
 def space_dim(space: Space) -> int:
-    d = 1
-    for factor in space:
-        d *= len(factor)
-    return d
+    return math.prod(map(len, space))
 
 
 def format_space(space: Space) -> str:
@@ -54,7 +51,8 @@ def _nested(values, what: str) -> tuple:
     """(entries, shape): values, a number or nested sequences of numbers, as
     finite complex numbers in tuples nested alike, and the shape they form."""
     items = None
-    if not isinstance(values, (int, float, complex)):  # the usual leaves skip iter()'s TypeError
+    # The usual leaves skip iter()'s TypeError; text is a leaf that complex() parses.
+    if not isinstance(values, (int, float, complex, str, bytes)):
         try:
             items = iter(values)
         except TypeError:  # another numpy scalar, or a 0-d array
@@ -71,20 +69,12 @@ def _nested(values, what: str) -> tuple:
     return tuple(z for z, _ in pairs), (len(pairs), *(shapes.pop() if shapes else ()))
 
 
-def _complex_entries(values, what: str, shape: tuple[int, ...], misfit) -> tuple:
-    """values as complex numbers in nested tuples, checked finite and of the
-    given shape. misfit(found) is the error message for values of shape found."""
-    entries, found = _nested(values, what)
-    if found != shape:
-        raise ValueError(misfit(found))
-    return entries
-
-
 def _gram_defect(vectors) -> float:
-    """Largest |<u, v> - delta_uv| over pairs of the vectors: 0 when orthonormal."""
+    """Largest |<u, v> - delta_uv| over pairs of the vectors: 0 when orthonormal.
+    Each pair is taken once, u not after v: |<v, u>| is |<u, v>|, bit for bit."""
     return max(
         (abs(sum(x.conjugate() * y for x, y in zip(u, v)) - (i == j))
-         for i, u in enumerate(vectors) for j, v in enumerate(vectors)),
+         for i, u in enumerate(vectors) for j, v in enumerate(vectors[i:], i)),
         default=0.0,
     )
 
@@ -116,10 +106,10 @@ class StateVector(Record):
 
     def __init__(self, space: Space, amplitudes):
         space = as_space(space)
-        amps = _complex_entries(amplitudes, "state amplitudes", (space_dim(space),), lambda s: (
-            f"amplitude vector of length {math.prod(s)} does not fit "
-            f"space {format_space(space)} (dim {space_dim(space)})"
-        ))
+        amps, shape = _nested(amplitudes, "state amplitudes")
+        if shape != (space_dim(space),):
+            raise ValueError(f"amplitude vector of length {math.prod(shape)} does not fit "
+                             f"space {format_space(space)} (dim {space_dim(space)})")
         norm = math.sqrt(sum(abs(z) ** 2 for z in amps))
         if abs(norm - 1.0) > TOL:
             raise ValueError(f"state is not normalized: ||psi|| = {norm!r}")
@@ -137,10 +127,10 @@ class DensityMatrix(Record):
     def __init__(self, space: Space, entries):
         space = as_space(space)
         d = space_dim(space)
-        mat = _complex_entries(entries, "density-matrix entries", (d, d), lambda s: (
-            f"entries of shape {s} do not fit space "
-            f"{format_space(space)} (dim {d})"
-        ))
+        mat, shape = _nested(entries, "density-matrix entries")
+        if shape != (d, d):
+            raise ValueError(f"entries of shape {shape} do not fit space "
+                             f"{format_space(space)} (dim {d})")
         if any(abs(z - w.conjugate()) > TOL for row, col in zip(mat, zip(*mat))
                for z, w in zip(row, col)):
             raise ValueError("density matrix is not Hermitian")
@@ -161,11 +151,10 @@ class Operator(Record):
         in_space = as_space(input_space)
         out_space = as_space(output_space)
         d_in, d_out = space_dim(in_space), space_dim(out_space)
-        mat = _complex_entries(entries, "operator entries", (d_out, d_in), lambda s: (
-            f"entries of shape {s} do not map "
-            f"{format_space(in_space)} (dim {d_in}) to "
-            f"{format_space(out_space)} (dim {d_out})"
-        ))
+        mat, shape = _nested(entries, "operator entries")
+        if shape != (d_out, d_in):
+            raise ValueError(f"entries of shape {shape} do not map {format_space(in_space)} "
+                             f"(dim {d_in}) to {format_space(out_space)} (dim {d_out})")
         # (V+V)_ij is <column i, column j>, and (UU+)_ij the conjugate of <row i, row j>.
         if _gram_defect(tuple(zip(*mat))) > TOL:
             raise ValueError("operator is not an isometry (V+V != I)")
@@ -244,24 +233,18 @@ def purity(rho: DensityMatrix) -> float:
                for z, w in zip(row, col))
 
 
-PATH_MODES = A_PATHS + B_PATHS
-PORT_MODES = A_PORTS + B_PORTS
-
-
 def superposed_state(theta: float = 0.0) -> StateVector:
     """Single photon split evenly over paths A1, A2 with relative phase theta.
 
     theta = 0 is the plain 50-50 superposition; both path probabilities are
     1/2 for every theta.
     """
-    return StateVector((A_PATHS,), [_INV_SQRT2, cmath.exp(1j * theta) * _INV_SQRT2])
+    return StateVector((A_PATHS,), [INV_SQRT2, cmath.exp(1j * theta) * INV_SQRT2])
 
 
 def biphoton_state() -> StateVector:
     """Momentum-entangled pair: (|A1 B1> + |A2 B2>)/sqrt2."""
-    from .optics import _SOURCE_AMPS
-
-    return StateVector((A_PATHS, B_PATHS), _SOURCE_AMPS.tolist())
+    return StateVector((A_PATHS, B_PATHS), SOURCE_AMPS)
 
 
 def phased_biphoton_state(settings) -> StateVector:
@@ -282,10 +265,10 @@ def phase_shifter(mode: str, phi: float) -> Operator:
         party_paths = A_PATHS
     elif mode in B_PATHS:
         party_paths = B_PATHS
-    elif mode in PORT_MODES:
+    elif mode in A_PORTS + B_PORTS:
         raise ValueError(f"phase shifters sit on paths, not detector ports: {mode!r}")
     else:
-        raise ValueError(f"unknown mode {mode!r}; paths are {PATH_MODES}")
+        raise ValueError(f"unknown mode {mode!r}; paths are {A_PATHS + B_PATHS}")
     diag = [1.0, 1.0]
     diag[party_paths.index(mode)] = cmath.exp(1j * float(phi))
     return Operator((party_paths,), (party_paths,), [[diag[0], 0.0], [0.0, diag[1]]])
@@ -293,10 +276,8 @@ def phase_shifter(mode: str, phi: float) -> Operator:
 
 def beam_splitter(party: str) -> Operator:
     """Symmetric 50/50 splitter taking a party's paths to its detector ports."""
-    from .optics import _BS_ENTRIES
-
     if party == "A":
-        return Operator((A_PATHS,), (A_PORTS,), _BS_ENTRIES.tolist())
+        return Operator((A_PATHS,), (A_PORTS,), BS_ENTRIES)
     if party == "B":
-        return Operator((B_PATHS,), (B_PORTS,), _BS_ENTRIES.tolist())
+        return Operator((B_PATHS,), (B_PORTS,), BS_ENTRIES)
     raise ValueError(f"party must be 'A' or 'B', got {party!r}")

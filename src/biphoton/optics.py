@@ -3,10 +3,10 @@ joint detection distribution as a function of the local phase settings.
 
 ``joint_tables`` is the one statement of the circuit (source -> phase
 shifters -> splitters -> matched-outcome table), on arrays of settings, and
-``joint_distribution`` is one table with its outcome labels. The labelled
-source states and elements (``biphoton_state``, ``phase_shifter``,
-``beam_splitter``) are built from the constants here, so both views hold the
-same numbers.
+``joint_distribution`` is one table with its outcome labels. The source
+amplitudes and the splitter entries are arrays of the constants in
+``records``, from which the labelled model (``linalg``) builds its source
+state and splitters, so both views hold the same numbers.
 
 Conventions, fixed package-wide:
 
@@ -29,10 +29,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .records import A_PATHS, A_PORTS, B_PATHS, B_PORTS, Record  # noqa: F401 (re-exported)
+from .records import A_PATHS, A_PORTS, B_PATHS, B_PORTS  # noqa: F401 (re-exported)
+from .records import BS_ENTRIES, SOURCE_AMPS, Record
 
 TWO_PI = 2.0 * math.pi
-_INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 # Canonical outcome order for joint tables and inverse-CDF sampling.
 OUTCOMES = (("+", "+"), ("+", "-"), ("-", "+"), ("-", "-"))
@@ -96,10 +96,8 @@ class JointDistribution(Record):
         self._set(settings, probs)
 
 
-# Amplitudes over the path pairs (A1B1, A1B2, A2B1, A2B2).
-_SOURCE_AMPS = np.array([_INV_SQRT2, 0.0, 0.0, _INV_SQRT2], dtype=complex)
-# One party's splitter, from its paths to its ports.
-_BS_ENTRIES = np.array([[1.0, 1j], [1j, 1.0]], dtype=complex) * _INV_SQRT2
+_SOURCE_AMPS = np.array(SOURCE_AMPS, dtype=complex)
+_BS_ENTRIES = np.array(BS_ENTRIES, dtype=complex)
 
 
 def _shifted_source(phi_a, phi_b) -> np.ndarray:

@@ -178,6 +178,37 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "numpy_scalar_leaf_rejected",
+        "linalg.py",
+        "        except TypeError:  # another numpy scalar, or a 0-d array\n            pass\n",
+        "        except TypeError:  # another numpy scalar, or a 0-d array\n            raise\n",
+        ("tests/test_linalg.py::test_numpy_scalars_and_0d_arrays_are_leaves",),
+    ),
+    Mutant(
+        "square_unitarity_unchecked",
+        "linalg.py",
+        "        if d_in == d_out and _gram_defect(mat) > TOL:\n"
+        '            raise ValueError("square operator is not unitary (UU+ != I)")\n',
+        "",
+        (
+            "tests/test_linalg.py::"
+            "test_square_operator_with_orthonormal_columns_but_not_rows_is_not_unitary",
+        ),
+    ),
+    Mutant(
+        "gram_skips_the_diagonal",
+        "linalg.py",
+        "enumerate(vectors[i:], i)",
+        "enumerate(vectors[i + 1:], i + 1)",
+        (
+            "tests/test_linalg.py::test_operator_rejects_non_unitary",
+            "tests/test_linalg.py::"
+            "test_gram_defect_over_unordered_pairs_equals_that_over_ordered_pairs",
+            "tests/test_records.py::test_constructors_reject_bad_fields_with_their_messages"
+            "[operator isometry]",
+        ),
+    ),
+    Mutant(
         "only_phi_a_wrapped",
         "optics.py",
         "phase[::3] = _wrap_angles(phase[::3])",

@@ -13,6 +13,7 @@ from biphoton.linalg import (
     DensityMatrix,
     Operator,
     StateVector,
+    _gram_defect,
     apply,
     beam_splitter,
     biphoton_state,
@@ -94,6 +95,28 @@ def test_constructors_reject_ragged_entries():
         StateVector(A, [INV_SQRT2, [INV_SQRT2]])
 
 
+def test_text_entries_are_leaves_that_complex_parses():
+    # Text is not a sequence of entries: numeric text converts, and other text
+    # raises complex()'s own error rather than recursing into its characters.
+    assert StateVector(A, ["1", "0"]).amplitudes == (1 + 0j, 0j)
+    with pytest.raises(ValueError, match="length 1 does not fit"):
+        StateVector(A, "10")
+    for entry in ("one", b"1"):
+        with pytest.raises((TypeError, ValueError)) as own:
+            complex(entry)
+        with pytest.raises(own.type) as err:
+            StateVector(A, [entry, "0"])
+        assert str(err.value) == str(own.value)
+
+
+def test_numpy_scalars_and_0d_arrays_are_leaves():
+    # None of these is a Python number, so each reaches iter(), whose
+    # TypeError marks it as a leaf.
+    op = Operator(A, A, [[np.int64(1), np.float32(0.0)], [np.array(0.0), np.complex64(1j)]])
+    assert op.entries == ((1, 0), (0, 1j))
+    assert {type(z) for row in op.entries for z in row} == {complex}
+
+
 def test_density_rejects_non_hermitian():
     with pytest.raises(ValueError, match="Hermitian"):
         DensityMatrix(A, [[0.5, 0.5], [0.0, 0.5]])
@@ -145,6 +168,29 @@ def test_positivity_check_agrees_with_eigvalsh(case):
 def test_operator_rejects_non_unitary():
     with pytest.raises(ValueError, match="isometry"):
         Operator(A, A, [[1.0, 0.0], [1.0, 0.0]])
+
+
+def test_square_operator_with_orthonormal_columns_but_not_rows_is_not_unitary():
+    # V = Q L^T, with Q the Hadamard matrix and L L^T = I + eps J, has
+    # V+V = I + eps J, within TOL of I, while VV+ = Q L^T L Q+ is twice as far off.
+    eps = 8e-13
+    hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) * INV_SQRT2
+    v = hadamard @ np.linalg.cholesky(np.eye(2) + eps * np.ones((2, 2))).T
+    assert np.max(np.abs(v.T @ v - np.eye(2))) < TOL < np.max(np.abs(v @ v.T - np.eye(2)))
+    with pytest.raises(ValueError, match=r"square operator is not unitary \(UU\+ != I\)"):
+        Operator(A, A, v)
+
+
+@settings(max_examples=50)
+@given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_gram_defect_over_unordered_pairs_equals_that_over_ordered_pairs(n, dim, seed):
+    rng = np.random.default_rng(seed)
+    vectors = (rng.normal(size=(n, dim)) + 1j * rng.normal(size=(n, dim))).tolist()
+    every_pair = max(
+        abs(sum(x.conjugate() * y for x, y in zip(u, v)) - (i == j))
+        for i, u in enumerate(vectors) for j, v in enumerate(vectors)
+    )
+    assert _gram_defect(vectors) == every_pair
 
 
 def test_operator_shape_must_map_input_to_output_space():

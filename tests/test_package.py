@@ -115,3 +115,13 @@ def test_each_command_loads_only_the_modules_it_runs(argv, status, modules):
     # numpy backs the array core and every module that imports it
     assert ("numpy" in loaded) == ("biphoton.optics" in modules)
     assert "dataclasses" not in loaded
+
+
+def test_the_labelled_source_and_splitter_load_no_numpy():
+    out = fresh_python(
+        "import sys\n"
+        "from biphoton.linalg import beam_splitter, biphoton_state\n"
+        "biphoton_state(), beam_splitter('A')\n"
+        "print('numpy' in sys.modules, 'biphoton.optics' in sys.modules)\n"
+    )
+    assert out.split() == ["False", "False"]
