@@ -60,13 +60,6 @@ def parse_angle(text: str) -> float:
     return angle
 
 
-def _add_output_flag(parser):
-    parser.add_argument(
-        "--output", default=None, metavar="PATH",
-        help="write to PATH instead of standard output ('-' for stdout)",
-    )
-
-
 def _add_grid_flags(parser):
     parser.add_argument("--delta-min", type=parse_angle, default=0.0, metavar="ANGLE")
     parser.add_argument("--delta-max", type=parse_angle, default=math.pi, metavar="ANGLE")
@@ -94,15 +87,11 @@ def build_parser() -> _Parser:
         help="append sampled E_hat,stderr columns from N events per point",
     )
     _add_threads_flag(sweep)
-    _add_output_flag(sweep)
-    sweep.set_defaults(parser=sweep)
 
     marg = sub.add_parser(
         "marginals", help="CSV of the four single-detector probabilities over a sweep"
     )
     _add_grid_flags(marg)
-    _add_output_flag(marg)
-    marg.set_defaults(parser=marg)
 
     bell = sub.add_parser("bell", help="JSON report of an exact and sampled CHSH run")
     bell.add_argument(
@@ -118,8 +107,6 @@ def build_parser() -> _Parser:
                       help="events per setting")
     bell.add_argument("--seed", type=int, default=1)
     _add_threads_flag(bell)
-    _add_output_flag(bell)
-    bell.set_defaults(parser=bell)
 
     pre = sub.add_parser(
         "premeasure", help="JSON correlation report of the unitary detection model"
@@ -128,8 +115,6 @@ def build_parser() -> _Parser:
                      help="relative phase of the split system state")
     pre.add_argument("--dump-state", default=None, metavar="PATH",
                      help="also write the coupled state vector as JSON")
-    _add_output_flag(pre)
-    pre.set_defaults(parser=pre)
 
     sample = sub.add_parser("sample", help="JSONL stream of simulated coincidence events")
     sample.add_argument("--phi-a", type=parse_angle, default=0.0, metavar="ANGLE")
@@ -138,9 +123,13 @@ def build_parser() -> _Parser:
     sample.add_argument("--samples", type=int, default=1000, metavar="N")
     sample.add_argument("--seed", type=int, default=1)
     _add_threads_flag(sample)
-    _add_output_flag(sample)
-    sample.set_defaults(parser=sample)
 
+    for command in sub.choices.values():
+        command.add_argument(
+            "--output", default=None, metavar="PATH",
+            help="write to PATH instead of standard output ('-' for stdout)",
+        )
+        command.set_defaults(parser=command)  # the parser of the handler's usage errors
     return parser
 
 

@@ -131,8 +131,8 @@ class DensityMatrix(Record):
         if shape != (d, d):
             raise ValueError(f"entries of shape {shape} do not fit space "
                              f"{format_space(space)} (dim {d})")
-        if any(abs(z - w.conjugate()) > TOL for row, col in zip(mat, zip(*mat))
-               for z, w in zip(row, col)):
+        if any(abs(mat[i][j] - mat[j][i].conjugate()) > TOL
+               for i in range(d) for j in range(i, d)):
             raise ValueError("density matrix is not Hermitian")
         trace = sum(row[i] for i, row in enumerate(mat))
         if abs(trace - 1.0) > TOL:

@@ -17,6 +17,7 @@ fired" reading to hold.
 from __future__ import annotations
 
 import cmath
+import functools
 
 from .linalg import (
     Operator,
@@ -43,8 +44,9 @@ def detector_ready() -> StateVector:
     return ket((DETECTOR_LABELS,), "ready")
 
 
+@functools.cache
 def detector_coupling() -> Operator:
-    """6x6 unitary with U|Ai>|ready> = |Ai>|Di>, i = 1, 2."""
+    """6x6 unitary with U|Ai>|ready> = |Ai>|Di>, i = 1, 2; built and checked once."""
     swap_ready_d1 = ((0, 1, 0), (1, 0, 0), (0, 0, 1))
     swap_ready_d2 = ((0, 0, 1), (0, 1, 0), (1, 0, 0))
     zeros = (0, 0, 0)

@@ -379,6 +379,33 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "hermitian_skips_the_diagonal",
+        "linalg.py",
+        "for j in range(i, d)",
+        "for j in range(i + 1, d)",
+        (
+            "tests/test_records.py::test_constructors_reject_bad_fields_with_their_messages"
+            "[density hermitian diagonal]",
+        ),
+    ),
+    Mutant(
+        "subcommand_without_usage_parser",
+        "cli.py",
+        "        command.set_defaults(parser=command)",
+        "        pass",
+        (
+            "tests/test_cli.py::test_command_usage_errors_are_pinned"
+            "[argv0---steps must be >= 2, got 1]",
+            "tests/test_cli.py::test_command_usage_errors_are_pinned"
+            "[argv1---steps must be >= 2, got -3]",
+            "tests/test_cli.py::test_command_usage_errors_are_pinned"
+            "[argv8---angles expects four comma-separated angles]",
+            "tests/test_cli.py::test_command_usage_errors_are_pinned"
+            "[argv13---samples must be >= 1]",
+            "tests/test_cli.py::test_module_entry_point_keeps_usage_exit",
+        ),
+    ),
+    Mutant(
         "freeze_before_the_run_imports_numpy",
         "cli.py",
         "    status = main()\n    gc.freeze()\n",

@@ -228,14 +228,13 @@ def test_constructors_hold_a_copy_and_leave_the_callers_array_alone():
         before = held.copy()
         arr[...] = 0.0
         np.testing.assert_array_equal(held, before)
-    # The optics module's constant arrays are not frozen by the objects built on them.
-    for values, build in [
-        (optics._SOURCE_AMPS, biphoton_state),
-        (optics._BS_ENTRIES, lambda: beam_splitter("A")),
-    ]:
-        writeable = values.flags.writeable
-        build()
-        assert values.flags.writeable == writeable
+    # The labelled constructors and optics' constant arrays hold the same
+    # numbers, and building the former leaves the arrays writeable.
+    assert biphoton_state().amplitudes == tuple(optics._SOURCE_AMPS.tolist())
+    for row, array_row in zip(beam_splitter("A").entries, optics._BS_ENTRIES.tolist(),
+                              strict=True):
+        assert row == tuple(array_row)
+    assert optics._SOURCE_AMPS.flags.writeable and optics._BS_ENTRIES.flags.writeable
 
 
 def test_rectangular_isometry_accepted():

@@ -57,6 +57,10 @@ def test_coupling_is_unitary():
     assert np.max(np.abs(u @ u.conj().T - np.eye(6))) < TOL
 
 
+def test_coupling_is_built_once():
+    assert detector_coupling() is detector_coupling()
+
+
 def test_coupling_does_not_disturb_eigenstates():
     for i in (1, 2):
         rho_sys = partial_trace(density_of(coupled_eigenstate(i)), 0)

@@ -140,6 +140,12 @@ ERRORS = {
     "density hermitian": (
         lambda: DensityMatrix(A, [[0.5, 0.5], [0.0, 0.5]]), "density matrix is not Hermitian",
     ),
+    # Trace one, and the eigenvalue check reads only real pivots: only the
+    # Hermitian check sees the imaginary diagonal.
+    "density hermitian diagonal": (
+        lambda: DensityMatrix(A, [[0.5 + 1e-3j, 0.0], [0.0, 0.5 - 1e-3j]]),
+        "density matrix is not Hermitian",
+    ),
     "density trace": (
         lambda: DensityMatrix(A, [[0.8, 0.0], [0.0, 0.8]]),
         "density matrix trace is (1.6+0j), not 1",
