@@ -53,7 +53,6 @@ _EXPORTS = {
         "sample_events",
     ),
     "optics": (
-        "JointDistribution",
         "PhaseSettings",
         "Visibility",
         "joint_distribution",

@@ -26,7 +26,7 @@ class Marginals(NamedTuple):
 
 
 # A joint table is its four outcome probabilities in OUTCOMES order, each a
-# float or an array over settings (as joint_tables' rows, or j.probs.values()).
+# float or an array over settings (as joint_tables' rows).
 def marginals(table) -> Marginals:
     """Single-detector probabilities (row/column sums of the joint table)."""
     pp, pm, mp, mm = table

@@ -22,7 +22,17 @@ class UsageError(Exception):
     """Bad flags or flag values; reported as a single line, exit status 2."""
 
 
+_NEGATIVE_VALUE = re.compile(r"-\s*(?:\.?\d|\*?\s*pi|inf|nan)", re.IGNORECASE)
+
+
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes a word opening with '-' for a flag unless it is a plain
+        # decimal. A negative angle (-3pi/2, -1e-3, -inf) is a value too, and no
+        # flag opens with '-' and a digit, '.', pi, inf or nan.
+        self._negative_number_matcher = _NEGATIVE_VALUE
+
     def error(self, message):
         raise UsageError(f"{self.prog}: error: {message}")
 

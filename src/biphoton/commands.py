@@ -262,16 +262,13 @@ def cmd_premeasure(args) -> int:
 
     joint = report.joint_probs
     cond = report.conditional_probs
-    cond_d1 = cond["A1"]["D1"]
-    cond_d2 = cond["A2"]["D2"]
     lines = [
         f"detection-model verdict (theta = {_fmt(args.theta)} rad)",
         "  reading 1: both records fired in one trial",
         f"    weight off the correlated pairs: {_fmt(report.both_clicked_prob)}"
         "  -> no support",
         "  reading 2: each outcome occurs exactly when its record does",
-        f"    P(D1|A1) = {_fmt(cond_d1) if cond_d1 is not None else 'n/a'}"
-        f"   P(D2|A2) = {_fmt(cond_d2) if cond_d2 is not None else 'n/a'}"
+        f"    P(D1|A1) = {_fmt(cond['A1']['D1'])}   P(D2|A2) = {_fmt(cond['A2']['D2'])}"
         f"   biconditional failure weight: {_fmt(report.iff_violation_prob)}",
         f"    joint weight on the pairs: P(A1,D1) = {_fmt(joint['A1']['D1'])}"
         f"   P(A2,D2) = {_fmt(joint['A2']['D2'])}",

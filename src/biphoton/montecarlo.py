@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .analysis import ChshSettings, _chsh_angles
-from .optics import OUTCOMES, JointDistribution, Visibility, joint_tables
+from .optics import OUTCOMES, Visibility, joint_tables
 from .rng import SplitMix64, derive_seed
 
 
@@ -105,9 +105,9 @@ def estimate_columns(tables, n: int, seed: int, first: int = 0) -> list[Estimato
     ]
 
 
-def sample_events(j: JointDistribution, n: int, seed: int) -> np.ndarray:
-    """outcome_blocks of table j joined: entry i is trial i's uint8 index into OUTCOMES."""
-    return np.concatenate(list(outcome_blocks(list(j.probs.values()), n, seed)))
+def sample_events(probs, n: int, seed: int) -> np.ndarray:
+    """outcome_blocks(probs, n, seed) joined: entry i is trial i's uint8 index into OUTCOMES."""
+    return np.concatenate(list(outcome_blocks(probs, n, seed)))
 
 
 def estimate_correlation(events: np.ndarray) -> EstimatorResult:

@@ -3,7 +3,7 @@ joint detection distribution as a function of the local phase settings.
 
 ``joint_tables`` is the one statement of the circuit (source -> phase
 shifters -> splitters -> matched-outcome table), on arrays of settings, and
-``joint_distribution`` is one table with its outcome labels. The source
+``joint_distribution`` is its table at one pair of settings. The source
 amplitudes and the splitter entries are arrays of the constants in
 ``records``, from which the labelled model (``linalg``) builds its source
 state and splitters, so both views hold the same numbers.
@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .records import A_PATHS, A_PORTS, B_PATHS, B_PORTS  # noqa: F401 (re-exported)
-from .records import BS_ENTRIES, SOURCE_AMPS, Record
+from .records import BS_ENTRIES, SOURCE_AMPS
 
 TWO_PI = 2.0 * math.pi
 
@@ -78,24 +78,6 @@ class Visibility(_VisibilityFields):
         return super().__new__(cls, v)
 
 
-class JointDistribution(Record):
-    """Probability table over the four paired detector outcomes."""
-
-    __slots__ = _fields = ("settings", "probs")
-
-    def __init__(self, settings: PhaseSettings, probs: dict[tuple[str, str], float]):
-        if set(probs) != set(OUTCOMES):
-            raise ValueError(f"need exactly the outcomes {OUTCOMES}")
-        probs = {k: float(probs[k]) for k in OUTCOMES}
-        for pair, p in probs.items():
-            if not (-1e-15 <= p <= 1.0 + 1e-15):
-                raise ValueError(f"probability {p!r} for {pair} outside [0, 1]")
-        total = sum(probs.values())
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"probabilities sum to {total!r}, not 1")
-        self._set(settings, probs)
-
-
 _SOURCE_AMPS = np.array(SOURCE_AMPS, dtype=complex)
 _BS_ENTRIES = np.array(BS_ENTRIES, dtype=complex)
 
@@ -138,7 +120,6 @@ def joint_tables(phi_a, phi_b, vis: Visibility) -> np.ndarray:
     return v * raw[_PORTS_OF_OUTCOMES] + (1.0 - v) * 0.25
 
 
-def joint_distribution(settings: PhaseSettings, vis: Visibility) -> JointDistribution:
-    """joint_tables at one pair of settings, as a labelled table."""
-    table = joint_tables(settings.phi_a, settings.phi_b, vis)
-    return JointDistribution(settings, dict(zip(OUTCOMES, table.tolist())))
+def joint_distribution(settings: PhaseSettings, vis: Visibility) -> np.ndarray:
+    """joint_tables at one pair of settings: the (4,) table in OUTCOMES order."""
+    return joint_tables(settings.phi_a, settings.phi_b, vis)

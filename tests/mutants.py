@@ -95,8 +95,8 @@ MUTANTS = (
     Mutant(
         "sample_events_table_reversed",
         "montecarlo.py",
-        "list(j.probs.values())",
-        "list(j.probs.values())[::-1]",
+        "np.concatenate(list(outcome_blocks(probs, n, seed)))",
+        "np.concatenate(list(outcome_blocks(probs[::-1], n, seed)))",
         ("tests/test_montecarlo.py::test_per_event_views_equal_the_core",),
     ),
     Mutant(
@@ -325,7 +325,7 @@ MUTANTS = (
         "    def _reduce(self):",
         tuple(
             f"tests/test_records.py::test_copies_and_unpickled_records_hold_the_same_fields[{name}]"
-            for name in ("JointDistribution", "StateVector", "CorrelationReport")
+            for name in ("DensityMatrix", "StateVector", "CorrelationReport")
         ),
     ),
     Mutant(
@@ -403,6 +403,17 @@ MUTANTS = (
             "tests/test_cli.py::test_command_usage_errors_are_pinned"
             "[argv13---samples must be >= 1]",
             "tests/test_cli.py::test_module_entry_point_keeps_usage_exit",
+        ),
+    ),
+    Mutant(
+        "negative_angle_read_as_flag",
+        "cli.py",
+        "        self._negative_number_matcher = _NEGATIVE_VALUE\n",
+        "",
+        tuple(
+            "tests/test_cli.py::test_negative_angles_read_alike_as_separate_and_joined_arguments"
+            f"[argv{k}-{code}]"
+            for k, code in enumerate((0, 0, 0, 2))
         ),
     ),
     Mutant(

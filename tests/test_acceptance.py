@@ -27,7 +27,14 @@ from biphoton.linalg import (
     tensor,
 )
 from biphoton.montecarlo import bell_experiment, estimate_counts, sample_counts
-from biphoton.optics import A_PATHS, PhaseSettings, Visibility, joint_distribution, joint_tables
+from biphoton.optics import (
+    A_PATHS,
+    OUTCOMES,
+    PhaseSettings,
+    Visibility,
+    joint_distribution,
+    joint_tables,
+)
 from biphoton.premeasure import (
     correlation_report,
     detector_coupling,
@@ -70,7 +77,7 @@ def test_criterion_1_singles_flat_on_settings_grid():
             vis = Visibility(v)
             for phi_a in grid:
                 for phi_b in grid:
-                    m = marginals(joint_distribution(PhaseSettings(phi_a, phi_b), vis).probs.values())
+                    m = marginals(joint_distribution(PhaseSettings(phi_a, phi_b), vis))
                     for p in m:
                         assert abs(p - 0.5) < EXACT
     report(1, "all singles equal 1/2 on a 64x64 settings grid, four visibilities", watch, 1.0)
@@ -194,9 +201,9 @@ def test_criterion_8_matches_independent_amplitude_expansion():
             v = float(rng.uniform(0.0, 1.0))
             j = joint_distribution(PhaseSettings(phi_a, phi_b), Visibility(v))
             ref = joint_probs_reference(phi_a, phi_b, v)
-            for pair, p in j.probs.items():
+            for pair, p in zip(OUTCOMES, j):
                 assert abs(p - ref[pair]) < EXACT
-            assert abs(correlation(j.probs.values()) - (ref[("+", "+")] + ref[("-", "-")] - ref[("+", "-")] - ref[("-", "+")])) < EXACT
+            assert abs(correlation(j) - (ref[("+", "+")] + ref[("-", "-")] - ref[("+", "-")] - ref[("-", "+")])) < EXACT
     report(8, "joint table equals the hand-expanded oracle on 1000 random settings", watch, 1.0)
 
 

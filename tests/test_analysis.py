@@ -35,7 +35,7 @@ SQRT2 = math.sqrt(2.0)
 
 def table_at(phi_a, phi_b, v):
     """joint_distribution's four probabilities, in OUTCOMES order."""
-    return joint_distribution(PhaseSettings(phi_a, phi_b), Visibility(v)).probs.values()
+    return joint_distribution(PhaseSettings(phi_a, phi_b), Visibility(v))
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +175,7 @@ def test_visibility_of_flat_singles_is_zero():
 def test_visibility_of_coincidence_series_equals_v(v):
     grid = np.linspace(0.0, 2 * math.pi, 128, endpoint=False)
     series = [
-        joint_distribution(PhaseSettings(d, 0.0), Visibility(v)).probs[("+", "+")]
+        joint_distribution(PhaseSettings(d, 0.0), Visibility(v))[0]
         for d in grid
     ]
     assert fringe_visibility(series) == pytest.approx(v, abs=1e-9)
@@ -184,7 +184,7 @@ def test_visibility_of_coincidence_series_equals_v(v):
 def test_visibility_near_bell_threshold_value():
     grid = np.linspace(0.0, 2 * math.pi, 128, endpoint=False)
     series = [
-        joint_distribution(PhaseSettings(d, 0.0), Visibility(1 / SQRT2)).probs[("+", "+")]
+        joint_distribution(PhaseSettings(d, 0.0), Visibility(1 / SQRT2))[0]
         for d in grid
     ]
     assert fringe_visibility(series) == pytest.approx(0.7071, abs=1e-4)

@@ -120,6 +120,28 @@ def test_angle_flags_report_the_angle_message(capsys, command, flag, text, messa
 
 
 @pytest.mark.parametrize(
+    "argv,code",
+    [
+        (["premeasure", "--theta", "-3pi/2"], 0),
+        (["sample", "--phi-a", "-1e-3", "--samples", "3"], 0),
+        (["bell", "--angles", "-pi/4,0,0,0", "--samples", "10"], 0),
+        (["sweep", "--delta-min", "-inf"], 2),
+    ],
+)
+def test_negative_angles_read_alike_as_separate_and_joined_arguments(capsys, argv, code):
+    # argparse alone reads a word opening with '-' as a flag unless it is a
+    # plain decimal, so the separate form failed with "expected one argument".
+    command, flag, value, *rest = argv
+    separate = run_cli(capsys, *argv)
+    assert separate == run_cli(capsys, command, f"{flag}={value}", *rest)
+    assert separate[0] == code
+    if code == 2:
+        assert separate[2] == (
+            f"biphoton {command}: error: argument {flag}: angle must be finite, got '{value}'\n"
+        )
+
+
+@pytest.mark.parametrize(
     "argv,message",
     [
         (["sweep", "--steps", "1"], "--steps must be >= 2, got 1"),
@@ -226,10 +248,9 @@ def test_grid_rows_across_chunks_match_per_point_tables(capsys):
     for index in (0, 1023, 1024, 2047, 2048, 2499):
         delta = -1.0 + index * step
         j = joint_distribution(PhaseSettings(delta, 0.0), Visibility(0.9))
-        m = marginals(j.probs.values())
-        est = estimate_counts(sample_counts(list(j.probs.values()), 50, derive_seed(11, index)))
-        fields = [delta, correlation(j.probs.values()), *j.probs.values(), m.a_plus, m.b_plus,
-                  est.estimate, est.stderr]
+        m = marginals(j)
+        est = estimate_counts(sample_counts(j, 50, derive_seed(11, index)))
+        fields = [delta, correlation(j), *j, m.a_plus, m.b_plus, est.estimate, est.stderr]
         assert sweep_rows[index] == ",".join(format(x, ".9g") for x in fields)
         assert marg_rows[index] == ",".join(format(x, ".9g") for x in (delta, *m))
 

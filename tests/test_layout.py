@@ -5,6 +5,8 @@ and of its two modules (``cli`` parses, ``commands`` runs) ``commands``
 writes every output byte: library types carry no serializer, and the
 9-significant-digit float format is written once. These tests read the package sources with ``ast`` (without importing
 them) and make a serializer or float format added elsewhere a test failure.
+They also keep the array core's values plain: no module of it imports the
+identity base ``records.Record``.
 """
 
 import ast
@@ -48,3 +50,16 @@ def test_cli_holds_the_float_format():
     assert "%.9g" in {
         node.value for node in ast.walk(parse("commands.py")) if isinstance(node, ast.Constant)
     }
+
+
+@pytest.mark.parametrize("name", ["optics.py", "analysis.py", "montecarlo.py", "rng.py"])
+def test_array_core_defines_no_identity_type(name):
+    # The array core's tables and estimates are arrays or NamedTuples; the
+    # identity types (records.Record) are the labelled and detection models'.
+    imported = {
+        alias.name
+        for node in ast.walk(parse(name))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    assert "Record" not in imported

@@ -18,14 +18,7 @@ from biphoton.montecarlo import (
     sample_counts,
     sample_events,
 )
-from biphoton.optics import (
-    OUTCOMES,
-    JointDistribution,
-    PhaseSettings,
-    Visibility,
-    joint_distribution,
-    joint_tables,
-)
+from biphoton.optics import OUTCOMES, PhaseSettings, Visibility, joint_distribution, joint_tables
 from biphoton.rng import SplitMix64, derive_seed
 
 from oracles import (
@@ -38,17 +31,13 @@ from oracles import (
 SQRT2 = math.sqrt(2.0)
 
 
-def table_at(delta: float, v: float) -> JointDistribution:
+def table_at(delta: float, v: float) -> np.ndarray:
     return joint_distribution(PhaseSettings(delta, 0.0), Visibility(v))
 
 
-def probs_of(j: JointDistribution) -> list[float]:
-    return [j.probs[pair] for pair in OUTCOMES]
-
-
-def draw(j: JointDistribution, n: int, seed: int) -> np.ndarray:
-    """outcome_blocks for table j, joined into one array."""
-    return np.concatenate(list(outcome_blocks(probs_of(j), n, seed)))
+def draw(probs, n: int, seed: int) -> np.ndarray:
+    """outcome_blocks for table probs, joined into one array."""
+    return np.concatenate(list(outcome_blocks(probs, n, seed)))
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +142,7 @@ def test_sampling_rejects_zero_events():
     with pytest.raises(ValueError, match="at least one"):
         draw(table_at(0, 1), 0, 1)
     with pytest.raises(ValueError, match="at least one"):
-        sample_counts(probs_of(table_at(0, 1)), 0, 1)
+        sample_counts(table_at(0, 1), 0, 1)
 
 
 def test_matched_settings_give_identical_outcomes():
@@ -166,7 +155,7 @@ def test_uniform_table_frequencies():
     # 4-sigma binomial band around 1/4 at a million draws. The stream is the
     # one sample_events joins into one array (see
     # test_per_event_views_equal_the_core), counted by sample_counts.
-    counts = sample_counts(probs_of(table_at(0.0, 0.0)), 1_000_000, 2026)
+    counts = sample_counts(table_at(0.0, 0.0), 1_000_000, 2026)
     band = 4 * math.sqrt(0.25 * 0.75 / 1_000_000)
     assert band < 0.002
     for count in counts:
@@ -225,7 +214,7 @@ def test_package_root_exports_the_sampling_core():
 )
 def test_blocks_join_into_the_whole_array_draw(delta, v, seed):
     n = 2 * BLOCK + 3
-    probs = probs_of(table_at(delta, v))
+    probs = table_at(delta, v)
     blocks = list(outcome_blocks(probs, n, seed))
     assert [len(b) for b in blocks] == [BLOCK, BLOCK, 3]
     joined = np.concatenate(blocks)
@@ -245,9 +234,9 @@ def test_draws_past_the_table_total_are_the_last_outcome():
 @pytest.mark.parametrize(
     "probs",
     [
-        probs_of(table_at(0.0, 1.0)),  # (+,-) and (-,+) never occur: cdf[0:3] tie
-        probs_of(table_at(math.pi, 1.0)),  # (+,+) and (-,-) all but never occur: cdf[2:4] tie
-        probs_of(table_at(0.7, 0.0)),  # the flat table
+        table_at(0.0, 1.0),  # (+,-) and (-,+) never occur: cdf[0:3] tie
+        table_at(math.pi, 1.0),  # (+,+) and (-,-) all but never occur: cdf[2:4] tie
+        table_at(0.7, 0.0),  # the flat table
         [0.25, 0.25, 0.25, 0.2],  # a total below 1
     ],
 )
@@ -286,7 +275,7 @@ def test_count_estimate_equals_score_array_estimate(counts):
 
 
 def test_sample_counts_memory_does_not_grow_with_n():
-    probs = probs_of(table_at(0.7, 0.9))
+    probs = table_at(0.7, 0.9)
 
     def peak(n):
         tracemalloc.start()
@@ -306,7 +295,7 @@ def test_sample_counts_block_arrays_fit_in_l2():
     # byte) are all that is held, and they fit in a 2 MiB L2 cache.
     tracemalloc.start()
     try:
-        sample_counts(probs_of(table_at(0.7, 0.9)), 4 * 2**20, 5)
+        sample_counts(table_at(0.7, 0.9), 4 * 2**20, 5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -329,10 +318,6 @@ def test_bell_experiment_working_set_is_one_small_block():
 # the per-event views against the array core
 
 
-def any_table(probs) -> JointDistribution:
-    return JointDistribution(PhaseSettings(0.0, 0.0), dict(zip(OUTCOMES, probs)))
-
-
 @st.composite
 def tables(draw_from):
     """A table of the model, or any table: the model's have (+,+) = (-,-) and
@@ -342,18 +327,18 @@ def tables(draw_from):
         v = draw_from(st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)))
         return joint_distribution(PhaseSettings(phi_a, phi_b), Visibility(v))
     weights = draw_from(st.lists(st.integers(0, 1000), min_size=4, max_size=4).filter(any))
-    return any_table(np.divide(weights, sum(weights)))
+    return np.divide(weights, sum(weights))
 
 
 @given(tables(), st.integers(2, 50_000), st.integers(0, 2**64 - 1))
-@example(any_table((0.1, 0.2, 0.3, 0.4)), 3, 0)
+@example(np.array([0.1, 0.2, 0.3, 0.4]), 3, 0)
 @settings(max_examples=40, deadline=None)
-def test_per_event_views_equal_the_core(j, n, seed):
-    events = sample_events(j, n, seed)
+def test_per_event_views_equal_the_core(probs, n, seed):
+    events = sample_events(probs, n, seed)
     assert events.dtype == np.uint8
-    assert np.array_equal(events, draw(j, n, seed))
+    assert np.array_equal(events, draw(probs, n, seed))
     from_events = estimate_correlation(events)
-    from_counts = estimate_counts(sample_counts(probs_of(j), n, seed))
+    from_counts = estimate_counts(sample_counts(probs, n, seed))
     assert from_events.estimate == from_counts.estimate
     assert from_events.stderr == from_counts.stderr
     assert from_events.n == from_counts.n == n
@@ -369,8 +354,8 @@ def test_per_event_views_equal_the_core(j, n, seed):
 def test_outcome_array_matches_scalar_inverse_cdf(delta, v, n, seed):
     j = table_at(delta, v)
     cdf, total = [], 0.0
-    for pair in OUTCOMES:
-        total += j.probs[pair]
+    for p in j.tolist():
+        total += p
         cdf.append(total)
     gen = SplitMix64(seed)
     expected = []
@@ -397,7 +382,7 @@ def test_estimate_requires_two_events():
     with pytest.raises(ValueError, match="n >= 2"):
         estimate_correlation(np.array([], dtype=np.uint8))
     with pytest.raises(ValueError, match="n >= 2"):
-        estimate_counts(sample_counts(probs_of(table_at(0.0, 1.0)), 1, 5))
+        estimate_counts(sample_counts(table_at(0.0, 1.0), 1, 5))
 
 
 def test_estimate_at_zero_correlation():
@@ -490,7 +475,7 @@ def test_bell_experiment_equals_per_setting_loop(angles, v, n, seed):
     pairs = [(a, b), (a, bp), (ap, b), (ap, bp)]
     results = [
         estimate_counts(sample_counts(
-            list(joint_distribution(PhaseSettings(pa, pb), vis).probs.values()),
+            joint_distribution(PhaseSettings(pa, pb), vis),
             n, derive_seed(seed, k),
         ))
         for k, (pa, pb) in enumerate(pairs)

@@ -21,7 +21,6 @@ from biphoton.linalg import (
 from biphoton.optics import (
     A_PATHS,
     OUTCOMES,
-    JointDistribution,
     PhaseSettings,
     Visibility,
     _wrap_angles,
@@ -80,15 +79,6 @@ def test_phase_settings_wrap_like_the_array_core(pa, pb):
 def test_visibility_range_enforced(v):
     with pytest.raises(ValueError):
         Visibility(v)
-
-
-def test_joint_distribution_validates_table():
-    s = PhaseSettings(0, 0)
-    with pytest.raises(ValueError, match="outcomes"):
-        JointDistribution(s, {("+", "+"): 1.0})
-    bad = {pair: 0.3 for pair in OUTCOMES}
-    with pytest.raises(ValueError, match="sum"):
-        JointDistribution(s, bad)
 
 
 # ---------------------------------------------------------------------------
@@ -190,23 +180,21 @@ def test_beam_splitter_rejects_unknown_party():
 
 
 def test_joint_equal_settings_full_visibility():
-    j = joint_distribution(PhaseSettings(0, 0), Visibility(1))
-    assert j.probs[("+", "+")] == pytest.approx(0.5, abs=TOL)
-    assert j.probs[("-", "-")] == pytest.approx(0.5, abs=TOL)
-    assert j.probs[("+", "-")] == pytest.approx(0.0, abs=TOL)
-    assert j.probs[("-", "+")] == pytest.approx(0.0, abs=TOL)
+    pp, pm, mp, mm = joint_distribution(PhaseSettings(0, 0), Visibility(1))
+    assert pp == pytest.approx(0.5, abs=TOL)
+    assert mm == pytest.approx(0.5, abs=TOL)
+    assert pm == pytest.approx(0.0, abs=TOL)
+    assert mp == pytest.approx(0.0, abs=TOL)
 
 
 def test_joint_quarter_difference_is_uniform():
-    j = joint_distribution(PhaseSettings(math.pi / 2, 0), Visibility(1))
-    for pair in OUTCOMES:
-        assert j.probs[pair] == pytest.approx(0.25, abs=TOL)
+    for p in joint_distribution(PhaseSettings(math.pi / 2, 0), Visibility(1)):
+        assert p == pytest.approx(0.25, abs=TOL)
 
 
 def test_joint_zero_visibility_is_uniform():
-    j = joint_distribution(PhaseSettings(0, 0), Visibility(0))
-    for pair in OUTCOMES:
-        assert j.probs[pair] == pytest.approx(0.25, abs=TOL)
+    for p in joint_distribution(PhaseSettings(0, 0), Visibility(0)):
+        assert p == pytest.approx(0.25, abs=TOL)
 
 
 def test_joint_marginals_and_fringe_on_grid():
@@ -217,12 +205,11 @@ def test_joint_marginals_and_fringe_on_grid():
         for i in range(8):
             for k in range(8):
                 pa, pb = 2 * math.pi * i / 8, 2 * math.pi * k / 8
-                j = joint_distribution(PhaseSettings(pa, pb), vis)
-                p = j.probs
-                assert abs(sum(p.values()) - 1.0) < TOL
-                assert abs(p[("+", "+")] + p[("+", "-")] - 0.5) < TOL
-                assert abs(p[("+", "+")] + p[("-", "+")] - 0.5) < TOL
-                e = p[("+", "+")] + p[("-", "-")] - p[("+", "-")] - p[("-", "+")]
+                pp, pm, mp, mm = joint_distribution(PhaseSettings(pa, pb), vis)
+                assert abs(pp + pm + mp + mm - 1.0) < TOL
+                assert abs(pp + pm - 0.5) < TOL
+                assert abs(pp + mp - 0.5) < TOL
+                e = pp + mm - pm - mp
                 assert abs(e - v * math.cos(pa - pb)) < TOL
 
 
@@ -230,16 +217,16 @@ def test_joint_marginals_and_fringe_on_grid():
 @given(angles, angles, visibilities)
 def test_joint_matches_hand_expanded_oracle(pa, pb, v):
     s = PhaseSettings(pa, pb)
-    j = joint_distribution(s, Visibility(v))
+    probs = dict(zip(OUTCOMES, joint_distribution(s, Visibility(v))))
     ref = joint_probs_reference(s.phi_a, s.phi_b, v)
     for pair in OUTCOMES:
-        assert j.probs[pair] == pytest.approx(ref[pair], abs=TOL)
+        assert probs[pair] == pytest.approx(ref[pair], abs=TOL)
 
 
 @given(angles, angles, visibilities)
 def test_correlation_is_visibility_times_cosine(pa, pb, v):
-    j = joint_distribution(PhaseSettings(pa, pb), Visibility(v))
-    e = j.probs[("+", "+")] + j.probs[("-", "-")] - j.probs[("+", "-")] - j.probs[("-", "+")]
+    pp, pm, mp, mm = joint_distribution(PhaseSettings(pa, pb), Visibility(v))
+    e = pp + mm - pm - mp
     assert e == pytest.approx(v * math.cos(pa - pb), abs=1e-9)
 
 
@@ -250,10 +237,10 @@ def test_correlation_depends_only_on_phase_difference():
     for _ in range(100):
         base_a, base_b = rng.uniform(0, 2 * math.pi, size=2)
         shift = rng.uniform(0, 2 * math.pi)
-        j1 = joint_distribution(PhaseSettings(base_a, base_b), vis)
-        j2 = joint_distribution(PhaseSettings(base_a + shift, base_b + shift), vis)
-        e1 = j1.probs[("+", "+")] + j1.probs[("-", "-")] - j1.probs[("+", "-")] - j1.probs[("-", "+")]
-        e2 = j2.probs[("+", "+")] + j2.probs[("-", "-")] - j2.probs[("+", "-")] - j2.probs[("-", "+")]
+        pp1, pm1, mp1, mm1 = joint_distribution(PhaseSettings(base_a, base_b), vis)
+        pp2, pm2, mp2, mm2 = joint_distribution(PhaseSettings(base_a + shift, base_b + shift), vis)
+        e1 = pp1 + mm1 - pm1 - mp1
+        e2 = pp2 + mm2 - pm2 - mp2
         assert abs(e1 - e2) < TOL
 
 
@@ -308,7 +295,7 @@ ALWAYS_INCLUDED = [0.0, math.pi, 2 * math.pi]
 
 
 def probs_list(pa, pb, vis):
-    return list(joint_distribution(PhaseSettings(pa, pb), vis).probs.values())
+    return joint_distribution(PhaseSettings(pa, pb), vis).tolist()
 
 
 @settings(max_examples=200, deadline=None)
@@ -319,7 +306,11 @@ def test_joint_tables_equal_joint_distribution_per_point(pairs, v):
     tables = joint_tables(*np.array(pairs).T, vis)
     assert tables.shape == (4, len(pairs))
     for k, (pa, pb) in enumerate(pairs):
-        assert tables[:, k].tolist() == probs_list(pa, pb, vis)
+        column = probs_list(pa, pb, vis)
+        assert tables[:, k].tolist() == column
+        # Each entry a probability up to rounding, and the four summing to 1
+        assert all(-1e-15 <= p <= 1.0 + 1e-15 for p in column)
+        assert abs(sum(column) - 1.0) <= 1e-12
 
 
 @settings(max_examples=200, deadline=None)

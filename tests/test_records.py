@@ -13,18 +13,16 @@ from biphoton.analysis import ChshSettings
 from biphoton.commands import _render_json
 from biphoton.linalg import DensityMatrix, Operator, StateVector
 from biphoton.montecarlo import EstimatorResult
-from biphoton.optics import OUTCOMES, JointDistribution, PhaseSettings, Visibility
+from biphoton.optics import PhaseSettings, Visibility
 from biphoton.premeasure import CorrelationReport, correlation_report, premeasure
 
 A = (("A1", "A2"),)
 PORTS = (("A+", "A-"),)
-TABLE = dict(zip(OUTCOMES, (0.25, 0.25, 0.25, 0.25)))
 
 # One instance of each type, and one of its fields.
 INSTANCES = {
     "PhaseSettings": (lambda: PhaseSettings(0.5, 1.0), "phi_a"),
     "Visibility": (lambda: Visibility(0.5), "v"),
-    "JointDistribution": (lambda: JointDistribution(PhaseSettings(0, 0), TABLE), "probs"),
     "ChshSettings": (lambda: ChshSettings(0.0, 1.0, 2.0, 3.0), "b"),
     "EstimatorResult": (lambda: EstimatorResult(0.5, 0.1, 10), "n"),
     "StateVector": (lambda: StateVector(A, [1.0, 0.0]), "amplitudes"),
@@ -86,7 +84,7 @@ def test_values_compare_and_hash_by_their_fields(make, same, other):
     assert len({a, b, c}) == 2
 
 
-IDENTITIES = ["JointDistribution", "StateVector", "DensityMatrix", "Operator", "CorrelationReport"]
+IDENTITIES = ["StateVector", "DensityMatrix", "Operator", "CorrelationReport"]
 
 
 @pytest.mark.parametrize("name", IDENTITIES)
@@ -103,20 +101,6 @@ ERRORS = {
     "phase inf": (lambda: PhaseSettings(0.0, -math.inf), "phase must be finite, got -inf"),
     "visibility": (lambda: Visibility(1.5), "visibility must lie in [0, 1], got 1.5"),
     "visibility nan": (lambda: Visibility(math.nan), "visibility must lie in [0, 1], got nan"),
-    "table outcomes": (
-        lambda: JointDistribution(PhaseSettings(0, 0), {("+", "+"): 1.0}),
-        f"need exactly the outcomes {OUTCOMES}",
-    ),
-    "table range": (
-        lambda: JointDistribution(
-            PhaseSettings(0, 0), {**TABLE, ("+", "+"): 1.25, ("-", "-"): -0.25}
-        ),
-        "probability 1.25 for ('+', '+') outside [0, 1]",
-    ),
-    "table sum": (
-        lambda: JointDistribution(PhaseSettings(0, 0), {**TABLE, ("+", "+"): 0.5}),
-        "probabilities sum to 1.25, not 1",
-    ),
     "stderr": (lambda: EstimatorResult(0.0, -1.0, 10), "stderr must be nonnegative, got -1.0"),
     "count": (lambda: EstimatorResult(0.0, 0.0, 0), "sample count must be >= 1, got 0"),
     "state finite": (
