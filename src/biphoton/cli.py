@@ -167,6 +167,11 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"biphoton: i/o error: {exc}", file=sys.stderr)
         return 1
+    except ImportError as exc:  # numpy, imported by the handler, cannot load
+        # numpy's message is a page of advice that ends in the cause
+        cause = str(exc).strip().rpartition("\n")[2]
+        print(f"biphoton: import error: {cause}", file=sys.stderr)
+        return 1
     except MemoryError as exc:
         print(f"biphoton: out of memory: {exc}", file=sys.stderr)
         return 1

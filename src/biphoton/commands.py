@@ -38,9 +38,8 @@ def _fmt(x: float) -> str:
 
 
 def _render_json(value, indent: int = 0) -> str:
-    """Deterministic JSON with floats at 9 significant digits. A record (a
-    NamedTuple or a Record) is an object of its fields in order, an array a
-    list, a complex number [re, im]."""
+    """Deterministic JSON with floats at 9 significant digits. A NamedTuple is
+    an object of its fields in order, an array a list, a complex number [re, im]."""
     pad = "  " * indent
     if hasattr(value, "_asdict"):
         value = value._asdict()

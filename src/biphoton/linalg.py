@@ -13,6 +13,7 @@ it. The source states and the splitter are built from the constants in
 hold the same numbers. Only ``phased_biphoton_state`` imports ``optics``,
 when called, for its shifted source. No array path imports this module.
 
+The states and operators are NamedTuples, compared and hashed by value.
 All values are immutable after construction and every operation is a pure
 function, so everything here is safe to share across threads.
 """
@@ -21,8 +22,9 @@ from __future__ import annotations
 
 import cmath
 import math
+from typing import NamedTuple
 
-from .records import A_PATHS, A_PORTS, B_PATHS, B_PORTS, BS_ENTRIES, INV_SQRT2, SOURCE_AMPS, Record
+from .records import A_PATHS, A_PORTS, B_PATHS, B_PORTS, BS_ENTRIES, INV_SQRT2, SOURCE_AMPS
 
 # Structural tolerance for normalization / unitarity / hermiticity checks.
 TOL = 1e-12
@@ -99,12 +101,17 @@ def _has_eigenvalue_below(mat, floor: float) -> bool:
     return False
 
 
-class StateVector(Record):
+class _StateFields(NamedTuple):
+    space: Space
+    amplitudes: tuple[complex, ...]
+
+
+class StateVector(_StateFields):
     """Normalized complex amplitudes over a labelled tensor-product basis."""
 
-    __slots__ = _fields = ("space", "amplitudes")
+    __slots__ = ()
 
-    def __init__(self, space: Space, amplitudes):
+    def __new__(cls, space: Space, amplitudes):
         space = as_space(space)
         amps, shape = _nested(amplitudes, "state amplitudes")
         if shape != (space_dim(space),):
@@ -113,18 +120,23 @@ class StateVector(Record):
         norm = math.sqrt(sum(abs(z) ** 2 for z in amps))
         if abs(norm - 1.0) > TOL:
             raise ValueError(f"state is not normalized: ||psi|| = {norm!r}")
-        self._set(space, amps)
+        return super().__new__(cls, space, amps)
 
     def probabilities(self) -> tuple[float, ...]:
         return tuple(m * m for m in map(abs, self.amplitudes))
 
 
-class DensityMatrix(Record):
+class _DensityFields(NamedTuple):
+    space: Space
+    entries: tuple[tuple[complex, ...], ...]
+
+
+class DensityMatrix(_DensityFields):
     """Hermitian, positive-semidefinite, trace-one matrix on a labelled basis."""
 
-    __slots__ = _fields = ("space", "entries")
+    __slots__ = ()
 
-    def __init__(self, space: Space, entries):
+    def __new__(cls, space: Space, entries):
         space = as_space(space)
         d = space_dim(space)
         mat, shape = _nested(entries, "density-matrix entries")
@@ -139,15 +151,21 @@ class DensityMatrix(Record):
             raise ValueError(f"density matrix trace is {trace!r}, not 1")
         if _has_eigenvalue_below(mat, -EIG_TOL):
             raise ValueError("density matrix has a negative eigenvalue")
-        self._set(space, mat)
+        return super().__new__(cls, space, mat)
 
 
-class Operator(Record):
+class _OperatorFields(NamedTuple):
+    input_space: Space
+    output_space: Space
+    entries: tuple[tuple[complex, ...], ...]
+
+
+class Operator(_OperatorFields):
     """Unitary (square) or isometric (tall rectangular) labelled matrix."""
 
-    __slots__ = _fields = ("input_space", "output_space", "entries")
+    __slots__ = ()
 
-    def __init__(self, input_space: Space, output_space: Space, entries):
+    def __new__(cls, input_space: Space, output_space: Space, entries):
         in_space = as_space(input_space)
         out_space = as_space(output_space)
         d_in, d_out = space_dim(in_space), space_dim(out_space)
@@ -160,7 +178,7 @@ class Operator(Record):
             raise ValueError("operator is not an isometry (V+V != I)")
         if d_in == d_out and _gram_defect(mat) > TOL:
             raise ValueError("square operator is not unitary (UU+ != I)")
-        self._set(in_space, out_space, mat)
+        return super().__new__(cls, in_space, out_space, mat)
 
 
 def ket(space, *labels: str) -> StateVector:

@@ -29,7 +29,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .records import A_PATHS, A_PORTS, B_PATHS, B_PORTS  # noqa: F401 (re-exported)
 from .records import BS_ENTRIES, SOURCE_AMPS
 
 TWO_PI = 2.0 * math.pi

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+from typing import NamedTuple
 
 from .linalg import (
     Operator,
@@ -31,7 +32,7 @@ from .linalg import (
     superposed_state,
     tensor,
 )
-from .records import A_PATHS, Record
+from .records import A_PATHS
 
 DETECTOR_LABELS = ("ready", "D1", "D2")
 SYSTEM_DETECTOR_SPACE = (A_PATHS, DETECTOR_LABELS)
@@ -63,7 +64,7 @@ def premeasure(theta: float = 0.0) -> StateVector:
     return apply(detector_coupling(), start)
 
 
-class CorrelationReport(Record):
+class CorrelationReport(NamedTuple):
     """Machine-checkable summary of a system-detector state.
 
     joint_probs / conditional_probs: outcome table and P(detector | system);
@@ -82,16 +83,6 @@ class CorrelationReport(Record):
     exactly the off-dyad cells.
     """
 
-    __slots__ = _fields = (
-        "joint_probs",
-        "conditional_probs",
-        "subsystem_coherence",
-        "correlation_coherence",
-        "correlation_coherence_modulus",
-        "correlation_coherence_phase",
-        "both_clicked_prob",
-        "iff_violation_prob",
-    )
     joint_probs: dict[str, dict[str, float]]
     conditional_probs: dict[str, dict[str, float | None]]
     subsystem_coherence: tuple[float, float]

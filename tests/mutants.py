@@ -319,13 +319,34 @@ MUTANTS = (
         ("tests/test_cli.py::test_new_output_file_leaves_the_process_umask_alone",),
     ),
     Mutant(
-        "records_copied_by_assignment",
-        "records.py",
-        "    def __reduce__(self):",
-        "    def _reduce(self):",
+        "labelled_type_gains_a_dict",
+        "linalg.py",
+        'tensor-product basis."""\n\n    __slots__ = ()\n',
+        'tensor-product basis."""\n',
+        ("tests/test_records.py::test_fields_cannot_be_assigned_or_deleted[StateVector]",),
+    ),
+    Mutant(
+        "import_error_leaves_a_traceback",
+        "cli.py",
+        "    except ImportError as exc:  # numpy, imported by the handler, cannot load\n"
+        "        # numpy's message is a page of advice that ends in the cause\n"
+        '        cause = str(exc).strip().rpartition("\\n")[2]\n'
+        '        print(f"biphoton: import error: {cause}", file=sys.stderr)\n'
+        "        return 1\n",
+        "",
         tuple(
-            f"tests/test_records.py::test_copies_and_unpickled_records_hold_the_same_fields[{name}]"
-            for name in ("DensityMatrix", "StateVector", "CorrelationReport")
+            f"tests/test_package.py::test_a_numpy_that_cannot_load_is_reported_in_one_line[{case}]"
+            for case in ("sweep-halted", "sweep-unmappable")
+        ),
+    ),
+    Mutant(
+        "import_error_prints_numpys_advice",
+        "cli.py",
+        '        cause = str(exc).strip().rpartition("\\n")[2]\n',
+        "        cause = exc\n",
+        (
+            "tests/test_package.py::test_a_numpy_that_cannot_load_is_reported_in_one_line"
+            "[sweep-unmappable]",
         ),
     ),
     Mutant(

@@ -28,7 +28,6 @@ from biphoton.linalg import (
 )
 from biphoton.montecarlo import bell_experiment, estimate_counts, sample_counts
 from biphoton.optics import (
-    A_PATHS,
     OUTCOMES,
     PhaseSettings,
     Visibility,
@@ -41,6 +40,7 @@ from biphoton.premeasure import (
     detector_ready,
     premeasure,
 )
+from biphoton.records import A_PATHS
 from biphoton.rng import derive_seed
 
 from oracles import joint_probs_reference

@@ -745,6 +745,31 @@ def test_out_of_memory_is_one_line_exit_1(capsys, monkeypatch, argv, allocator):
 
 
 # ---------------------------------------------------------------------------
+# block sizes
+
+
+# Draw sizes and grids that cross the joins of the default blocks (2**14
+# draws, 1024 grid points) and of every size below
+BLOCKED_COMMANDS = {
+    "sample": ["sample", "--samples", "16390", "--seed", "3"],
+    "sweep_mc_long_draws": ["sweep", "--steps", "3", "--mc", "16390,5"],
+    "sweep_mc_long_grid": ["sweep", "--steps", "1030", "--mc", "20,7"],
+    "marginals": ["marginals", "--steps", "2050", "--visibility", "0.5"],
+    "bell": ["bell", "--optimal", "--samples", "16390", "--seed", "11"],
+}
+
+
+@pytest.mark.parametrize("argv", BLOCKED_COMMANDS.values(), ids=BLOCKED_COMMANDS)
+def test_block_sizes_do_not_change_output(capsys, monkeypatch, argv):
+    expected = run_cli(capsys, *argv)
+    assert expected[0] == 0
+    for block, chunk in [(7, 3), (1000, 1000), (2**16, 4096)]:
+        monkeypatch.setattr("biphoton.montecarlo.BLOCK", block)
+        monkeypatch.setattr(commands, "_GRID_CHUNK", chunk)
+        assert run_cli(capsys, *argv) == expected, (block, chunk)
+
+
+# ---------------------------------------------------------------------------
 # parser-level behavior
 
 

@@ -1,12 +1,14 @@
-"""The output format is decided in one module.
+"""The output format is decided in one module, and every value type is a
+NamedTuple.
 
 The command-line layer is the only one that turns values into output text,
 and of its two modules (``cli`` parses, ``commands`` runs) ``commands``
 writes every output byte: library types carry no serializer, and the
-9-significant-digit float format is written once. These tests read the package sources with ``ast`` (without importing
-them) and make a serializer or float format added elsewhere a test failure.
-They also keep the array core's values plain: no module of it imports the
-identity base ``records.Record``.
+9-significant-digit float format is written once. These tests read the
+package sources with ``ast`` (without importing them) and make a serializer
+or float format added elsewhere a test failure. They also keep the value
+types one kind: no class but the package root's module type guards its
+attributes with ``__setattr__``, and no module imports ``dataclasses``.
 """
 
 import ast
@@ -15,7 +17,8 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "biphoton"
-LIBRARY = sorted(p.name for p in SRC.glob("*.py") if p.name not in ("cli.py", "commands.py"))
+MODULES = sorted(p.name for p in SRC.glob("*.py"))
+LIBRARY = [name for name in MODULES if name not in ("cli.py", "commands.py")]
 
 
 def parse(name: str) -> ast.Module:
@@ -52,14 +55,22 @@ def test_cli_holds_the_float_format():
     }
 
 
-@pytest.mark.parametrize("name", ["optics.py", "analysis.py", "montecarlo.py", "rng.py"])
-def test_array_core_defines_no_identity_type(name):
-    # The array core's tables and estimates are arrays or NamedTuples; the
-    # identity types (records.Record) are the labelled and detection models'.
+@pytest.mark.parametrize("name", MODULES)
+def test_no_hand_written_record_type(name):
+    tree = parse(name)
+    guarded = {
+        cls.name
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef) and node.name in ("__setattr__", "__delattr__")
+    }
+    # The package root's module type rebinds one name; it holds no values.
+    assert guarded <= ({"_Package"} if name == "__init__.py" else set())
     imported = {
         alias.name
-        for node in ast.walk(parse(name))
-        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
         for alias in node.names
-    }
-    assert "Record" not in imported
+    } | {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert "dataclasses" not in imported

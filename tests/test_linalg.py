@@ -23,8 +23,8 @@ from biphoton.linalg import (
     phase_shifter,
     tensor,
 )
-from biphoton.optics import A_PATHS, A_PORTS, B_PATHS, B_PORTS
 from biphoton.premeasure import DETECTOR_LABELS, detector_coupling
+from biphoton.records import A_PATHS, A_PORTS, B_PATHS, B_PORTS
 
 TOL = 1e-12
 INV_SQRT2 = 1.0 / math.sqrt(2.0)

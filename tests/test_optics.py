@@ -19,7 +19,6 @@ from biphoton.linalg import (
     superposed_state,
 )
 from biphoton.optics import (
-    A_PATHS,
     OUTCOMES,
     PhaseSettings,
     Visibility,
@@ -27,6 +26,7 @@ from biphoton.optics import (
     joint_distribution,
     joint_tables,
 )
+from biphoton.records import A_PATHS
 
 from oracles import joint_probs_reference
 

@@ -125,3 +125,35 @@ def test_the_labelled_source_and_splitter_load_no_numpy():
         "print('numpy' in sys.modules, 'biphoton.optics' in sys.modules)\n"
     )
     assert out.split() == ["False", "False"]
+
+
+# Each command line and its exit status when numpy cannot load
+WITHOUT_NUMPY = {"sweep": (["sweep", "--steps", "3"], 1), "premeasure": (["premeasure"], 0)}
+# Code that makes `import numpy` raise: None in sys.modules, as a halted
+# import; or a finder raising numpy's own many-line message, as a failed
+# load of its shared objects (under `ulimit -v 60000`) does
+NUMPY_BLOCKERS = {
+    "halted": "sys.modules['numpy'] = None\n",
+    "unmappable": (
+        "class Unmappable:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name == 'numpy':\n"
+        "            raise ImportError('\\n\\nIMPORTANT: PLEASE READ THIS\\n\\n'\n"
+        "                              'Original error was: failed to map segment\\n')\n"
+        "sys.meta_path.insert(0, Unmappable())\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("blocker", NUMPY_BLOCKERS.values(), ids=NUMPY_BLOCKERS)
+@pytest.mark.parametrize("argv,status", WITHOUT_NUMPY.values(), ids=WITHOUT_NUMPY)
+def test_a_numpy_that_cannot_load_is_reported_in_one_line(argv, status, blocker):
+    err = fresh_python(
+        "import sys\n" + blocker + "from biphoton.cli import main\n"
+        f"sys.exit(main({argv!r} + ['--output', {os.devnull!r}]))\n",
+        stream="stderr", status=status,
+    )
+    if status:
+        assert err.startswith("biphoton: import error: ") and err.count("\n") == 1
+    else:
+        assert "Traceback" not in err

@@ -18,7 +18,6 @@ from biphoton.linalg import (
     superposed_state,
     tensor,
 )
-from biphoton.optics import A_PATHS
 from biphoton.premeasure import (
     DETECTOR_LABELS,
     SYSTEM_DETECTOR_SPACE,
@@ -27,6 +26,7 @@ from biphoton.premeasure import (
     detector_ready,
     premeasure,
 )
+from biphoton.records import A_PATHS
 
 TOL = 1e-12
 INV_SQRT2 = 1.0 / math.sqrt(2.0)

@@ -1,6 +1,6 @@
-"""The package's value types: immutable after construction, compared by value
-or by identity as each documents, and checked by their constructors with
-fixed messages."""
+"""The package's value types: NamedTuples, immutable after construction,
+compared and hashed by value, and checked by their constructors with fixed
+messages."""
 
 import copy
 import math
@@ -30,6 +30,11 @@ INSTANCES = {
     "Operator": (lambda: Operator(A, PORTS, np.eye(2)), "input_space"),
     "CorrelationReport": (lambda: correlation_report(premeasure(0.3)), "both_clicked_prob"),
 }
+
+
+@pytest.mark.parametrize("make", [make for make, _ in INSTANCES.values()], ids=INSTANCES)
+def test_values_are_tuples(make):
+    assert isinstance(make(), tuple)
 
 
 @pytest.mark.parametrize("make,field", INSTANCES.values(), ids=INSTANCES)
@@ -72,6 +77,20 @@ VALUES = {
         lambda: EstimatorResult(estimate=0.5, stderr=0.1, n=10),
         lambda: EstimatorResult(0.5, 0.1, 11),
     ),
+    "StateVector": (
+        lambda: StateVector(A, [1.0, 0.0]),
+        lambda: StateVector(space=[["A1", "A2"]], amplitudes=(1, 0)),
+        lambda: StateVector(A, [0.0, 1.0]),
+    ),
+    "DensityMatrix": (
+        lambda: DensityMatrix(A, np.eye(2) / 2), lambda: DensityMatrix(A, [[0.5, 0j], [0j, 0.5]]),
+        lambda: DensityMatrix(A, [[1.0, 0.0], [0.0, 0.0]]),
+    ),
+    "Operator": (
+        lambda: Operator(A, PORTS, np.eye(2)),
+        lambda: Operator(input_space=A, output_space=PORTS, entries=[[1, 0], [0, 1]]),
+        lambda: Operator(A, A, np.eye(2)),
+    ),
 }
 
 
@@ -84,16 +103,12 @@ def test_values_compare_and_hash_by_their_fields(make, same, other):
     assert len({a, b, c}) == 2
 
 
-IDENTITIES = ["StateVector", "DensityMatrix", "Operator", "CorrelationReport"]
-
-
-@pytest.mark.parametrize("name", IDENTITIES)
-def test_records_of_arrays_and_tables_compare_by_identity(name):
-    make = INSTANCES[name][0]
-    a, b = make(), make()
-    assert a == a and a != b
-    assert hash(a) == hash(a)
-    assert len({a, b}) == 2
+def test_correlation_reports_compare_by_value_and_hold_unhashable_tables():
+    a, b, c = (correlation_report(premeasure(theta)) for theta in (0.3, 0.3, 0.4))
+    assert a == b and not a != b
+    assert a != c and not a == c
+    with pytest.raises(TypeError):
+        hash(a)
 
 
 ERRORS = {
@@ -182,7 +197,7 @@ def test_records_render_as_objects_of_their_fields_in_order():
     ]
 
 
-# The base __init__ (CorrelationReport keeps it) takes the fields by position, then by name.
+# A NamedTuple takes its fields by position, then by name; the messages are Python's.
 BAD_FIELDS = {
     "too many": ((0,) * 9, {}),
     "too few": ((0,) * 7, {}),
@@ -195,11 +210,7 @@ BAD_FIELDS = {
 def test_record_init_takes_exactly_its_fields(values, named):
     with pytest.raises(TypeError) as err:
         CorrelationReport(*values, **named)
-    assert str(err.value) == (
-        "CorrelationReport takes the fields ('joint_probs', 'conditional_probs', "
-        "'subsystem_coherence', 'correlation_coherence', 'correlation_coherence_modulus', "
-        "'correlation_coherence_phase', 'both_clicked_prob', 'iff_violation_prob')"
-    )
+    assert "CorrelationReport" in str(err.value)
 
 
 def test_render_json_of_null_an_empty_object_and_an_unknown_type():
