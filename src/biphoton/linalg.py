@@ -13,18 +13,20 @@ it. The source states and the splitter are built from the constants in
 hold the same numbers. Only ``phased_biphoton_state`` imports ``optics``,
 when called, for its shifted source. No array path imports this module.
 
-The states and operators are NamedTuples, compared and hashed by value.
-All values are immutable after construction and every operation is a pure
-function, so everything here is safe to share across threads.
+The states and operators derive from ``records.checked_fields``, so they
+are compared and hashed by value and ``_make`` and ``_replace`` check them
+too. All values are immutable after construction and every operation is a
+pure function, so everything here is safe to share across threads.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from typing import NamedTuple
 
-from .records import A_PATHS, A_PORTS, B_PATHS, B_PORTS, BS_ENTRIES, INV_SQRT2, SOURCE_AMPS
+from .records import (
+    A_PATHS, A_PORTS, B_PATHS, B_PORTS, BS_ENTRIES, INV_SQRT2, SOURCE_AMPS, checked_fields,
+)
 
 # Structural tolerance for normalization / unitarity / hermiticity checks.
 TOL = 1e-12
@@ -101,12 +103,7 @@ def _has_eigenvalue_below(mat, floor: float) -> bool:
     return False
 
 
-class _StateFields(NamedTuple):
-    space: Space
-    amplitudes: tuple[complex, ...]
-
-
-class StateVector(_StateFields):
+class StateVector(checked_fields("space", "amplitudes")):
     """Normalized complex amplitudes over a labelled tensor-product basis."""
 
     __slots__ = ()
@@ -126,12 +123,7 @@ class StateVector(_StateFields):
         return tuple(m * m for m in map(abs, self.amplitudes))
 
 
-class _DensityFields(NamedTuple):
-    space: Space
-    entries: tuple[tuple[complex, ...], ...]
-
-
-class DensityMatrix(_DensityFields):
+class DensityMatrix(checked_fields("space", "entries")):
     """Hermitian, positive-semidefinite, trace-one matrix on a labelled basis."""
 
     __slots__ = ()
@@ -154,13 +146,7 @@ class DensityMatrix(_DensityFields):
         return super().__new__(cls, space, mat)
 
 
-class _OperatorFields(NamedTuple):
-    input_space: Space
-    output_space: Space
-    entries: tuple[tuple[complex, ...], ...]
-
-
-class Operator(_OperatorFields):
+class Operator(checked_fields("input_space", "output_space", "entries")):
     """Unitary (square) or isometric (tall rectangular) labelled matrix."""
 
     __slots__ = ()

@@ -20,22 +20,16 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from typing import NamedTuple
 
 import numpy as np
 
 from .analysis import ChshSettings, _chsh_angles
 from .optics import OUTCOMES, Visibility, joint_tables
+from .records import checked_fields
 from .rng import SplitMix64, derive_seed
 
 
-class _EstimatorFields(NamedTuple):
-    estimate: float
-    stderr: float
-    n: int
-
-
-class EstimatorResult(_EstimatorFields):
+class EstimatorResult(checked_fields("estimate", "stderr", "n")):
     __slots__ = ()
 
     def __new__(cls, estimate: float, stderr: float, n: int):

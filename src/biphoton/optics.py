@@ -25,11 +25,10 @@ Conventions, fixed package-wide:
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
-from .records import BS_ENTRIES, SOURCE_AMPS
+from .records import BS_ENTRIES, SOURCE_AMPS, checked_fields
 
 TWO_PI = 2.0 * math.pi
 
@@ -47,12 +46,7 @@ def _wrap_angles(phi: np.ndarray) -> np.ndarray:
     return phi % TWO_PI % TWO_PI
 
 
-class _PhaseFields(NamedTuple):
-    phi_a: float
-    phi_b: float
-
-
-class PhaseSettings(_PhaseFields):
+class PhaseSettings(checked_fields("phi_a", "phi_b")):
     """Local phase-shifter settings, normalized into [0, 2pi)."""
 
     __slots__ = ()
@@ -61,11 +55,7 @@ class PhaseSettings(_PhaseFields):
         return super().__new__(cls, *_wrap_angles(np.array([phi_a, phi_b], dtype=float)).tolist())
 
 
-class _VisibilityFields(NamedTuple):
-    v: float
-
-
-class Visibility(_VisibilityFields):
+class Visibility(checked_fields("v")):
     """Fringe contrast v in [0, 1]; v = 1 is the ideal instrument."""
 
     __slots__ = ()

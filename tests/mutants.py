@@ -326,6 +326,17 @@ MUTANTS = (
         ("tests/test_records.py::test_fields_cannot_be_assigned_or_deleted[StateVector]",),
     ),
     Mutant(
+        "checked_make_skips_the_checks",
+        "records.py",
+        "    base._make = classmethod(lambda cls, iterable: cls(*iterable))\n",
+        "",
+        (
+            "tests/test_records.py::test_make_and_replace_run_the_constructor_checks[state norm]",
+            "tests/test_records.py::test_make_and_replace_build_what_the_constructor_builds"
+            "[PhaseSettings]",
+        ),
+    ),
+    Mutant(
         "import_error_leaves_a_traceback",
         "cli.py",
         "    except ImportError as exc:  # numpy, imported by the handler, cannot load\n"

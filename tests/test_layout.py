@@ -8,7 +8,10 @@ writes every output byte: library types carry no serializer, and the
 package sources with ``ast`` (without importing them) and make a serializer
 or float format added elsewhere a test failure. They also keep the value
 types one kind: no class but the package root's module type guards its
-attributes with ``__setattr__``, and no module imports ``dataclasses``.
+attributes with ``__setattr__``, and no module imports ``dataclasses``. A
+type that checks its fields in ``__new__`` derives from
+``records.checked_fields``, the one place that builds a namedtuple or
+defines ``_make``.
 """
 
 import ast
@@ -74,3 +77,40 @@ def test_no_hand_written_record_type(name):
         for alias in node.names
     } | {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
     assert "dataclasses" not in imported
+
+
+def checking_types(tree: ast.Module) -> list[ast.ClassDef]:
+    """The classes that define __new__."""
+    return [
+        cls
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        and any(isinstance(node, ast.FunctionDef) and node.name == "__new__" for node in cls.body)
+    ]
+
+
+def test_six_value_types_check_their_fields():
+    assert {cls.name for name in MODULES for cls in checking_types(parse(name))} == {
+        "StateVector", "DensityMatrix", "Operator", "PhaseSettings", "Visibility",
+        "EstimatorResult",
+    }
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_checked_value_types_derive_from_checked_fields(name):
+    tree = parse(name)
+    for cls in checking_types(tree):
+        [base] = cls.bases
+        assert isinstance(base, ast.Call) and ast.unparse(base.func) == "checked_fields", cls.name
+    if name == "records.py":
+        return
+    defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)} | {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+    }
+    assert "_make" not in defined
+    assert not [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("namedtuple")
+    ]

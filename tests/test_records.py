@@ -1,6 +1,6 @@
 """The package's value types: NamedTuples, immutable after construction,
 compared and hashed by value, and checked by their constructors with fixed
-messages."""
+messages, also when built by ``_make`` or ``_replace``."""
 
 import copy
 import math
@@ -111,68 +111,102 @@ def test_correlation_reports_compare_by_value_and_hold_unhashable_tables():
         hash(a)
 
 
+# Each case's arguments are one bad field among good ones.
 ERRORS = {
-    "phase nan": (lambda: PhaseSettings(math.nan, 0.0), "phase must be finite, got nan"),
-    "phase inf": (lambda: PhaseSettings(0.0, -math.inf), "phase must be finite, got -inf"),
-    "visibility": (lambda: Visibility(1.5), "visibility must lie in [0, 1], got 1.5"),
-    "visibility nan": (lambda: Visibility(math.nan), "visibility must lie in [0, 1], got nan"),
-    "stderr": (lambda: EstimatorResult(0.0, -1.0, 10), "stderr must be nonnegative, got -1.0"),
-    "count": (lambda: EstimatorResult(0.0, 0.0, 0), "sample count must be >= 1, got 0"),
-    "state finite": (
-        lambda: StateVector(A, [math.nan, 0.0]), "state amplitudes must have finite entries",
-    ),
+    "phase nan": (PhaseSettings, (math.nan, 0.0), "phase must be finite, got nan"),
+    "phase inf": (PhaseSettings, (0.0, -math.inf), "phase must be finite, got -inf"),
+    "visibility": (Visibility, (1.5,), "visibility must lie in [0, 1], got 1.5"),
+    "visibility nan": (Visibility, (math.nan,), "visibility must lie in [0, 1], got nan"),
+    "stderr": (EstimatorResult, (0.0, -1.0, 10), "stderr must be nonnegative, got -1.0"),
+    "count": (EstimatorResult, (0.0, 0.0, 0), "sample count must be >= 1, got 0"),
+    "state finite": (StateVector, (A, [math.nan, 0.0]), "state amplitudes must have finite entries"),
     "state length": (
-        lambda: StateVector(A, [1.0, 0.0, 0.0]),
+        StateVector, (A, [1.0, 0.0, 0.0]),
         "amplitude vector of length 3 does not fit space [A1,A2] (dim 2)",
     ),
     "state norm": (
-        lambda: StateVector(A, [1.0, 1.0]), "state is not normalized: ||psi|| = 1.4142135623730951",
+        StateVector, (A, [1.0, 1.0]), "state is not normalized: ||psi|| = 1.4142135623730951",
     ),
     "density finite": (
-        lambda: DensityMatrix(A, [[math.inf, 0.0], [0.0, 0.0]]),
+        DensityMatrix, (A, [[math.inf, 0.0], [0.0, 0.0]]),
         "density-matrix entries must have finite entries",
     ),
     "density shape": (
-        lambda: DensityMatrix(A, np.eye(3) / 3),
+        DensityMatrix, (A, np.eye(3) / 3),
         "entries of shape (3, 3) do not fit space [A1,A2] (dim 2)",
     ),
     "density hermitian": (
-        lambda: DensityMatrix(A, [[0.5, 0.5], [0.0, 0.5]]), "density matrix is not Hermitian",
+        DensityMatrix, (A, [[0.5, 0.5], [0.0, 0.5]]), "density matrix is not Hermitian",
     ),
     # Trace one, and the eigenvalue check reads only real pivots: only the
     # Hermitian check sees the imaginary diagonal.
     "density hermitian diagonal": (
-        lambda: DensityMatrix(A, [[0.5 + 1e-3j, 0.0], [0.0, 0.5 - 1e-3j]]),
+        DensityMatrix, (A, [[0.5 + 1e-3j, 0.0], [0.0, 0.5 - 1e-3j]]),
         "density matrix is not Hermitian",
     ),
     "density trace": (
-        lambda: DensityMatrix(A, [[0.8, 0.0], [0.0, 0.8]]),
-        "density matrix trace is (1.6+0j), not 1",
+        DensityMatrix, (A, [[0.8, 0.0], [0.0, 0.8]]), "density matrix trace is (1.6+0j), not 1",
     ),
     "density eigenvalue": (
-        lambda: DensityMatrix(A, [[1.0, 0.6], [0.6, 0.0]]),
-        "density matrix has a negative eigenvalue",
+        DensityMatrix, (A, [[1.0, 0.6], [0.6, 0.0]]), "density matrix has a negative eigenvalue",
     ),
     "operator finite": (
-        lambda: Operator(A, PORTS, [[math.nan, 0.0], [0.0, 1.0]]),
+        Operator, (A, PORTS, [[math.nan, 0.0], [0.0, 1.0]]),
         "operator entries must have finite entries",
     ),
     "operator shape": (
-        lambda: Operator(A, PORTS, np.eye(3)),
+        Operator, (A, PORTS, np.eye(3)),
         "entries of shape (3, 3) do not map [A1,A2] (dim 2) to [A+,A-] (dim 2)",
     ),
     "operator isometry": (
-        lambda: Operator(A, PORTS, [[1.0, 0.0], [1.0, 0.0]]),
-        "operator is not an isometry (V+V != I)",
+        Operator, (A, PORTS, [[1.0, 0.0], [1.0, 0.0]]), "operator is not an isometry (V+V != I)",
     ),
 }
 
 
-@pytest.mark.parametrize("make,message", ERRORS.values(), ids=ERRORS)
-def test_constructors_reject_bad_fields_with_their_messages(make, message):
+@pytest.mark.parametrize("cls,args,message", ERRORS.values(), ids=ERRORS)
+def test_constructors_reject_bad_fields_with_their_messages(cls, args, message):
     with pytest.raises(ValueError) as err:
-        make()
+        cls(*args)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("cls,args,message", ERRORS.values(), ids=ERRORS)
+def test_make_and_replace_run_the_constructor_checks(cls, args, message):
+    with pytest.raises(ValueError) as err:
+        cls._make(args)
+    assert str(err.value) == message
+    # Replacing one field of a good value at a time: only the bad field fails.
+    good = INSTANCES[cls.__name__][0]()
+    messages = []
+    for field, value in zip(cls._fields, args):
+        try:
+            good._replace(**{field: value})
+        except ValueError as exc:
+            messages.append(str(exc))
+    assert messages == [message]
+
+
+# A field of each checking type, and a good value that all but EstimatorResult normalize.
+REPLACEMENTS = {
+    "PhaseSettings": ("phi_a", 100.0),
+    "Visibility": ("v", 1),
+    "EstimatorResult": ("n", 11),
+    "StateVector": ("amplitudes", [0, 1]),
+    "DensityMatrix": ("entries", np.diag([1, 0])),
+    "Operator": ("output_space", [["A+", "A-"]]),
+}
+
+
+@pytest.mark.parametrize("name,field,value", [(k, *v) for k, v in REPLACEMENTS.items()],
+                         ids=REPLACEMENTS)
+def test_make_and_replace_build_what_the_constructor_builds(name, field, value):
+    record = INSTANCES[name][0]()
+    fields = {**record._asdict(), field: value}
+    built = type(record)(**fields)
+    for twin in (record._replace(**{field: value}), type(record)._make(fields.values())):
+        assert type(twin) is type(record)
+        assert twin == built and repr(twin) == repr(built)
 
 
 def test_records_render_as_objects_of_their_fields_in_order():
