@@ -21,7 +21,6 @@ _EXPORTS = {
         "SweepResult",
         "chsh",
         "correlation",
-        "fringe_visibility",
         "marginals",
         "no_signaling_check",
         "sweep_correlation",

@@ -1,5 +1,4 @@
-"""Statistics of the joint detection table: marginals, correlation fringes,
-fringe visibility, CHSH, and a no-signaling scan.
+"""Joint-table statistics: marginals, correlation fringes, CHSH, and a no-signaling scan.
 
 The quantities here make the central dichotomy of the simulated experiment
 checkable: every single-detector marginal is flat at 1/2 whatever the phase
@@ -11,7 +10,7 @@ v > 1/sqrt2.
 from __future__ import annotations
 
 import math
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -63,17 +62,6 @@ def sweep_correlation(grid: Sequence[float], vis: Visibility) -> SweepResult:
     if not np.all((0.0 <= p) & (p <= 1.0)):
         raise ValueError("marginal outside [0, 1]")
     return SweepResult(deltas, tables, e, singles)
-
-
-def fringe_visibility(values: Iterable[float]) -> float:
-    """Fringe contrast (max - min)/(max + min); 0 for an all-zero series."""
-    series = [float(x) for x in values]
-    if len(series) < 2:
-        raise ValueError("fringe visibility needs at least two values")
-    hi, lo = max(series), min(series)
-    if hi + lo == 0.0:
-        return 0.0
-    return (hi - lo) / (hi + lo)
 
 
 class ChshSettings(NamedTuple):

@@ -77,13 +77,6 @@ def _add_grid_flags(parser):
     parser.add_argument("--visibility", type=float, default=1.0)
 
 
-def _add_threads_flag(parser):
-    parser.add_argument(
-        "--threads", type=int, default=1, metavar="K",
-        help="accepted for compatibility; results do not depend on it (K >= 1)",
-    )
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="biphoton", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -96,7 +89,6 @@ def build_parser() -> _Parser:
         "--mc", default=None, metavar="N,SEED",
         help="append sampled E_hat,stderr columns from N events per point",
     )
-    _add_threads_flag(sweep)
 
     marg = sub.add_parser(
         "marginals", help="CSV of the four single-detector probabilities over a sweep"
@@ -116,7 +108,6 @@ def build_parser() -> _Parser:
     bell.add_argument("--samples", type=int, default=100_000, metavar="N",
                       help="events per setting")
     bell.add_argument("--seed", type=int, default=1)
-    _add_threads_flag(bell)
 
     pre = sub.add_parser(
         "premeasure", help="JSON correlation report of the unitary detection model"
@@ -132,9 +123,11 @@ def build_parser() -> _Parser:
     sample.add_argument("--visibility", type=float, default=1.0)
     sample.add_argument("--samples", type=int, default=1000, metavar="N")
     sample.add_argument("--seed", type=int, default=1)
-    _add_threads_flag(sample)
 
-    for command in sub.choices.values():
+    for name, command in sub.choices.items():
+        if name in ("sweep", "bell", "sample"):
+            command.add_argument("--threads", type=int, default=1, metavar="K", help=(
+                "accepted for compatibility; results do not depend on it (K >= 1)"))
         command.add_argument(
             "--output", default=None, metavar="PATH",
             help="write to PATH instead of standard output ('-' for stdout)",

@@ -214,19 +214,18 @@ def cmd_bell(args) -> int:
     from .montecarlo import bell_experiment
 
     vis = _visibility(args)
+    if args.optimal == (args.angles is not None):  # both flags, or neither
+        args.parser.error("provide --angles a,a',b,b' or --optimal" + ", not both" * args.optimal)
     if args.optimal:
         settings = CHSH_OPTIMAL
-    elif args.angles is not None:
+    else:
         parts = args.angles.split(",")
         if len(parts) != 4:
             args.parser.error("--angles expects four comma-separated angles")
         try:
-            a, a_prime, b, b_prime = (parse_angle(p) for p in parts)
+            settings = ChshSettings(*map(parse_angle, parts))
         except ValueError as exc:
             args.parser.error(str(exc))
-        settings = ChshSettings(a, a_prime, b, b_prime)
-    else:
-        args.parser.error("provide --angles a,a',b,b' or --optimal")
     _check_count(args, args.samples, 2, "--samples", "--samples must be >= 2")
 
     s_exact = chsh(settings, vis)

@@ -33,6 +33,9 @@ class EstimatorResult(checked_fields("estimate", "stderr", "n")):
     __slots__ = ()
 
     def __new__(cls, estimate: float, stderr: float, n: int):
+        for name, value in (("estimate", estimate), ("stderr", stderr)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if stderr < 0.0:
             raise ValueError(f"stderr must be nonnegative, got {stderr!r}")
         if n < 1:

@@ -312,11 +312,34 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "bell_optimal_drops_angles",
+        "commands.py",
+        "    if args.optimal == (args.angles is not None):",
+        "    if not args.optimal and args.angles is None:",
+        tuple(
+            "tests/test_cli.py::test_command_usage_errors_are_pinned"
+            f"[argv{k}-provide --angles a,a',b,b' or --optimal, not both]"
+            for k in (20, 21)
+        ),
+    ),
+    Mutant(
         "output_zeroes_the_umask",
         "commands.py",
         "        mode = None\n",
         "        mode = None\n        os.umask(os.umask(0))\n",
         ("tests/test_cli.py::test_new_output_file_leaves_the_process_umask_alone",),
+    ),
+    Mutant(
+        "estimator_takes_non_finite_fields",
+        "montecarlo.py",
+        "            if not math.isfinite(value):\n",
+        "            if False:\n",
+        tuple(
+            f"tests/test_records.py::{test}[{case}]"
+            for test in ("test_constructors_reject_bad_fields_with_their_messages",
+                         "test_make_and_replace_run_the_constructor_checks")
+            for case in ("estimate nan", "estimate inf", "stderr nan", "stderr inf")
+        ),
     ),
     Mutant(
         "labelled_type_gains_a_dict",

@@ -11,7 +11,6 @@ from biphoton.analysis import (
     ChshSettings,
     chsh,
     correlation,
-    fringe_visibility,
     marginals,
     no_signaling_check,
     sweep_correlation,
@@ -158,49 +157,6 @@ def test_sweep_matches_cosine_on_dense_grid(v):
     result = sweep_correlation(grid, Visibility(v))
     expected = v * np.cos(grid)
     np.testing.assert_allclose(result.correlations, expected, atol=TOL)
-
-
-# ---------------------------------------------------------------------------
-# fringe visibility
-
-
-def test_visibility_of_flat_singles_is_zero():
-    grid = np.linspace(0.0, 2 * math.pi, 64, endpoint=False)
-    result = sweep_correlation(grid, Visibility(1))
-    singles_series = result.singles.a_plus.tolist()
-    assert fringe_visibility(singles_series) == pytest.approx(0.0, abs=TOL)
-
-
-@pytest.mark.parametrize("v", [0.25, 1 / SQRT2, 1.0])
-def test_visibility_of_coincidence_series_equals_v(v):
-    grid = np.linspace(0.0, 2 * math.pi, 128, endpoint=False)
-    series = [
-        joint_distribution(PhaseSettings(d, 0.0), Visibility(v))[0]
-        for d in grid
-    ]
-    assert fringe_visibility(series) == pytest.approx(v, abs=1e-9)
-
-
-def test_visibility_near_bell_threshold_value():
-    grid = np.linspace(0.0, 2 * math.pi, 128, endpoint=False)
-    series = [
-        joint_distribution(PhaseSettings(d, 0.0), Visibility(1 / SQRT2))[0]
-        for d in grid
-    ]
-    assert fringe_visibility(series) == pytest.approx(0.7071, abs=1e-4)
-
-
-def test_visibility_of_constant_series_is_zero():
-    assert fringe_visibility([0.4, 0.4, 0.4]) == 0.0
-
-
-def test_visibility_of_all_zero_series_is_zero():
-    assert fringe_visibility([0.0, 0.0]) == 0.0
-
-
-def test_visibility_needs_two_values():
-    with pytest.raises(ValueError, match="two values"):
-        fringe_visibility([0.5])
 
 
 # ---------------------------------------------------------------------------

@@ -170,6 +170,11 @@ def test_negative_angles_read_alike_as_separate_and_joined_arguments(capsys, arg
         (["sweep", "--mc", "10,-3"], "--mc seed must lie in [0, 2**64), got -3"),
         (["sweep", "--mc", "10,18446744073709551616"],
          "--mc seed must lie in [0, 2**64), got 18446744073709551616"),
+        # --optimal would otherwise drop --angles, whether they parse or not
+        (["bell", "--optimal", "--angles", "0,pi/2,pi/4,-pi/4", "--samples", "10"],
+         "provide --angles a,a',b,b' or --optimal, not both"),
+        (["bell", "--optimal", "--angles", "garbage", "--samples", "10"],
+         "provide --angles a,a',b,b' or --optimal, not both"),
     ],
 )
 def test_command_usage_errors_are_pinned(capsys, argv, message):

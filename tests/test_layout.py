@@ -11,7 +11,8 @@ types one kind: no class but the package root's module type guards its
 attributes with ``__setattr__``, and no module imports ``dataclasses``. A
 type that checks its fields in ``__new__`` derives from
 ``records.checked_fields``, the one place that builds a namedtuple or
-defines ``_make``.
+defines ``_make``. And every name the package root exports has a caller
+in the package, its scripts or its benchmark.
 """
 
 import ast
@@ -19,7 +20,10 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "biphoton"
+import biphoton
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "biphoton"
 MODULES = sorted(p.name for p in SRC.glob("*.py"))
 LIBRARY = [name for name in MODULES if name not in ("cli.py", "commands.py")]
 
@@ -114,3 +118,22 @@ def test_checked_value_types_derive_from_checked_fields(name):
         node for node in ast.walk(tree)
         if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("namedtuple")
     ]
+
+
+# The labelled references the tests check the array core against; no program calls them.
+REFERENCES = {"beam_splitter", "biphoton_state", "phase_shifter"}
+
+
+def test_every_export_has_a_caller():
+    callers = [SRC / name for name in MODULES if name != "__init__.py"]
+    callers += sorted(ROOT.glob("scripts/*.py")) + sorted(ROOT.glob("perfbench/*.py"))
+    read = set()
+    for path in callers:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    exports = set(biphoton.__all__)
+    assert REFERENCES <= exports - read
+    assert sorted(exports - read - REFERENCES) == []

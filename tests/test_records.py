@@ -119,6 +119,10 @@ ERRORS = {
     "visibility nan": (Visibility, (math.nan,), "visibility must lie in [0, 1], got nan"),
     "stderr": (EstimatorResult, (0.0, -1.0, 10), "stderr must be nonnegative, got -1.0"),
     "count": (EstimatorResult, (0.0, 0.0, 0), "sample count must be >= 1, got 0"),
+    "estimate nan": (EstimatorResult, (math.nan, 0.0, 10), "estimate must be finite, got nan"),
+    "estimate inf": (EstimatorResult, (-math.inf, 0.0, 10), "estimate must be finite, got -inf"),
+    "stderr nan": (EstimatorResult, (0.0, math.nan, 10), "stderr must be finite, got nan"),
+    "stderr inf": (EstimatorResult, (0.0, math.inf, 10), "stderr must be finite, got inf"),
     "state finite": (StateVector, (A, [math.nan, 0.0]), "state amplitudes must have finite entries"),
     "state length": (
         StateVector, (A, [1.0, 0.0, 0.0]),
