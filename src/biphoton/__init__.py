@@ -15,8 +15,6 @@ import types
 # The names the root exports, by the module that defines them.
 _EXPORTS = {
     "analysis": (
-        "CHSH_OPTIMAL",
-        "ChshSettings",
         "Marginals",
         "SweepResult",
         "chsh",
@@ -52,6 +50,8 @@ _EXPORTS = {
         "sample_events",
     ),
     "optics": (
+        "CHSH_OPTIMAL",
+        "ChshSettings",
         "PhaseSettings",
         "Visibility",
         "joint_distribution",

@@ -9,12 +9,11 @@ v > 1/sqrt2.
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .optics import Visibility, joint_tables
+from .optics import ChshSettings, Visibility, joint_tables
 
 
 class Marginals(NamedTuple):
@@ -64,31 +63,13 @@ def sweep_correlation(grid: Sequence[float], vis: Visibility) -> SweepResult:
     return SweepResult(deltas, tables, e, singles)
 
 
-class ChshSettings(NamedTuple):
-    """Two phase settings per party for the four-correlation CHSH sum."""
-
-    a: float
-    a_prime: float
-    b: float
-    b_prime: float
-
-
-# Settings maximizing S for this instrument: S = 2 sqrt2 at full visibility.
-CHSH_OPTIMAL = ChshSettings(0.0, math.pi / 2, math.pi / 4, -math.pi / 4)
-
-
-def _chsh_angles(s: ChshSettings) -> tuple[list[float], list[float]]:
-    """phi_a and phi_b of the four pairs, in the fixed order (a,b), (a,b'), (a',b), (a',b')."""
-    return [s.a, s.a, s.a_prime, s.a_prime], [s.b, s.b_prime, s.b, s.b_prime]
-
-
 def chsh(s: ChshSettings, vis: Visibility) -> float:
     """CHSH combination S = E(a,b) + E(a,b') + E(a',b) - E(a',b').
 
     Local-realistic models obey |S| <= 2; this instrument reaches
     2 sqrt2 * v, so S exceeds 2 exactly when v > 1/sqrt2.
     """
-    e = correlation(joint_tables(*_chsh_angles(s), vis)).tolist()
+    e = correlation(s.tables(vis)).tolist()
     return e[0] + e[1] + e[2] - e[3]
 
 

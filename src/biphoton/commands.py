@@ -210,8 +210,9 @@ def cmd_marginals(args) -> int:
 
 
 def cmd_bell(args) -> int:
-    from .analysis import CHSH_OPTIMAL, ChshSettings, chsh
+    from .analysis import chsh
     from .montecarlo import bell_experiment
+    from .optics import CHSH_OPTIMAL, ChshSettings
 
     vis = _visibility(args)
     if args.optimal == (args.angles is not None):  # both flags, or neither

@@ -6,7 +6,8 @@ four outcomes in the canonical order (+,+), (+,-), (-,+), (-,-) using the
 splitmix64 stream, so a (probabilities, n, seed) triple fixes the event
 stream bit-for-bit. Multi-setting runs give each setting its own sub-seeded
 stream (``rng.derive_seed``), so no setting's events depend on another's;
-``estimate_columns`` is the one place that rule is applied.
+``estimate_columns`` is the one place that rule is applied. The module builds
+on ``optics`` (the exact tables), ``rng`` and ``records`` alone.
 
 The core, ``outcome_blocks``, yields uint8 indices into OUTCOMES in blocks
 (drawn by ``draw_outcomes``), so memory stays bounded whatever n is. The four
@@ -23,8 +24,7 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from .analysis import ChshSettings, _chsh_angles
-from .optics import OUTCOMES, Visibility, joint_tables
+from .optics import OUTCOMES, ChshSettings, Visibility
 from .records import checked_fields
 from .rng import SplitMix64, derive_seed
 
@@ -120,13 +120,12 @@ def bell_experiment(
 ) -> EstimatorResult:
     """Sampled CHSH value S = E1 + E2 + E3 - E4 with propagated standard error.
 
-    Setting k of the fixed order (a,b), (a,b'), (a',b), (a',b') is sampled
-    from its own stream seeded with derive_seed(seed, k). The reported n is
-    the total number of events consumed.
+    Column k of s.tables(vis) is sampled from its own stream seeded with
+    derive_seed(seed, k). The reported n is the total number of events consumed.
     """
     if n_per_setting < 2:
         raise ValueError(f"need n_per_setting >= 2, got {n_per_setting}")
-    results = estimate_columns(joint_tables(*_chsh_angles(s), vis), n_per_setting, seed)
+    results = estimate_columns(s.tables(vis), n_per_setting, seed)
     e = [r.estimate for r in results]
     stderr = math.sqrt(sum(r.stderr**2 for r in results))
     return EstimatorResult(estimate=e[0] + e[1] + e[2] - e[3], stderr=stderr, n=4 * n_per_setting)

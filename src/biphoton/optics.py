@@ -2,11 +2,12 @@
 joint detection distribution as a function of the local phase settings.
 
 ``joint_tables`` is the one statement of the circuit (source -> phase
-shifters -> splitters -> matched-outcome table), on arrays of settings, and
-``joint_distribution`` is its table at one pair of settings. The source
-amplitudes and the splitter entries are arrays of the constants in
-``records``, from which the labelled model (``linalg``) builds its source
-state and splitters, so both views hold the same numbers.
+shifters -> splitters -> matched-outcome table), on arrays of settings;
+``joint_distribution`` is its table at one pair of settings, and
+``ChshSettings.tables`` its tables at the four CHSH pairs, in their one fixed
+order. The source amplitudes and the splitter entries are arrays of the
+constants in ``records``, from which the labelled model (``linalg``) builds
+its source state and splitters, so both views hold the same numbers.
 
 Conventions, fixed package-wide:
 
@@ -25,6 +26,7 @@ Conventions, fixed package-wide:
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,6 +69,24 @@ class Visibility(checked_fields("v")):
         return super().__new__(cls, v)
 
 
+class ChshSettings(NamedTuple):
+    """Two phase settings per party for the four-correlation CHSH sum."""
+
+    a: float
+    a_prime: float
+    b: float
+    b_prime: float
+
+    def tables(self, vis: Visibility) -> np.ndarray:
+        """joint_tables of the pairs (a,b), (a,b'), (a',b), (a',b'), as columns in that order."""
+        a, a_prime, b, b_prime = self
+        return joint_tables([a, a, a_prime, a_prime], [b, b_prime, b, b_prime], vis)
+
+
+# Settings maximizing S for this instrument: S = 2 sqrt2 at full visibility.
+CHSH_OPTIMAL = ChshSettings(0.0, math.pi / 2, math.pi / 4, -math.pi / 4)
+
+
 _SOURCE_AMPS = np.array(SOURCE_AMPS, dtype=complex)
 _BS_ENTRIES = np.array(BS_ENTRIES, dtype=complex)
 
@@ -83,10 +103,8 @@ def _shifted_source(phi_a, phi_b) -> np.ndarray:
     return _SOURCE_AMPS.reshape((4,) + (1,) * (phase.ndim - 1)) * np.exp(1j * phase)
 
 
-# Both splitters on the path pairs, as beam_splitter("A") (x) beam_splitter("B").
-_BS4 = np.kron(_BS_ENTRIES, _BS_ENTRIES)
-# Matched-outcome labelling: B's physical ports are read out swapped.
-_PORTS_OF_OUTCOMES = np.array([1, 0, 3, 2])
+# beam_splitter("A") (x) beam_splitter("B") in OUTCOMES row order: B's ports are read out swapped.
+_BS4 = np.kron(_BS_ENTRIES, _BS_ENTRIES)[[1, 0, 3, 2]]
 
 
 def joint_tables(phi_a, phi_b, vis: Visibility) -> np.ndarray:
@@ -104,9 +122,8 @@ def joint_tables(phi_a, phi_b, vis: Visibility) -> np.ndarray:
     # einsum rounds each point like one matrix-vector product; a BLAS
     # matrix-matrix product over the grid would round differently.
     out = np.einsum("ij,j...->i...", _BS4, shifted)
-    raw = (out * out.conj()).real
     v = vis.v
-    return v * raw[_PORTS_OF_OUTCOMES] + (1.0 - v) * 0.25
+    return v * (out * out.conj()).real + (1.0 - v) * 0.25
 
 
 def joint_distribution(settings: PhaseSettings, vis: Visibility) -> np.ndarray:

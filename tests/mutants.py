@@ -216,6 +216,29 @@ MUTANTS = (
         ("tests/test_optics.py::test_joint_tables_of_raw_angles_equal_those_of_wrapped_angles",),
     ),
     Mutant(
+        "splitter_rows_in_port_order",
+        "optics.py",
+        "_BS4 = np.kron(_BS_ENTRIES, _BS_ENTRIES)[[1, 0, 3, 2]]",
+        "_BS4 = np.kron(_BS_ENTRIES, _BS_ENTRIES)",
+        (
+            "tests/test_optics.py::test_splitter_pair_is_the_labelled_kronecker_product",
+            "tests/test_optics.py::test_joint_matches_hand_expanded_oracle",
+            "tests/test_acceptance.py::test_criterion_3_matched_settings_never_mismatch",
+            "tests/test_golden.py::test_transcript_is_byte_identical[readme_sweep]",
+        ),
+    ),
+    Mutant(
+        "chsh_pairs_b_swapped",
+        "optics.py",
+        "[b, b_prime, b, b_prime]",
+        "[b_prime, b, b_prime, b]",
+        (
+            "tests/test_analysis.py::test_chsh_matches_reference_on_random_settings",
+            "tests/test_montecarlo.py::test_bell_experiment_equals_per_setting_loop",
+            "tests/test_golden.py::test_transcript_is_byte_identical[bell_defaults]",
+        ),
+    ),
+    Mutant(
         "high_digits_from_matrix_start",
         "commands.py",
         '(b"%d" % run)[:-low]',

@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from biphoton.analysis import CHSH_OPTIMAL, chsh, correlation, marginals, sweep_correlation
+from biphoton.analysis import chsh, correlation, marginals, sweep_correlation
 from biphoton.linalg import (
     apply,
     density_of,
@@ -28,6 +28,7 @@ from biphoton.linalg import (
 )
 from biphoton.montecarlo import bell_experiment, estimate_counts, sample_counts
 from biphoton.optics import (
+    CHSH_OPTIMAL,
     OUTCOMES,
     PhaseSettings,
     Visibility,

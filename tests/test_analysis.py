@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 
 from biphoton import analysis
 from biphoton.analysis import (
-    CHSH_OPTIMAL,
-    ChshSettings,
     chsh,
     correlation,
     marginals,
@@ -24,7 +22,13 @@ from biphoton.linalg import (
     purity,
     superposed_state,
 )
-from biphoton.optics import PhaseSettings, Visibility, joint_distribution
+from biphoton.optics import (
+    CHSH_OPTIMAL,
+    ChshSettings,
+    PhaseSettings,
+    Visibility,
+    joint_distribution,
+)
 
 from oracles import chsh_reference
 

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from biphoton.analysis import CHSH_OPTIMAL, ChshSettings
 from biphoton.montecarlo import (
     BLOCK,
     EstimatorResult,
@@ -18,7 +17,15 @@ from biphoton.montecarlo import (
     sample_counts,
     sample_events,
 )
-from biphoton.optics import OUTCOMES, PhaseSettings, Visibility, joint_distribution, joint_tables
+from biphoton.optics import (
+    CHSH_OPTIMAL,
+    OUTCOMES,
+    ChshSettings,
+    PhaseSettings,
+    Visibility,
+    joint_distribution,
+    joint_tables,
+)
 from biphoton.rng import SplitMix64, derive_seed
 
 from oracles import (

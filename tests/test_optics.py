@@ -380,6 +380,7 @@ def test_array_core_equals_labelled_elements_bit_for_bit(pa, pb):
 
 
 def test_splitter_pair_is_the_labelled_kronecker_product():
-    expected = np.kron(beam_splitter("A").entries, beam_splitter("B").entries)
+    # Read in OUTCOMES row order: B's ports are read out swapped.
+    expected = np.kron(beam_splitter("A").entries, beam_splitter("B").entries)[[1, 0, 3, 2]]
     assert optics._BS4.tolist() == expected.tolist()
 

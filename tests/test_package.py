@@ -75,13 +75,15 @@ def test_root_exports_are_the_module_objects():
 
 
 # The biphoton modules each kind of command line loads: the parser alone (help,
-# and usage errors argparse reports); the commands and the exact model; those
-# and the sampling modules; or the commands and the stdlib-only labelled model
+# and usage errors argparse reports); the commands and the exact model, with or
+# without its statistics; the sampling modules on the exact model alone (sample)
+# or with its statistics; or the commands and the stdlib-only labelled model
 # the detection model is built on, without the array core.
 PARSER = {"biphoton", "biphoton.cli"}
 COMMANDS_MODULE = PARSER | {"biphoton.commands", "biphoton.optics", "biphoton.records"}
 EXACT = COMMANDS_MODULE | {"biphoton.analysis"}
-SAMPLING = EXACT | {"biphoton.montecarlo", "biphoton.rng"}
+SAMPLE = COMMANDS_MODULE | {"biphoton.montecarlo", "biphoton.rng"}
+SAMPLING = EXACT | SAMPLE
 DETECTION_MODEL = PARSER | {
     "biphoton.commands", "biphoton.records", "biphoton.linalg", "biphoton.premeasure",
 }
@@ -91,7 +93,7 @@ COMMANDS = {
     "help": (["--help"], 0, PARSER),
     "sweep_help": (["sweep", "--help"], 0, PARSER),
     "usage_error": (["sweep", "--bogus"], 2, PARSER),
-    "sample": (["sample", "--samples", "3"], 0, SAMPLING),
+    "sample": (["sample", "--samples", "3"], 0, SAMPLE),
     "bell": (["bell", "--optimal", "--samples", "10"], 0, SAMPLING),
     "sweep": (["sweep", "--steps", "3", "--mc", "10,1"], 0, SAMPLING),
     "sweep_exact": (["sweep", "--steps", "3"], 0, EXACT),

@@ -9,11 +9,10 @@ import pickle
 import numpy as np
 import pytest
 
-from biphoton.analysis import ChshSettings
 from biphoton.commands import _render_json
 from biphoton.linalg import DensityMatrix, Operator, StateVector
 from biphoton.montecarlo import EstimatorResult
-from biphoton.optics import PhaseSettings, Visibility
+from biphoton.optics import ChshSettings, PhaseSettings, Visibility
 from biphoton.premeasure import CorrelationReport, correlation_report, premeasure
 
 A = (("A1", "A2"),)
