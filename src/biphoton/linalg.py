@@ -10,8 +10,8 @@ accumulated double rounding at these sizes.
 This module loads no numpy, so the detection model built on it runs without
 it. The source states and the splitter are built from the constants in
 ``records``, which ``optics``' array core is built from too, so both views
-hold the same numbers. Only ``phased_biphoton_state`` imports ``optics``,
-when called, for its shifted source. No array path imports this module.
+hold the same numbers. It imports nothing from ``optics``, and no array
+path imports it.
 
 The states and operators derive from ``records.checked_fields``, so they
 are compared and hashed by value and ``_make`` and ``_replace`` check them
@@ -252,11 +252,12 @@ def biphoton_state() -> StateVector:
 
 
 def phased_biphoton_state(settings) -> StateVector:
-    """Entangled source state after the two phase shifters, before splitting;
-    settings is an optics.PhaseSettings."""
-    from .optics import _shifted_source
-
-    return StateVector((A_PATHS, B_PATHS), _shifted_source(settings.phi_a, settings.phi_b).tolist())
+    """Entangled source state after the two phase shifters (phi_a on A2, phi_b
+    on B1), before splitting; settings is an optics.PhaseSettings."""
+    za, zb = cmath.exp(1j * settings.phi_a), cmath.exp(1j * settings.phi_b)
+    # The shifters' diagonals over the path pairs (A1B1, A1B2, A2B1, A2B2)
+    return StateVector((A_PATHS, B_PATHS),
+                       [amp * z for amp, z in zip(SOURCE_AMPS, (zb, 1.0, za * zb, za))])
 
 
 def phase_shifter(mode: str, phi: float) -> Operator:

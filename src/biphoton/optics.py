@@ -5,9 +5,9 @@ joint detection distribution as a function of the local phase settings.
 shifters -> splitters -> matched-outcome table), on arrays of settings;
 ``joint_distribution`` is its table at one pair of settings, and
 ``ChshSettings.tables`` its tables at the four CHSH pairs, in their one fixed
-order. The source amplitudes and the splitter entries are arrays of the
-constants in ``records``, from which the labelled model (``linalg``) builds
-its source state and splitters, so both views hold the same numbers.
+order. It is built from the constants in ``records``, as the labelled model
+(``linalg``) builds its source state and splitters, so both views hold the
+same numbers.
 
 Conventions, fixed package-wide:
 
@@ -87,24 +87,9 @@ class ChshSettings(NamedTuple):
 CHSH_OPTIMAL = ChshSettings(0.0, math.pi / 2, math.pi / 4, -math.pi / 4)
 
 
-_SOURCE_AMPS = np.array(SOURCE_AMPS, dtype=complex)
-_BS_ENTRIES = np.array(BS_ENTRIES, dtype=complex)
-
-
-def _shifted_source(phi_a, phi_b) -> np.ndarray:
-    """Source amplitudes after the shifters (phi_a on A2, phi_b on B1), with
-    shape (4,) + the broadcast shape of the settings."""
-    # Phase on each path pair (A1B1, A1B2, A2B1, A2B2): phi_b on B1, phi_a on A2.
-    phase = np.zeros((4,) + np.broadcast(phi_a, phi_b).shape)
-    phase[0], phase[3] = phi_b, phi_a
-    # Only the settings need wrapping: row 1 stays 0, and row 2 is set next.
-    phase[::3] = _wrap_angles(phase[::3])
-    phase[2] = phase[0] + phase[3]
-    return _SOURCE_AMPS.reshape((4,) + (1,) * (phase.ndim - 1)) * np.exp(1j * phase)
-
-
 # beam_splitter("A") (x) beam_splitter("B") in OUTCOMES row order: B's ports are read out swapped.
-_BS4 = np.kron(_BS_ENTRIES, _BS_ENTRIES)[[1, 0, 3, 2]]
+# Only its columns A1B1 and A2B2 are live: the source has no A1B2 or A2B1 term.
+_A1B1, _A2B2 = np.kron(BS_ENTRIES, BS_ENTRIES)[[1, 0, 3, 2]][:, [0, 3]].T
 
 
 def joint_tables(phi_a, phi_b, vis: Visibility) -> np.ndarray:
@@ -118,12 +103,15 @@ def joint_tables(phi_a, phi_b, vis: Visibility) -> np.ndarray:
     p(same ports) = v (1 + cos d)/4 + (1-v)/4 per pairing and
     p(opposite)  = v (1 - cos d)/4 + (1-v)/4, with d = phi_a - phi_b.
     """
-    shifted = _shifted_source(phi_a, phi_b)
-    # einsum rounds each point like one matrix-vector product; a BLAS
-    # matrix-matrix product over the grid would round differently.
-    out = np.einsum("ij,j...->i...", _BS4, shifted)
+    # phi_b shifts path B1, of the A1B1 term; phi_a path A2, of A2B2.
+    phi_b, phi_a = _wrap_angles(np.array(np.broadcast_arrays(phi_b, phi_a), dtype=float))
+    column = (4,) + (1,) * phi_a.ndim
+    out = (_A1B1.reshape(column) * (SOURCE_AMPS[0] * np.exp(1j * phi_b))
+           + _A2B2.reshape(column) * (SOURCE_AMPS[3] * np.exp(1j * phi_a)))
+    # Each product above and each square here rounds once, with or without
+    # numpy's SIMD kernels, some of which fuse a complex product's roundings.
     v = vis.v
-    return v * (out * out.conj()).real + (1.0 - v) * 0.25
+    return v * (out.real**2 + out.imag**2) + (1.0 - v) * 0.25
 
 
 def joint_distribution(settings: PhaseSettings, vis: Visibility) -> np.ndarray:

@@ -2,8 +2,9 @@
 
 The generator is splitmix64: the state advances by a fixed odd constant and
 each output is a bijective mix of the new state. It is chosen for trivial
-cross-language portability, so sampled acceptance values can be reproduced
-bit-for-bit anywhere from the seed alone.
+cross-language portability: the seeds, sub-seeds and draws, and so the
+counts drawn from a given table, are bit-for-bit the same anywhere. The
+exact table's last bits rest on the platform's libm, through cos and sin.
 
 Stream contract:
   * ``next_u64`` yields the canonical splitmix64 sequence for the seed

@@ -68,6 +68,9 @@ CASES = {
     "premeasure_dump_state_pi": ["premeasure", "--theta=pi", "--dump-state", "-"],
     "premeasure_dump_state_minus_pi_4": ["premeasure", "--theta=-pi/4", "--dump-state", "-"],
     "premeasure_dump_state_3": ["premeasure", "--theta=3", "--dump-state", "-"],
+    # E_exact at a zero crossing, ~1e-10: its digits are the exact table's last bits
+    "sweep_zero_crossing": ["sweep", "--delta-min=pi/2", "--delta-max=1.5707963277", "--steps",
+                            "5", "--visibility", "0.83"],
 }
 
 # JSONL across several 2**14-trial blocks, and grids of several 1024-point
@@ -174,34 +177,45 @@ def test_output_file_matches_stdout_transcript(tmp_path):
 
 
 # Golden command lines whose numbers pass through numpy's SIMD kernels: the
-# exact table, grid formatting, splitmix64 draws, the inverse CDF and counts.
-DISPATCH_CASES = ("bench_sweep", "bench_sweep_mc", "bench_bell", "bench_sample", "marginals_3073")
+# exact table (near a zero of E too), grid formatting, splitmix64 draws, the
+# inverse CDF and counts.
+DISPATCH_CASES = ("bench_sweep", "bench_sweep_mc", "bench_bell", "bench_sample", "marginals_3073",
+                  "sweep_zero_crossing")
 
 
-def test_goldens_hold_with_numpy_cpu_dispatch_off():
-    # numpy picks a SIMD kernel per CPU at import. With every dispatch target
-    # this host enables turned off, a child runs the cases on the baseline
-    # kernels; its bytes must still be the goldens'. Only enabled targets may
-    # be named, so the list comes from numpy itself.
+def enabled_dispatch_targets() -> list[str]:
+    """The SIMD dispatch targets numpy enables on this host, by its own report."""
     try:
         from numpy._core import _multiarray_umath as umath
     except ImportError:  # numpy < 2
         from numpy.core import _multiarray_umath as umath
-    targets = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+    return [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+
+
+def dispatch_off_env() -> dict[str, str]:
+    """The environment of a child that runs numpy on its baseline kernels and
+    imports this biphoton and these tests. numpy picks a SIMD kernel per CPU at
+    import; the child turns off every target this host enables (only enabled
+    ones may be named). Skips the calling test where numpy enables none."""
+    targets = enabled_dispatch_targets()
     if not targets:
         pytest.skip("numpy enables no dispatch target on this host")
+    src = str(Path(biphoton.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, str(Path(__file__).parent), os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path, "NPY_DISABLE_CPU_FEATURES": " ".join(targets)}
+
+
+def test_goldens_hold_with_numpy_cpu_dispatch_off():
+    # A child runs the cases on the baseline kernels; its bytes must still be the goldens'.
+    env = dispatch_off_env()
     code = (
         "import hashlib, sys\n"
-        f"from {umath.__name__.rpartition('.')[0]} import _multiarray_umath as umath\n"
         "import test_golden as g\n"
-        "print('enabled', *(t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)))\n"
+        "print('enabled', *g.enabled_dispatch_targets())\n"
         "for name in sys.argv[1:]:\n"
         "    code, out, err = g.run({**g.CASES, **g.HASHED}[name])\n"
         "    print(name, code, hashlib.sha256(out).hexdigest(), hashlib.sha256(err).hexdigest())\n"
     )
-    src = str(Path(biphoton.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, [src, str(Path(__file__).parent), os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path, "NPY_DISABLE_CPU_FEATURES": " ".join(targets)}
     proc = subprocess.run([sys.executable, "-c", code, *DISPATCH_CASES],
                           capture_output=True, text=True, timeout=60, env=env)
     assert proc.returncode == 0, proc.stderr

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
-from biphoton import optics
 from biphoton.commands import _render_json
 from biphoton.linalg import (
     EIG_TOL,
@@ -24,7 +23,7 @@ from biphoton.linalg import (
     tensor,
 )
 from biphoton.premeasure import DETECTOR_LABELS, detector_coupling
-from biphoton.records import A_PATHS, A_PORTS, B_PATHS, B_PORTS
+from biphoton.records import A_PATHS, A_PORTS, B_PATHS, B_PORTS, BS_ENTRIES, SOURCE_AMPS
 
 TOL = 1e-12
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -228,13 +227,10 @@ def test_constructors_hold_a_copy_and_leave_the_callers_array_alone():
         before = held.copy()
         arr[...] = 0.0
         np.testing.assert_array_equal(held, before)
-    # The labelled constructors and optics' constant arrays hold the same
-    # numbers, and building the former leaves the arrays writeable.
-    assert biphoton_state().amplitudes == tuple(optics._SOURCE_AMPS.tolist())
-    for row, array_row in zip(beam_splitter("A").entries, optics._BS_ENTRIES.tolist(),
-                              strict=True):
-        assert row == tuple(array_row)
-    assert optics._SOURCE_AMPS.flags.writeable and optics._BS_ENTRIES.flags.writeable
+    # The labelled constructors hold the numbers of records' constants, which
+    # optics' array core is built from too.
+    assert biphoton_state().amplitudes == SOURCE_AMPS
+    assert beam_splitter("A").entries == beam_splitter("B").entries == BS_ENTRIES
 
 
 def test_rectangular_isometry_accepted():

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -26,9 +28,10 @@ from biphoton.optics import (
     joint_distribution,
     joint_tables,
 )
-from biphoton.records import A_PATHS
+from biphoton.records import A_PATHS, SOURCE_AMPS
 
 from oracles import joint_probs_reference
+from test_golden import dispatch_off_env
 
 TOL = 1e-12
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -322,9 +325,38 @@ def test_joint_tables_equal_the_labelled_matrices_in_scalar_order(pa, pb, v):
     za, zb = np.exp(1j * s.phi_a), np.exp(1j * s.phi_b)
     shifted = biphoton_state().amplitudes * np.array([zb, 1.0, za * zb, za])
     out = np.kron(beam_splitter("A").entries, beam_splitter("B").entries) @ shifted
-    raw = (out * out.conj()).real
+    raw = out.real**2 + out.imag**2
     expected = [v * raw[port] + (1.0 - v) * 0.25 for port in (1, 0, 3, 2)]
     assert joint_tables(pa, pb, Visibility(v)).tolist() == expected
+
+
+def test_joint_tables_bytes_hold_with_numpy_cpu_dispatch_off():
+    # numpy's SIMD kernels must not move a bit of the table: a child on the
+    # baseline kernels computes the same bytes, at random settings and at
+    # settings within 1e-8 of a zero of E (d = pi/2, 3pi/2), where E_exact
+    # prints the last bits of the table.
+    env = dispatch_off_env()
+    rng = np.random.default_rng(31)
+    phi_b = rng.uniform(-10.0, 10.0, 3000)
+    zeros = np.repeat([math.pi / 2, 3 * math.pi / 2, -math.pi / 2], 500)
+    phi_a = np.concatenate([rng.uniform(-10.0, 10.0, 1500), zeros + rng.uniform(-1e-8, 1e-8, 1500)])
+    phi_a[1500:] += phi_b[1500:]
+    settings_bytes = np.stack([phi_a, phi_b]).tobytes()
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from biphoton.optics import Visibility, joint_tables\n"
+        "phi_a, phi_b = np.frombuffer(sys.stdin.buffer.read()).reshape(2, -1)\n"
+        "for v in (1.0, 0.83):\n"
+        "    sys.stdout.buffer.write(joint_tables(phi_a, phi_b, Visibility(v)).tobytes())\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], input=settings_bytes,
+                          capture_output=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    here = b"".join(joint_tables(phi_a, phi_b, Visibility(v)).tobytes() for v in (1.0, 0.83))
+    assert len(proc.stdout) == len(here)
+    differ = np.flatnonzero(np.frombuffer(proc.stdout, np.uint64) != np.frombuffer(here, np.uint64))
+    assert differ.size == 0, f"{differ.size} entries differ, first at {differ[0]}"
 
 
 @settings(max_examples=200, deadline=None)
@@ -380,7 +412,15 @@ def test_array_core_equals_labelled_elements_bit_for_bit(pa, pb):
 
 
 def test_splitter_pair_is_the_labelled_kronecker_product():
-    # Read in OUTCOMES row order: B's ports are read out swapped.
+    # Read in OUTCOMES row order: B's ports are read out swapped. The source's
+    # only terms are A1B1 and A2B2, so only their two columns are kept.
     expected = np.kron(beam_splitter("A").entries, beam_splitter("B").entries)[[1, 0, 3, 2]]
-    assert optics._BS4.tolist() == expected.tolist()
+    assert optics._A1B1.tolist() == expected[:, 0].tolist()
+    assert optics._A2B2.tolist() == expected[:, 3].tolist()
+
+
+def test_source_has_no_a1b2_or_a2b1_term():
+    # Why joint_tables keeps only the splitter pair's A1B1 and A2B2 columns.
+    assert SOURCE_AMPS[1] == SOURCE_AMPS[2] == 0.0
+    assert biphoton_state().amplitudes[1:3] == (0.0, 0.0)
 
