@@ -5,15 +5,15 @@ checkable: every single-detector marginal is flat at 1/2 whatever the phase
 settings, while the paired-outcome correlation carries a full-contrast
 fringe v cos(phi_a - phi_b) and violates the CHSH bound exactly when
 v > 1/sqrt2.
+
+Each function reads one table at a time, in plain floats, and loads no numpy.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple, Sequence
 
-import numpy as np
-
-from .optics import ChshSettings, Visibility, joint_tables
+from .optics import ChshSettings, Table, Visibility, joint_tables
 
 
 class Marginals(NamedTuple):
@@ -23,42 +23,40 @@ class Marginals(NamedTuple):
     b_minus: float
 
 
-# A joint table is its four outcome probabilities in OUTCOMES order, each a
-# float or an array over settings (as joint_tables' rows).
-def marginals(table) -> Marginals:
+def marginals(table: Table) -> Marginals:
     """Single-detector probabilities (row/column sums of the joint table)."""
     pp, pm, mp, mm = table
-    return Marginals(a_plus=pp + pm, a_minus=mp + mm, b_plus=pp + mp, b_minus=pm + mm)
+    return Marginals(pp + pm, mp + mm, pp + mp, pm + mm)
 
 
-def correlation(table):
+def correlation(table: Table) -> float:
     """Expectation of the +-1 outcome product: p(same) - p(opposite)."""
     pp, pm, mp, mm = table
     return pp + mm - pm - mp
 
 
 class SweepResult(NamedTuple):
-    """Exact correlation and singles as arrays over a grid of phase differences,
-    and the joint tables they were read from (shape (4, n), as joint_tables)."""
+    """Exact correlation and singles over a grid of phase differences, and the
+    joint tables they were read from: one entry per grid point, in grid order."""
 
-    delta_grid: np.ndarray
-    tables: np.ndarray
-    correlations: np.ndarray
-    singles: Marginals
+    delta_grid: list[float]
+    tables: list[Table]
+    correlations: list[float]
+    singles: list[Marginals]
 
 
 def sweep_correlation(grid: Sequence[float], vis: Visibility) -> SweepResult:
     """Evaluate E and the four singles at phi_a = delta, phi_b = 0 per point."""
     if len(grid) == 0:
         raise ValueError("sweep grid must be non-empty")
-    deltas = np.asarray(grid, dtype=float)
-    tables = joint_tables(deltas, 0.0, vis)
-    e, singles = correlation(tables), marginals(tables)
-    p = np.array(singles)
+    deltas = [float(delta) for delta in grid]
+    tables = [joint_tables(delta, 0.0, vis) for delta in deltas]
+    e = [correlation(table) for table in tables]
+    singles = [marginals(table) for table in tables]
     # Written so that a NaN fails them too.
-    if not np.all((-1.0 <= e) & (e <= 1.0)):
+    if not all(-1.0 <= x <= 1.0 for x in e):
         raise ValueError("correlation outside [-1, 1]")
-    if not np.all((0.0 <= p) & (p <= 1.0)):
+    if not all(0.0 <= p <= 1.0 for m in singles for p in m):
         raise ValueError("marginal outside [0, 1]")
     return SweepResult(deltas, tables, e, singles)
 
@@ -69,7 +67,7 @@ def chsh(s: ChshSettings, vis: Visibility) -> float:
     Local-realistic models obey |S| <= 2; this instrument reaches
     2 sqrt2 * v, so S exceeds 2 exactly when v > 1/sqrt2.
     """
-    e = correlation(s.tables(vis)).tolist()
+    e = [correlation(table) for table in s.tables(vis)]
     return e[0] + e[1] + e[2] - e[3]
 
 
@@ -86,8 +84,8 @@ def no_signaling_check(
     """
     if len(phi_b_grid) == 0:
         raise ValueError("no-signaling scan needs a non-empty grid")
-    scan = np.asarray(phi_b_grid, dtype=float)
-    fixed = np.full_like(scan, phi_a)
-    # Row 0 scans B's setting under fixed A, row 1 scans A's under fixed B.
-    m = marginals(joint_tables(np.array([fixed, scan]), np.array([scan, fixed]), vis))
-    return float(np.abs(np.array([m.a_plus[0], m.b_plus[1]]) - 0.5).max())
+    return max(
+        max(abs(marginals(joint_tables(phi_a, phi, vis)).a_plus - 0.5),
+            abs(marginals(joint_tables(phi, phi_a, vis)).b_plus - 0.5))
+        for phi in phi_b_grid
+    )

@@ -2,9 +2,10 @@
 
 biphoton.cli imports this module only after parsing, so `--help` and the
 usage errors argparse reports load none of it. Each handler imports what it
-runs: numpy and the array core (optics) load for every command but
-`premeasure`, whose labelled detection model is stdlib only. Every byte a
-command writes is formatted here.
+runs: numpy loads only for the commands that draw (`sample`, `bell` and
+`sweep --mc`), with the sampling modules; the exact tables (optics,
+analysis) and the labelled detection model (premeasure) are stdlib only.
+Every byte a command writes is formatted here.
 """
 
 from __future__ import annotations
@@ -13,22 +14,22 @@ import math
 import os
 import sys
 from collections.abc import Iterator
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from functools import cache
+from itertools import chain
 
 from .cli import _SEEDS, parse_angle
 
 # numpy and the analysis, sampling and detection modules are imported by the
-# functions that run them: `premeasure` loads no numpy, and the exact grids
-# load no sampling.
+# functions that run them: only the commands that draw load numpy, and the
+# exact grids load no sampling.
 
 # Grid points `sweep` and `marginals` tabulate at a time; bounds the rows
 # held at once (well under 1 MB) whatever --steps is
 _GRID_CHUNK = 1 << 10
-# Largest count accepted. Trial numbers, grid indices and counts are held in
-# numpy int64, and this bound keeps them far inside its range. No count
-# becomes one array, so a count under the bound runs at flat memory for as
-# long as it takes.
+# Largest count accepted. Trial numbers and counts are held in numpy int64, and
+# this bound keeps them far inside its range. No count becomes one array, so a
+# count under the bound runs at flat memory for as long as it takes.
 _MAX_COUNT = sys.maxsize // 16
 _FLOAT = "%.9g"  # every float is printed with 9 significant digits
 
@@ -95,15 +96,16 @@ def _open_output(path: str | None):
         mode = None
     # Created as open() creates a file, so a new target gets the umask's mode
     tmp = os.path.join(os.path.dirname(target), f".biphoton-{os.urandom(8).hex()}")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with open(fd, "wb") as handle:
+        with open(tmp, "xb") as handle:
             yield handle
         if mode is not None:
             os.chmod(tmp, mode)
         os.replace(tmp, target)
     except BaseException:
-        os.unlink(tmp)
+        # A signal's exception can land before tmp is made or after it is moved
+        with suppress(FileNotFoundError):
+            os.unlink(tmp)
         raise
 
 
@@ -135,42 +137,41 @@ def _grid(args) -> tuple[float, float]:
     return lo, step
 
 
-def _csv_rows(block) -> bytes:
-    """One CSV line per row of block, every field printed with _FLOAT.
+def _csv_rows(columns) -> bytes:
+    """One CSV line per row of columns (float sequences of one length), each field as _FLOAT.
 
-    A column whose least and greatest entries print one text, both nonzero and
-    of one sign, prints that text in every row, as correctly rounded %.9g is
-    monotone; it is formatted once, into the row, not once per row. The sign
-    test keeps out NaN and a mix of -0.0 and 0.0.
+    A column whose least and greatest entries print one text, both nonzero and of one sign,
+    and that holds no NaN (min and max pass over one that is not first; the sum does not),
+    prints that text in every row, as correctly rounded %.9g is monotone; it is formatted
+    once, into the row, not once per row. The sign test keeps out a mix of -0.0 and 0.0.
     """
     fields, varying = [], []
-    for j, (a, b) in enumerate(zip(block.min(axis=0).tolist(), block.max(axis=0).tolist())):
+    for column in columns:
+        a, b = min(column), max(column)
         text = _fmt(a)
-        if text == _fmt(b) and (a > 0 or b < 0):
+        if text == _fmt(b) and (a > 0 or b < 0) and not math.isnan(sum(column)):
             fields.append(text)
         else:
             fields.append(_FLOAT)
-            varying.append(j)
+            varying.append(column)
     row = (",".join(fields) + "\n").encode()
-    return row * len(block) % tuple(block[:, varying].ravel().tolist())
+    return row * len(columns[0]) % tuple(chain.from_iterable(zip(*varying)))
 
 
 def _write_grid(args, vis: Visibility, grid: tuple[float, float], header: str, columns) -> int:
     """Write header, then one CSV row per grid point, _GRID_CHUNK points at a time.
 
     columns(start, result) gives the fields, as columns, of the rows of the block
-    from grid index start, whose sweep_correlation is result. No array is --steps long.
+    from grid index start, whose sweep_correlation is result. No list is --steps long.
     """
-    import numpy as np
-
     from .analysis import sweep_correlation
 
     lo, step = grid
     with _open_output(args.output) as out:
         out.write(header.encode() + b"\n")
         for start in range(0, args.steps, _GRID_CHUNK):
-            deltas = lo + np.arange(start, min(start + _GRID_CHUNK, args.steps)) * step
-            block = np.column_stack(columns(start, sweep_correlation(deltas, vis)))
+            deltas = [lo + k * step for k in range(start, min(start + _GRID_CHUNK, args.steps))]
+            block = columns(start, sweep_correlation(deltas, vis))
             out.write(_csv_rows(block))
     return 0
 
@@ -192,8 +193,8 @@ def cmd_sweep(args) -> int:
         from .montecarlo import estimate_columns
 
     def columns(start, result):
-        m = result.singles
-        fields = [result.delta_grid, result.correlations, *result.tables, m.a_plus, m.b_plus]
+        fields = [result.delta_grid, result.correlations, *zip(*result.tables),
+                  [m.a_plus for m in result.singles], [m.b_plus for m in result.singles]]
         if args.mc is not None:
             est = estimate_columns(result.tables, n, seed, start)
             fields += [[e.estimate for e in est], [e.stderr for e in est]]
@@ -206,7 +207,7 @@ def cmd_marginals(args) -> int:
     vis = _visibility(args)
     grid = _grid(args)
     return _write_grid(args, vis, grid, "delta,pA_plus,pA_minus,pB_plus,pB_minus",
-                       lambda start, result: [result.delta_grid, *result.singles])
+                       lambda start, result: [result.delta_grid, *zip(*result.singles)])
 
 
 def cmd_bell(args) -> int:

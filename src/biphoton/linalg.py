@@ -7,11 +7,10 @@ carries its basis labels and is checked eagerly at construction. "Exact"
 throughout means within ``TOL`` of the ideal value, which is far above
 accumulated double rounding at these sizes.
 
-This module loads no numpy, so the detection model built on it runs without
-it. The source states and the splitter are built from the constants in
-``records``, which ``optics``' array core is built from too, so both views
-hold the same numbers. It imports nothing from ``optics``, and no array
-path imports it.
+This module loads no numpy, and neither does ``optics``. The source states
+and the splitter are built from the constants in ``records``, which
+``optics``' exact table is built from too, so both views hold the same
+numbers. Neither module imports the other.
 
 The states and operators derive from ``records.checked_fields``, so they
 are compared and hashed by value and ``_make`` and ``_replace`` check them

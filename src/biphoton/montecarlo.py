@@ -94,11 +94,11 @@ def estimate_counts(counts) -> EstimatorResult:
 
 
 def estimate_columns(tables, n: int, seed: int, first: int = 0) -> list[EstimatorResult]:
-    """estimate_counts of n draws from each table k, a column of tables (shape
-    (4, m), as joint_tables), from its own stream seeded with derive_seed(seed, first + k)."""
+    """estimate_counts of n draws from each table k of the sequence tables (each
+    as joint_tables returns it), from its own stream seeded with derive_seed(seed, first + k)."""
     return [
         estimate_counts(sample_counts(table, n, derive_seed(seed, first + k)))
-        for k, table in enumerate(tables.T)
+        for k, table in enumerate(tables)
     ]
 
 
@@ -120,7 +120,7 @@ def bell_experiment(
 ) -> EstimatorResult:
     """Sampled CHSH value S = E1 + E2 + E3 - E4 with propagated standard error.
 
-    Column k of s.tables(vis) is sampled from its own stream seeded with
+    Table k of s.tables(vis) is sampled from its own stream seeded with
     derive_seed(seed, k). The reported n is the total number of events consumed.
     """
     if n_per_setting < 2:

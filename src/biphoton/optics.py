@@ -2,12 +2,12 @@
 joint detection distribution as a function of the local phase settings.
 
 ``joint_tables`` is the one statement of the circuit (source -> phase
-shifters -> splitters -> matched-outcome table), on arrays of settings;
-``joint_distribution`` is its table at one pair of settings, and
-``ChshSettings.tables`` its tables at the four CHSH pairs, in their one fixed
-order. It is built from the constants in ``records``, as the labelled model
-(``linalg``) builds its source state and splitters, so both views hold the
-same numbers.
+shifters -> splitters -> matched-outcome table), at one pair of settings, in
+Python floats: this module loads no numpy. ``joint_distribution`` is its table
+at a ``PhaseSettings``, and ``ChshSettings.tables`` its tables at the four CHSH
+pairs, in their one fixed order. It is built from the constants in
+``records``, as the labelled model (``linalg``) builds its source state and
+splitters, so both views hold the same numbers.
 
 Conventions, fixed package-wide:
 
@@ -25,10 +25,9 @@ Conventions, fixed package-wide:
 
 from __future__ import annotations
 
+import cmath
 import math
 from typing import NamedTuple
-
-import numpy as np
 
 from .records import BS_ENTRIES, SOURCE_AMPS, checked_fields
 
@@ -36,13 +35,14 @@ TWO_PI = 2.0 * math.pi
 
 # Canonical outcome order for joint tables and inverse-CDF sampling.
 OUTCOMES = (("+", "+"), ("+", "-"), ("-", "+"), ("-", "-"))
+Table = tuple[float, float, float, float]  # a joint table, in OUTCOMES order
 
 
-def _wrap_angles(phi: np.ndarray) -> np.ndarray:
-    """Phases normalized into [0, 2pi); every entry must be finite."""
-    finite = np.isfinite(phi)
-    if np.count_nonzero(finite) < phi.size:
-        raise ValueError(f"phase must be finite, got {float(phi[~finite][0])!r}")
+def _wrap_angle(phi: float) -> float:
+    """The phase phi normalized into [0, 2pi); it must be finite."""
+    phi = float(phi)
+    if not math.isfinite(phi):
+        raise ValueError(f"phase must be finite, got {phi!r}")
     # A tiny negative can round up to exactly 2pi under one %; the second
     # takes that to 0 and leaves every other result as it is.
     return phi % TWO_PI % TWO_PI
@@ -54,7 +54,7 @@ class PhaseSettings(checked_fields("phi_a", "phi_b")):
     __slots__ = ()
 
     def __new__(cls, phi_a: float, phi_b: float):
-        return super().__new__(cls, *_wrap_angles(np.array([phi_a, phi_b], dtype=float)).tolist())
+        return super().__new__(cls, _wrap_angle(phi_a), _wrap_angle(phi_b))
 
 
 class Visibility(checked_fields("v")):
@@ -77,43 +77,45 @@ class ChshSettings(NamedTuple):
     b: float
     b_prime: float
 
-    def tables(self, vis: Visibility) -> np.ndarray:
-        """joint_tables of the pairs (a,b), (a,b'), (a',b), (a',b'), as columns in that order."""
+    def tables(self, vis: Visibility) -> list[Table]:
+        """joint_tables of the pairs (a,b), (a,b'), (a',b), (a',b'), in that order."""
         a, a_prime, b, b_prime = self
-        return joint_tables([a, a, a_prime, a_prime], [b, b_prime, b, b_prime], vis)
+        pairs = zip([a, a, a_prime, a_prime], [b, b_prime, b, b_prime])
+        return [joint_tables(phi_a, phi_b, vis) for phi_a, phi_b in pairs]
 
 
 # Settings maximizing S for this instrument: S = 2 sqrt2 at full visibility.
 CHSH_OPTIMAL = ChshSettings(0.0, math.pi / 2, math.pi / 4, -math.pi / 4)
 
 
-# beam_splitter("A") (x) beam_splitter("B") in OUTCOMES row order: B's ports are read out swapped.
-# Only its columns A1B1 and A2B2 are live: the source has no A1B2 or A2B1 term.
-_A1B1, _A2B2 = np.kron(BS_ENTRIES, BS_ENTRIES)[[1, 0, 3, 2]][:, [0, 3]].T
+# beam_splitter("A") (x) beam_splitter("B"), row r at OUTCOMES[r]: A port a, B port b of
+# the r-th (a, b) below, as B's ports are read out swapped. Only its columns A1B1 and A2B2
+# are live, as each row's pair: the source has no A1B2 or A2B1 term.
+_SPLITTERS = tuple((BS_ENTRIES[a][0] * BS_ENTRIES[b][0], BS_ENTRIES[a][1] * BS_ENTRIES[b][1])
+                   for a, b in ((0, 1), (0, 0), (1, 1), (1, 0)))
 
 
-def joint_tables(phi_a, phi_b, vis: Visibility) -> np.ndarray:
-    """Exact Born probabilities of the four coincidence outcomes.
+def joint_tables(phi_a: float, phi_b: float, vis: Visibility) -> Table:
+    """Exact Born probabilities of the four coincidence outcomes, in OUTCOMES order.
 
-    phi_a and phi_b are floats or arrays that broadcast together; the result
-    has shape (4,) + their broadcast shape, axis 0 in OUTCOMES order.
-    Evaluates source -> phase shifters -> per-party splitters, reads the
-    port probabilities under the matched-outcome labelling of B, and mixes
+    Evaluates source -> phase shifters -> per-party splitters at one pair of settings,
+    reads the port probabilities under the matched-outcome labelling of B, and mixes
     with the flat distribution according to the visibility. The result is
     p(same ports) = v (1 + cos d)/4 + (1-v)/4 per pairing and
     p(opposite)  = v (1 - cos d)/4 + (1-v)/4, with d = phi_a - phi_b.
     """
     # phi_b shifts path B1, of the A1B1 term; phi_a path A2, of A2B2.
-    phi_b, phi_a = _wrap_angles(np.array(np.broadcast_arrays(phi_b, phi_a), dtype=float))
-    column = (4,) + (1,) * phi_a.ndim
-    out = (_A1B1.reshape(column) * (SOURCE_AMPS[0] * np.exp(1j * phi_b))
-           + _A2B2.reshape(column) * (SOURCE_AMPS[3] * np.exp(1j * phi_a)))
-    # Each product above and each square here rounds once, with or without
-    # numpy's SIMD kernels, some of which fuse a complex product's roundings.
+    b1 = SOURCE_AMPS[0] * cmath.exp(1j * _wrap_angle(phi_b))
+    a2 = SOURCE_AMPS[3] * cmath.exp(1j * _wrap_angle(phi_a))
     v = vis.v
-    return v * (out.real**2 + out.imag**2) + (1.0 - v) * 0.25
+    table = []
+    # A splitter entry is real or imaginary, so each part of a product rounds once.
+    for a1b1, a2b2 in _SPLITTERS:
+        o = a1b1 * b1 + a2b2 * a2
+        table.append(v * (o.real * o.real + o.imag * o.imag) + (1.0 - v) * 0.25)
+    return tuple(table)
 
 
-def joint_distribution(settings: PhaseSettings, vis: Visibility) -> np.ndarray:
-    """joint_tables at one pair of settings: the (4,) table in OUTCOMES order."""
+def joint_distribution(settings: PhaseSettings, vis: Visibility) -> Table:
+    """joint_tables at one pair of settings: the table in OUTCOMES order."""
     return joint_tables(settings.phi_a, settings.phi_b, vis)

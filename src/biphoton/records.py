@@ -1,8 +1,8 @@
 """The labels and amplitudes of the interferometer's modes, and the base of
 every value type that checks its fields.
 
-Stdlib only: the array core (optics) and the labelled model (linalg) build
-on the labels and amplitudes here, and linalg loads no numpy.
+Stdlib only: the exact tables (optics) and the labelled model (linalg) build
+on the labels and amplitudes here, and neither loads numpy.
 """
 
 import math

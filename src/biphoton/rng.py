@@ -14,7 +14,11 @@ Stream contract:
     bit-identical to calling ``next_double`` n times.
   * ``derive_seed(seed, k)`` is the first splitmix64 output for state
     seed + k; sub-streams (one per Bell setting or grid point) are seeded
-    with it so concurrent sampling cannot change any result.
+    with it so concurrent sampling cannot change any result. It reads
+    seed + k alone, so derive_seed(S + 1, k) == derive_seed(S, k + 1): runs
+    at consecutive seeds share all but one sub-stream (``sweep --mc N,S`` and
+    ``N,S+1`` all but one point's, ``bell`` three of its four). Seeds spaced
+    far apart, such as S + j * 2**40, give independent replicates.
 """
 
 from __future__ import annotations

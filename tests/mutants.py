@@ -41,6 +41,14 @@ class Mutant(NamedTuple):
     tests: tuple[str, ...]  # pytest node ids that must fail
 
 
+# What cli.run() does between main() and the freeze
+_RUN_HANDLER = (
+    "    except (KeyboardInterrupt, _Stopped) as exc:\n"
+    '        name = exc.args[0] if isinstance(exc, _Stopped) else "SIGINT"\n'
+    '        print(f"biphoton: stopped by {name}", file=sys.stderr)\n'
+    "        status = 1\n"
+)
+
 MUTANTS = (
     Mutant(
         "fresh_stream_per_block",
@@ -123,8 +131,8 @@ MUTANTS = (
     Mutant(
         "nan_blind_range_check",
         "analysis.py",
-        "if not np.all((-1.0 <= e) & (e <= 1.0)):",
-        "if np.any(e < -1.0) or np.any(e > 1.0):",
+        "if not all(-1.0 <= x <= 1.0 for x in e):",
+        "if any(x < -1.0 or x > 1.0 for x in e):",
         (
             "tests/test_analysis.py::test_sweep_rejects_tables_outside_the_ranges"
             "[bad1-correlation outside]",
@@ -133,29 +141,29 @@ MUTANTS = (
     Mutant(
         "no_signaling_reads_a_from_the_wrong_scan",
         "analysis.py",
-        "m.a_plus[0]",
-        "m.a_plus[1]",
+        "abs(marginals(joint_tables(phi_a, phi, vis)).a_plus - 0.5)",
+        "abs(marginals(joint_tables(phi, phi_a, vis)).a_plus - 0.5)",
         ("tests/test_analysis.py::test_no_signaling_check_reads_each_partys_scan[A]",),
     ),
     Mutant(
         "correlation_guard_rejects_minus_one",
         "analysis.py",
-        "(-1.0 <= e)",
-        "(-1.0 < e)",
+        "-1.0 <= x",
+        "-1.0 < x",
         ("tests/test_analysis.py::test_sweep_accepts_tables_on_the_range_ends[edge1]",),
     ),
     Mutant(
         "correlation_guard_rejects_plus_one",
         "analysis.py",
-        "(e <= 1.0)",
-        "(e < 1.0)",
+        "x <= 1.0",
+        "x < 1.0",
         ("tests/test_analysis.py::test_sweep_accepts_tables_on_the_range_ends[edge0]",),
     ),
     Mutant(
         "marginal_guard_rejects_zero",
         "analysis.py",
-        "(0.0 <= p)",
-        "(0.0 < p)",
+        "0.0 <= p",
+        "0.0 < p",
         tuple(
             f"tests/test_analysis.py::test_sweep_accepts_tables_on_the_range_ends[edge{k}]"
             for k in range(2)
@@ -164,8 +172,8 @@ MUTANTS = (
     Mutant(
         "marginal_guard_rejects_one",
         "analysis.py",
-        "(p <= 1.0)",
-        "(p < 1.0)",
+        "p <= 1.0",
+        "p < 1.0",
         tuple(
             f"tests/test_analysis.py::test_sweep_accepts_tables_on_the_range_ends[edge{k}]"
             for k in range(2)
@@ -225,16 +233,15 @@ MUTANTS = (
     Mutant(
         "only_phi_a_wrapped",
         "optics.py",
-        "phi_b, phi_a = _wrap_angles(np.array(np.broadcast_arrays(phi_b, phi_a), dtype=float))",
-        "phi_b, phi_a = np.array(np.broadcast_arrays(phi_b, _wrap_angles(np.asarray(phi_a, "
-        "dtype=float))), dtype=float)",
+        "cmath.exp(1j * _wrap_angle(phi_b))",
+        "cmath.exp(1j * float(phi_b))",
         ("tests/test_optics.py::test_joint_tables_of_raw_angles_equal_those_of_wrapped_angles",),
     ),
     Mutant(
         "splitter_rows_in_port_order",
         "optics.py",
-        "np.kron(BS_ENTRIES, BS_ENTRIES)[[1, 0, 3, 2]]",
-        "np.kron(BS_ENTRIES, BS_ENTRIES)",
+        "for a, b in ((0, 1), (0, 0), (1, 1), (1, 0))",
+        "for a, b in ((0, 0), (0, 1), (1, 0), (1, 1))",
         (
             "tests/test_optics.py::test_splitter_pair_is_the_labelled_kronecker_product",
             "tests/test_optics.py::test_joint_matches_hand_expanded_oracle",
@@ -243,14 +250,13 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        # The fused square differs only under numpy's SIMD complex kernels, so
-        # this is caught only on a host where numpy enables such dispatch
-        # targets (on x86-64, X86_V3, AVX2 with FMA, is enough); elsewhere the first test skips and the
-        # golden, pinned on the baseline kernels, passes.
+        # A square that does not round as x * x + y * y moves the printed last
+        # bits. The out * out.conj() of numpy's SIMD kernels was one; Python's
+        # complex product rounds it as x * x + y * y, so abs() stands in for it.
         "square_as_out_times_its_conjugate",
         "optics.py",
-        "v * (out.real**2 + out.imag**2)",
-        "v * (out * out.conj()).real",
+        "v * (o.real * o.real + o.imag * o.imag)",
+        "v * abs(o) ** 2",
         (
             "tests/test_optics.py::test_joint_tables_bytes_hold_with_numpy_cpu_dispatch_off",
             "tests/test_golden.py::test_transcript_is_byte_identical[sweep_zero_crossing]",
@@ -304,8 +310,8 @@ MUTANTS = (
     Mutant(
         "grid_steps_long_array",
         "commands.py",
-        "deltas = lo + np.arange(start, min(start + _GRID_CHUNK, args.steps)) * step",
-        "deltas = (lo + np.arange(args.steps) * step)[start:start + _GRID_CHUNK]",
+        "range(start, min(start + _GRID_CHUNK, args.steps))",
+        "list(range(args.steps))[start:start + _GRID_CHUNK]",
         (
             "tests/test_cli.py::test_grid_memory_does_not_grow_with_steps[sweep]",
             "tests/test_cli.py::test_grid_memory_does_not_grow_with_steps[marginals]",
@@ -314,8 +320,8 @@ MUTANTS = (
     Mutant(
         "grid_rows_accumulate",
         "commands.py",
-        "block = np.column_stack(columns(start, sweep_correlation(deltas, vis)))",
-        "block = np.column_stack(columns(start, sweep_correlation(deltas, vis)))\n"
+        "block = columns(start, sweep_correlation(deltas, vis))",
+        "block = columns(start, sweep_correlation(deltas, vis))\n"
         '            vars(args).setdefault("held", []).append(block)',
         (
             "tests/test_cli.py::test_grid_memory_does_not_grow_with_steps[sweep]",
@@ -327,7 +333,7 @@ MUTANTS = (
         "commands.py",
         "out.write(_csv_rows(block))",
         "out.write(_csv_rows(block))\n"
-        '            vars(args).setdefault("held", []).append(bytes(len(block)))',
+        '            vars(args).setdefault("held", []).append(bytes(len(block[0])))',
         (
             "tests/test_cli.py::test_grid_memory_does_not_grow_with_steps[sweep]",
             "tests/test_cli.py::test_grid_memory_does_not_grow_with_steps[marginals]",
@@ -336,8 +342,20 @@ MUTANTS = (
     Mutant(
         "csv_rows_without_sign_guard",
         "commands.py",
-        "if text == _fmt(b) and (a > 0 or b < 0):",
-        "if text == _fmt(b):",
+        " and (a > 0 or b < 0)",
+        "",
+        (
+            "tests/test_cli.py::test_csv_rows_equal_the_per_field_format",
+            "tests/test_cli.py::test_csv_rows_equal_the_per_field_format_at_the_edges"
+            "[signed_zeros]",
+        ),
+    ),
+    Mutant(
+        # min and max of [1.0, nan, 1.0] are both 1.0: the NaN row would print 1
+        "csv_rows_without_nan_guard",
+        "commands.py",
+        " and not math.isnan(sum(column))",
+        "",
         (
             "tests/test_cli.py::test_csv_rows_equal_the_per_field_format",
             "tests/test_cli.py::test_csv_rows_equal_the_per_field_format_at_the_edges"
@@ -421,8 +439,10 @@ MUTANTS = (
         "        return 1\n",
         "",
         tuple(
-            f"tests/test_package.py::test_a_numpy_that_cannot_load_is_reported_in_one_line[{case}]"
-            for case in ("sweep-halted", "sweep-unmappable")
+            f"tests/test_package.py::test_a_numpy_that_cannot_load_is_reported_in_one_line"
+            f"[{command}-{blocker}]"
+            for command in ("sweep_mc", "bell", "sample")
+            for blocker in ("halted", "unmappable")
         ),
     ),
     Mutant(
@@ -432,7 +452,7 @@ MUTANTS = (
         "        cause = exc\n",
         (
             "tests/test_package.py::test_a_numpy_that_cannot_load_is_reported_in_one_line"
-            "[sweep-unmappable]",
+            "[sample-unmappable]",
         ),
     ),
     Mutant(
@@ -449,8 +469,8 @@ MUTANTS = (
     Mutant(
         "commands_import_the_sampling_modules_eagerly",
         "commands.py",
-        "# load no sampling.\n",
-        "# load no sampling.\n"
+        "# exact grids load no sampling.\n",
+        "# exact grids load no sampling.\n"
         "from .montecarlo import estimate_columns  # noqa: F401\n",
         tuple(
             f"tests/test_package.py::test_each_command_loads_only_the_modules_it_runs[{command}]"
@@ -462,7 +482,10 @@ MUTANTS = (
         "commands.py",
         "from functools import cache\n",
         "from functools import cache\n\nimport numpy as np  # noqa: F401\n",
-        ("tests/test_package.py::test_each_command_loads_only_the_modules_it_runs[premeasure]",),
+        tuple(
+            f"tests/test_package.py::test_each_command_loads_only_the_modules_it_runs[{command}]"
+            for command in ("sweep_exact", "marginals", "premeasure")
+        ),
     ),
     Mutant(
         "sampling_imports_the_labelled_model",
@@ -526,9 +549,21 @@ MUTANTS = (
     Mutant(
         "freeze_before_the_run_imports_numpy",
         "cli.py",
-        "    status = main()\n    gc.freeze()\n",
-        "    gc.freeze()\n    status = main()\n",
+        "    try:\n        status = main()\n" + _RUN_HANDLER + "    gc.freeze()\n",
+        "    gc.freeze()\n    try:\n        status = main()\n" + _RUN_HANDLER,
         ("tests/test_cli.py::test_process_entry_freezes_start_up_objects",),
+    ),
+    Mutant(
+        "run_installs_no_signal_handler",
+        "cli.py",
+        "            signal.signal(signum, stop)\n",
+        "            pass\n",
+        tuple(
+            "tests/test_cli.py::"
+            f"test_a_signal_ends_the_run_in_one_line_and_leaves_no_temporary_file[{argv}-{signame}]"
+            for signame in ("SIGTERM", "SIGHUP")
+            for argv in ("sample", "sweep_mc")
+        ),
     ),
 )
 

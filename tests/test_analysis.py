@@ -91,12 +91,13 @@ def test_sweep_endpoints_and_midpoint():
 
 def test_sweep_mixed_limit():
     result = sweep_correlation([0.0], Visibility(0))
-    assert result.correlations.tolist() == [0.0]
+    assert result.correlations == [0.0]
 
 
 def test_sweep_singles_are_flat():
     result = sweep_correlation(np.linspace(0, 2 * math.pi, 32), Visibility(1))
-    for m in np.transpose(result.singles).tolist():
+    assert len(result.singles) == 32
+    for m in result.singles:
         np.testing.assert_allclose(m, [0.5] * 4, atol=TOL)
 
 
@@ -109,8 +110,8 @@ def test_sweep_singles_are_flat():
     ],
 )
 def test_sweep_rejects_tables_outside_the_ranges(monkeypatch, bad, message):
-    def table(deltas, phi_b, vis):
-        return np.repeat(np.array(bad)[:, None], len(deltas), axis=1)
+    def table(phi_a, phi_b, vis):
+        return tuple(bad)
 
     monkeypatch.setattr(analysis, "joint_tables", table)
     with pytest.raises(ValueError, match=message):
@@ -120,13 +121,13 @@ def test_sweep_rejects_tables_outside_the_ranges(monkeypatch, bad, message):
 # Tables on the edges of the ranges: E at +1 or -1, every single at 0 or 1.
 @pytest.mark.parametrize("edge", [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
 def test_sweep_accepts_tables_on_the_range_ends(monkeypatch, edge):
-    def table(deltas, phi_b, vis):
-        return np.repeat(np.array(edge)[:, None], len(deltas), axis=1)
+    def table(phi_a, phi_b, vis):
+        return tuple(edge)
 
     monkeypatch.setattr(analysis, "joint_tables", table)
     result = sweep_correlation([0.0, 1.0], Visibility(1))
-    assert result.correlations.tolist() == [correlation(edge)] * 2
-    assert sorted(set(np.ravel(result.singles).tolist())) == [0.0, 1.0]
+    assert result.correlations == [correlation(edge)] * 2
+    assert sorted({p for m in result.singles for p in m}) == [0.0, 1.0]
 
 
 ULP_PAST_ONE = 1.0 + 2.0**-52
@@ -142,8 +143,8 @@ ULP_PAST_ONE = 1.0 + 2.0**-52
     ],
 )
 def test_sweep_rejects_tables_an_ulp_outside_the_ranges(monkeypatch, bad, message):
-    def table(deltas, phi_b, vis):
-        return np.repeat(np.array(bad)[:, None], len(deltas), axis=1)
+    def table(phi_a, phi_b, vis):
+        return tuple(bad)
 
     monkeypatch.setattr(analysis, "joint_tables", table)
     with pytest.raises(ValueError, match=message):
@@ -255,11 +256,11 @@ def signaling_tables(party: str):
     singles stay at 1/2, and the four entries still sum to 1."""
 
     def tables(phi_a, phi_b, vis):
-        s = 0.05 * np.sin(np.asarray(phi_b if party == "A" else phi_a, dtype=float))
-        q = np.full_like(s, 0.25)
+        s = 0.05 * math.sin(phi_b if party == "A" else phi_a)
+        q = 0.25
         if party == "A":  # P(A+) = pp + pm
-            return np.array([q + s, q, q - s, q])
-        return np.array([q + s, q - s, q, q])  # P(B+) = pp + mp
+            return (q + s, q, q - s, q)
+        return (q + s, q - s, q, q)  # P(B+) = pp + mp
 
     return tables
 
@@ -293,12 +294,12 @@ visibilities_with_ends = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1
 def test_sweep_correlation_equals_per_point_loop(grid, v):
     grid = grid + [0.0, math.pi, 2 * math.pi]
     vis = Visibility(v)
-    tables = [list(table_at(d, 0.0, v)) for d in grid]
+    tables = [table_at(d, 0.0, v) for d in grid]
     result = sweep_correlation(grid, vis)
-    assert result.delta_grid.tolist() == grid
-    assert result.correlations.tolist() == [correlation(t) for t in tables]
-    assert np.transpose(result.singles).tolist() == [list(marginals(t)) for t in tables]
-    assert result.tables.T.tolist() == tables
+    assert result.delta_grid == grid
+    assert result.correlations == [correlation(t) for t in tables]
+    assert result.singles == [marginals(t) for t in tables]
+    assert result.tables == tables
 
 
 @settings(max_examples=100, deadline=None)

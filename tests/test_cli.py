@@ -6,9 +6,11 @@ import json
 import math
 import os
 import re
+import signal
 import stat
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -878,10 +880,11 @@ def test_grid_rows_format_floats_as_text_does(x):
     assert commands._FLOAT.encode() % x == (commands._FLOAT % x).encode()
 
 
-def per_field_rows(block: np.ndarray) -> bytes:
-    """Every field of block printed on its own: the reference for _csv_rows."""
-    n, k = block.shape
-    return ((",".join(["%.9g"] * k) + "\n") * n % tuple(block.ravel().tolist())).encode()
+def per_field_rows(columns: list[list[float]]) -> bytes:
+    """Every field of the columns printed on its own: the reference for _csv_rows."""
+    rows = list(zip(*columns))
+    fields = tuple(x for row in rows for x in row)
+    return ((",".join(["%.9g"] * len(columns)) + "\n") * len(rows) % fields).encode()
 
 
 # A value x and its neighbours either side of a 9-digit rounding boundary
@@ -905,8 +908,8 @@ EDGE_BLOCKS = {
 
 @pytest.mark.parametrize("rows", EDGE_BLOCKS.values(), ids=EDGE_BLOCKS)
 def test_csv_rows_equal_the_per_field_format_at_the_edges(rows):
-    block = np.array(rows, dtype=float)
-    assert commands._csv_rows(block) == per_field_rows(block)
+    columns = [list(column) for column in zip(*rows)]
+    assert commands._csv_rows(columns) == per_field_rows(columns)
 
 
 def _near(x: float) -> list[float]:
@@ -927,8 +930,7 @@ COLUMN_POOLS = st.one_of(
 def test_csv_rows_equal_the_per_field_format(data, n, k):
     pools = [data.draw(COLUMN_POOLS) for _ in range(k)]
     columns = [data.draw(st.lists(st.sampled_from(p), min_size=n, max_size=n)) for p in pools]
-    block = np.array(columns, dtype=float).T
-    assert commands._csv_rows(block) == per_field_rows(block)
+    assert commands._csv_rows(columns) == per_field_rows(columns)
 
 
 def test_module_entry_point_runs():
@@ -963,7 +965,7 @@ def test_process_entry_freezes_start_up_objects():
     # As `python -m biphoton` runs; at interpreter exit the hook reads the freeze
     # count, and whether numpy's namespace, which loads inside main(), is still
     # in a generation the collector walks (frozen objects are in none). A
-    # marginals run loads numpy; a premeasure run loads none.
+    # sample run loads numpy; the exact grids and premeasure load none.
     code = (
         "import atexit, gc, runpy, sys\n"
         "def report():\n"
@@ -974,11 +976,11 @@ def test_process_entry_freezes_start_up_objects():
         "runpy.run_module('biphoton', run_name='__main__')\n"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", code, "marginals", "--steps", "2", "--output", os.devnull],
+        [sys.executable, "-c", code, "sample", "--samples", "2", "--output", os.devnull],
         capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0
-    assert proc.stderr == ""
+    assert proc.stderr.startswith("sampled 2 events") and proc.stderr.count("\n") == 1
     label, count, tracked, walked = proc.stdout.split()
     assert label == "frozen" and int(count) > 0
     assert tracked == "True" and walked == "False"
@@ -1037,3 +1039,71 @@ def test_output_file_needs_no_stdout(tmp_path):
     assert proc.returncode == 0
     assert proc.stderr.startswith(b"sampled 3 events") and proc.stderr.count(b"\n") == 1
     assert path.read_bytes().count(b"\n") == 3
+
+
+# ---------------------------------------------------------------------------
+# signals
+
+
+# Command lines that write their --output file for longer than a test waits
+LONG_RUNS = {
+    "sample": ["sample", "--samples", "100000000"],
+    "sweep_mc": ["sweep", "--steps", "100000000", "--mc", "1000,1"],
+}
+
+
+def start_long_run(argv, target: Path, ignored: str | None = None) -> subprocess.Popen:
+    """Run the process entry on argv + --output target, as the console script
+    does, with SIGINT, SIGTERM and SIGHUP at their default actions (the one
+    named ignored at SIG_IGN); return once its temporary file exists."""
+    code = (
+        "import signal, sys\n"
+        "signal.signal(signal.SIGINT, signal.default_int_handler)\n"
+        "for name in ('SIGTERM', 'SIGHUP'):\n"
+        f"    action = signal.SIG_IGN if name == {ignored!r} else signal.SIG_DFL\n"
+        "    signal.signal(getattr(signal, name), action)\n"
+        "from biphoton.cli import run\n"
+        "run()\n"
+    )
+    proc = subprocess.Popen([sys.executable, "-c", code, *argv, "--output", str(target)],
+                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+    deadline = time.monotonic() + 60
+    while not any(p.name.startswith(".biphoton-") for p in target.parent.iterdir()):
+        if proc.poll() is not None or time.monotonic() > deadline:
+            proc.kill()
+            raise AssertionError(f"no temporary file: {proc.communicate()[1]!r}")
+        time.sleep(0.01)
+    return proc
+
+
+@pytest.mark.parametrize("signame", ["SIGINT", "SIGTERM", "SIGHUP"])
+@pytest.mark.parametrize("argv", LONG_RUNS.values(), ids=LONG_RUNS)
+def test_a_signal_ends_the_run_in_one_line_and_leaves_no_temporary_file(tmp_path, argv, signame):
+    target = tmp_path / "out"
+    target.write_text("earlier run\n")
+    proc = start_long_run(argv, target)
+    try:
+        proc.send_signal(getattr(signal, signame))
+        err = proc.communicate(timeout=60)[1]
+    finally:
+        proc.kill()
+    assert proc.returncode == 1
+    assert err == f"biphoton: stopped by {signame}\n".encode()
+    assert os.listdir(tmp_path) == ["out"]
+    assert target.read_text() == "earlier run\n"
+
+
+def test_a_hangup_ignored_at_start_stays_ignored(tmp_path):
+    # As under nohup: the run goes on past SIGHUP, and still stops on SIGTERM.
+    proc = start_long_run(LONG_RUNS["sample"], tmp_path / "out", ignored="SIGHUP")
+    try:
+        proc.send_signal(signal.SIGHUP)
+        time.sleep(0.2)
+        assert proc.poll() is None
+        proc.send_signal(signal.SIGTERM)
+        err = proc.communicate(timeout=60)[1]
+    finally:
+        proc.kill()
+    assert proc.returncode == 1
+    assert err == b"biphoton: stopped by SIGTERM\n"
+    assert os.listdir(tmp_path) == []

@@ -21,10 +21,19 @@ of the same kind, on CHSH settings that include zero crossings of E.
 The sampled estimates E_hat = (s - d)/n and stderr = 2 sqrt(s d/(n - 1))/n
 are checked against their exact values, computed from the counts with
 fractions and Decimal, for counts up to the largest the CLI accepts.
+
+The `premeasure` report of the state (|A1 D1> + e^{i theta}|A2 D2>)/sqrt2 is
+checked against its closed forms in the double theta: probability 1/2 on
+each dyad and 0 elsewhere, no subsystem coherence, and the cross-dyad
+coherence e^{-i theta}/2, of modulus 1/2 and phase -theta wrapped into
+[-pi, pi].
 """
 
+import io
+import json
 import math
 import random
+from contextlib import redirect_stderr, redirect_stdout
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -33,9 +42,10 @@ import numpy as np
 import pytest
 
 from biphoton.analysis import chsh, correlation, marginals
+from biphoton.cli import main, parse_angle
 from biphoton.commands import _MAX_COUNT
 from biphoton.montecarlo import estimate_counts
-from biphoton.optics import ChshSettings, Visibility, _wrap_angles, joint_tables
+from biphoton.optics import ChshSettings, Visibility, _wrap_angle, joint_tables
 
 VISIBILITIES = (1.0, 0.83, 0.5, 1.0 / math.sqrt(2.0), 0.0)
 # |E_exact - v cos d| may reach this much for each of the four terms of E (the
@@ -50,14 +60,14 @@ E_PAIR_BOUND = 1.5e-15
 S_SUM_BOUND = 3 * 2.0**-52
 
 
-def _deltas() -> np.ndarray:
+def _deltas() -> list[float]:
     """600 phase differences: 420 spread over [-10, 10] and 180 near the fringe
     minima at -pi, pi and 3pi, |delta - minimum| from 1e-1 down to 1e-6."""
     rng = np.random.default_rng(20261019)
     spread = rng.uniform(-10.0, 10.0, 420)
     offsets = np.repeat(10.0 ** -np.arange(1, 7), 10) * rng.choice([-1.0, 1.0], 60)
     minima = np.concatenate([m + offsets for m in (-math.pi, math.pi, 3 * math.pi)])
-    return np.concatenate([spread, minima])
+    return np.concatenate([spread, minima]).tolist()
 
 
 def _rounded(x) -> Decimal:
@@ -70,30 +80,29 @@ def _rounded(x) -> Decimal:
 def exact_cosines():
     deltas = _deltas()
     with mpmath.workdps(40):
-        return deltas, [mpmath.cos(mpmath.mpf(d)) for d in _wrap_angles(deltas).tolist()]
+        return deltas, [mpmath.cos(mpmath.mpf(_wrap_angle(d))) for d in deltas]
 
 
 @pytest.mark.parametrize("v", VISIBILITIES)
 def test_table_and_singles_print_the_correctly_rounded_exact_value(exact_cosines, v):
     deltas, cosines = exact_cosines
-    table = joint_tables(deltas, 0.0, Visibility(v))
-    singles = np.array(marginals(table))
     half = _rounded(mpmath.mpf(0.5))
     wrong = []
     with mpmath.workdps(40):
-        for k, c in enumerate(cosines):
+        for delta, c in zip(deltas, cosines):
+            table = joint_tables(delta, 0.0, Visibility(v))
             same, opposite = _rounded((1 + v * c) / 4), _rounded((1 - v * c) / 4)
-            for got, want in zip(table[:, k].tolist() + singles[:, k].tolist(),
+            for got, want in zip(table + marginals(table),
                                  (same, opposite, opposite, same) + (half,) * 4):
                 if Decimal("%.9g" % got) != want:
-                    wrong.append((float(deltas[k]), "%.9g" % got, str(want)))
+                    wrong.append((delta, "%.9g" % got, str(want)))
     assert wrong == []
 
 
 @pytest.mark.parametrize("v", VISIBILITIES)
 def test_e_exact_is_within_its_stated_bound(exact_cosines, v):
     deltas, cosines = exact_cosines
-    e = correlation(joint_tables(deltas, 0.0, Visibility(v))).tolist()
+    e = [correlation(joint_tables(delta, 0.0, Visibility(v))) for delta in deltas]
     with mpmath.workdps(40):
         errors = [abs(mpmath.mpf(got) - v * c) for got, c in zip(e, cosines)]
     assert float(max(errors)) <= 4 * E_TERM_BOUND
@@ -119,10 +128,10 @@ def test_s_exact_is_within_its_stated_bound_of_its_four_terms(v):
     worst_term = worst_sum = 0.0
     with mpmath.workdps(40):
         for s in _chsh_settings():
-            e = correlation(s.tables(vis)).tolist()
+            e = [correlation(table) for table in s.tables(vis)]
             phases = [(s.a, s.b), (s.a, s.b_prime), (s.a_prime, s.b), (s.a_prime, s.b_prime)]
             for got, pair in zip(e, phases):
-                pa, pb = _wrap_angles(np.array(pair)).tolist()
+                pa, pb = map(_wrap_angle, pair)
                 exact = v * mpmath.cos(mpmath.mpf(pa) - mpmath.mpf(pb))
                 worst_term = max(worst_term, float(abs(mpmath.mpf(got) - exact)))
             terms = sum(map(Fraction, e[:3])) - Fraction(e[3])
@@ -164,4 +173,59 @@ def test_sampled_estimate_and_stderr_print_the_correctly_rounded_exact_value():
             for got, want in ((result.estimate, exact_mean), (result.stderr, exact_stderr)):
                 if Decimal("%.9g" % got) != _nine_digits(want):
                     wrong.append((same, diff, "%.9g" % got, str(_nine_digits(want))))
+    assert wrong == []
+
+
+# Thetas at and beside the multiples of pi/2, where the phase wraps and the
+# parts of the coherence pass through zero
+THETAS = ("0", "pi/2", "-pi/2", "pi", "-pi", "3pi/2", "-3pi/2", "2pi", "-2pi", "5pi/2",
+          "pi/3", "-2.25", "1e-3", "7")
+
+
+def _exact_nine(x) -> Decimal:
+    """x, an mpf, correctly rounded to 9 significant digits (0 as 0)."""
+    return _rounded(x) if x else Decimal(0)
+
+
+@pytest.mark.parametrize("text", THETAS)
+def test_premeasure_report_prints_the_correctly_rounded_closed_forms(text):
+    # main writes bytes to sys.stdout.buffer
+    out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        assert main(["premeasure", "--theta", text]) == 0
+    out.flush()
+    report = json.loads(out.buffer.getvalue(), parse_float=Decimal, parse_int=Decimal)
+    with mpmath.workdps(40):
+        theta = mpmath.mpf(parse_angle(text))
+        phase = -theta
+        while phase > mpmath.pi:
+            phase -= 2 * mpmath.pi
+        while phase < -mpmath.pi:
+            phase += 2 * mpmath.pi
+        expected = {
+            "theta": theta,
+            "joint_probs": {
+                "A1": {"ready": 0, "D1": mpmath.mpf(1) / 2, "D2": 0},
+                "A2": {"ready": 0, "D1": 0, "D2": mpmath.mpf(1) / 2},
+            },
+            "subsystem_coherence": [0, 0],
+            "correlation_coherence": [mpmath.cos(theta) / 2, -mpmath.sin(theta) / 2],
+            "correlation_coherence_modulus": mpmath.mpf(1) / 2,
+            "correlation_coherence_phase": phase,
+            "both_clicked_prob": 0,
+            "iff_violation_prob": 0,
+        }
+        wrong = []
+
+        def compare(got, want, where):
+            if isinstance(want, dict):
+                for key in want:
+                    compare(got[key], want[key], f"{where}.{key}")
+            elif isinstance(want, list):
+                for k, (g, w) in enumerate(zip(got, want, strict=True)):
+                    compare(g, w, f"{where}[{k}]")
+            elif got != _exact_nine(mpmath.mpf(want)):
+                wrong.append((where, str(got), str(_exact_nine(mpmath.mpf(want)))))
+
+        compare(report, expected, "report")
     assert wrong == []

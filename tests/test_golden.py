@@ -176,9 +176,10 @@ def test_output_file_matches_stdout_transcript(tmp_path):
     assert err == golden("bench_sample", ".stderr")
 
 
-# Golden command lines whose numbers pass through numpy's SIMD kernels: the
-# exact table (near a zero of E too), grid formatting, splitmix64 draws, the
-# inverse CDF and counts.
+# Golden command lines whose numbers passed through numpy's SIMD kernels: the
+# splitmix64 draws, the inverse CDF and counts, and the exact table (near a
+# zero of E too) and grid formatting, which now load no numpy and stay as a
+# check that no numpy path returns to them.
 DISPATCH_CASES = ("bench_sweep", "bench_sweep_mc", "bench_bell", "bench_sample", "marginals_3073",
                   "sweep_zero_crossing")
 
@@ -200,35 +201,62 @@ def dispatch_off_env() -> dict[str, str]:
     targets = enabled_dispatch_targets()
     if not targets:
         pytest.skip("numpy enables no dispatch target on this host")
+    return {**child_env(), "NPY_DISABLE_CPU_FEATURES": " ".join(targets)}
+
+
+def child_env() -> dict[str, str]:
+    """The environment of a child that imports this biphoton and these tests."""
     src = str(Path(biphoton.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, str(Path(__file__).parent), os.environ.get("PYTHONPATH")]))
-    return {**os.environ, "PYTHONPATH": path, "NPY_DISABLE_CPU_FEATURES": " ".join(targets)}
+    return {**os.environ, "PYTHONPATH": path}
+
+
+# Run in a child after a prologue: one golden_row per case named in argv
+CHILD_ROWS = (
+    "import hashlib, sys\n"
+    "import test_golden as g\n"
+    "for name in sys.argv[1:]:\n"
+    "    code, out, err = g.run({**g.CASES, **g.HASHED}[name])\n"
+    "    print(name, code, hashlib.sha256(out).hexdigest(), hashlib.sha256(err).hexdigest())\n"
+)
 
 
 def test_goldens_hold_with_numpy_cpu_dispatch_off():
     # A child runs the cases on the baseline kernels; its bytes must still be the goldens'.
     env = dispatch_off_env()
-    code = (
-        "import hashlib, sys\n"
-        "import test_golden as g\n"
-        "print('enabled', *g.enabled_dispatch_targets())\n"
-        "for name in sys.argv[1:]:\n"
-        "    code, out, err = g.run({**g.CASES, **g.HASHED}[name])\n"
-        "    print(name, code, hashlib.sha256(out).hexdigest(), hashlib.sha256(err).hexdigest())\n"
-    )
+    code = "import test_golden as g\nprint('enabled', *g.enabled_dispatch_targets())\n" + CHILD_ROWS
     proc = subprocess.run([sys.executable, "-c", code, *DISPATCH_CASES],
                           capture_output=True, text=True, timeout=60, env=env)
     assert proc.returncode == 0, proc.stderr
     enabled, *rows = proc.stdout.splitlines()
     assert enabled == "enabled"
-    expected = []
-    for name in DISPATCH_CASES:
-        if name in CASES:
-            out = hashlib.sha256(golden(name, ".stdout")).hexdigest()
-        else:
-            out = golden(name, ".stdout.sha256").decode().strip()
-        expected.append(f"{name} 0 {out} {hashlib.sha256(golden(name, '.stderr')).hexdigest()}")
-    assert rows == expected
+    assert rows == [golden_row(name) for name in DISPATCH_CASES]
+
+
+def golden_row(name: str) -> str:
+    """'name 0 sha256(stdout) sha256(stderr)' of a golden of CASES or HASHED."""
+    if name in CASES:
+        out = hashlib.sha256(golden(name, ".stdout")).hexdigest()
+    else:
+        out = golden(name, ".stdout.sha256").decode().strip()
+    return f"{name} 0 {out} {hashlib.sha256(golden(name, '.stderr')).hexdigest()}"
+
+
+# Golden command lines that draw nothing: the exact grids and the detection model
+EXACT_CASES = tuple(
+    name for name, argv in sorted({**CASES, **HASHED}.items())
+    if argv[0] in ("sweep", "marginals", "premeasure")
+    and not any(flag.startswith("--mc") for flag in argv)
+)
+
+
+def test_exact_goldens_hold_without_numpy():
+    # A child in which numpy cannot load runs every golden that draws nothing.
+    code = "import sys\nsys.modules['numpy'] = None\n" + CHILD_ROWS
+    proc = subprocess.run([sys.executable, "-c", code, *EXACT_CASES],
+                          capture_output=True, text=True, timeout=60, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [golden_row(name) for name in EXACT_CASES]
 
 
 def write_goldens() -> None:

@@ -40,7 +40,7 @@ from oracles import (
 SQRT2 = math.sqrt(2.0)
 
 
-def table_at(delta: float, v: float) -> np.ndarray:
+def table_at(delta: float, v: float) -> tuple[float, ...]:
     return joint_distribution(PhaseSettings(delta, 0.0), Visibility(v))
 
 
@@ -136,6 +136,11 @@ def test_derive_seed_is_first_output_of_shifted_state():
         assert derive_seed(seed, k) == SplitMix64(seed + k).next_u64()
 
 
+def test_consecutive_seeds_share_all_but_one_sub_stream():
+    # README and the rng docstring say so, and advise seeds spaced far apart.
+    assert all(derive_seed(s + 1, k) == derive_seed(s, k + 1) for s in (0, 41, 2**63) for k in range(4))
+
+
 # ---------------------------------------------------------------------------
 # event sampling
 
@@ -176,8 +181,8 @@ def chi2_sf_3dof(x: float) -> float:
     return math.erfc(math.sqrt(x / 2)) + math.sqrt(2 * x / math.pi) * math.exp(-x / 2)
 
 
-def pearson_chi2(counts: np.ndarray, probs: np.ndarray) -> float:
-    expected = counts.sum() * probs
+def pearson_chi2(counts: np.ndarray, probs) -> float:
+    expected = counts.sum() * np.asarray(probs)
     return float(((counts - expected) ** 2 / expected).sum())
 
 
@@ -198,7 +203,7 @@ def test_sampled_counts_fit_the_exact_table(delta, v):
     counts = np.bincount(draw(table_at(delta, v), n, 8128), minlength=4)
     assert chi2_sf_3dof(pearson_chi2(counts, probs)) > 0.001
     # The same counts against a table moved by 1% of its mass are rejected.
-    biased = probs + np.array([0.005, -0.005, 0.005, -0.005])
+    biased = np.add(probs, [0.005, -0.005, 0.005, -0.005])
     assert chi2_sf_3dof(pearson_chi2(counts, biased)) < 1e-6
 
 
@@ -363,7 +368,7 @@ def test_per_event_views_equal_the_core(probs, n, seed):
 def test_outcome_array_matches_scalar_inverse_cdf(delta, v, n, seed):
     j = table_at(delta, v)
     cdf, total = [], 0.0
-    for p in j.tolist():
+    for p in j:
         total += p
         cdf.append(total)
     gen = SplitMix64(seed)
@@ -447,12 +452,12 @@ def test_estimates_are_calibrated_over_many_points():
     # sd 0.024) and the KS distance 0.026 at most; the bounds below held for
     # 97 of them. A stderr 5% high or low moves the variance by -9% or +11%.
     k, n, seed, v = 4096, 1000, 20261020, 0.9
-    tables = joint_tables(np.linspace(0.0, 2 * math.pi, k, endpoint=False), 0.0, Visibility(v))
-    exact = (tables[0] + tables[3] - tables[1] - tables[2]).tolist()
+    tables = [joint_tables(2 * math.pi * j / k, 0.0, Visibility(v)) for j in range(k)]
+    exact = [pp + mm - pm - mp for pp, pm, mp, mm in tables]
     z = [(r.estimate - e) / r.stderr for r, e in zip(estimate_columns(tables, n, seed), exact)]
     p_values = [
         chi2_sf_3dof(pearson_chi2(sample_counts(table, n, derive_seed(seed, j)), table))
-        for j, table in enumerate(tables.T)
+        for j, table in enumerate(tables)
     ]
     assert abs(statistics.fmean(z)) <= 0.05
     assert abs(statistics.variance(z) - 1.0) <= 0.06

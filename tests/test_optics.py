@@ -24,7 +24,7 @@ from biphoton.optics import (
     OUTCOMES,
     PhaseSettings,
     Visibility,
-    _wrap_angles,
+    _wrap_angle,
     joint_distribution,
     joint_tables,
 )
@@ -54,14 +54,14 @@ def test_phase_settings_normalize_into_two_pi(pa, pb):
 def test_phase_settings_reject_nonfinite():
     with pytest.raises(ValueError, match="finite"):
         PhaseSettings(math.inf, 0.0)
-    # in either position, with the array core's message
+    # in either position, with the message of the wrap joint_tables runs
     for bad in (math.inf, -math.inf, math.nan):
         for pa, pb in ((bad, 0.0), (0.0, bad), (bad, -bad)):
-            with pytest.raises(ValueError) as scalar:
+            with pytest.raises(ValueError) as settings_error:
                 PhaseSettings(pa, pb)
-            with pytest.raises(ValueError) as array:
-                _wrap_angles(np.array([pa, pb]))
-            assert str(scalar.value) == str(array.value)
+            with pytest.raises(ValueError) as wrap_error:
+                _wrap_angle(pa), _wrap_angle(pb)
+            assert str(settings_error.value) == str(wrap_error.value)
 
 
 # Where a wrap can go wrong: zeros, multiples of pi, tiny negatives that
@@ -73,9 +73,11 @@ edge_angles = st.sampled_from(
 
 @settings(max_examples=300)
 @given(st.one_of(edge_angles, st.floats(-20.0, 20.0)), st.one_of(edge_angles, st.floats(-20.0, 20.0)))
-def test_phase_settings_wrap_like_the_array_core(pa, pb):
+def test_phase_settings_wrap_like_the_exact_core(pa, pb):
     s = PhaseSettings(pa, pb)
-    assert [s.phi_a, s.phi_b] == _wrap_angles(np.array([pa, pb])).tolist()
+    assert [s.phi_a, s.phi_b] == [_wrap_angle(pa), _wrap_angle(pb)]
+    # The wrap is numpy's remainder of the same doubles, bit for bit
+    assert [s.phi_a, s.phi_b] == (np.array([pa, pb]) % (2 * math.pi) % (2 * math.pi)).tolist()
 
 
 @pytest.mark.parametrize("v", [-0.1, 1.1, math.nan])
@@ -289,7 +291,7 @@ def test_phased_biphoton_keeps_flat_subsystems():
 
 
 # ---------------------------------------------------------------------------
-# the broadcasting core: bit-for-bit agreement
+# the exact core: bit-for-bit agreement
 
 
 wide_angles = st.floats(-20.0, 20.0, allow_nan=False)
@@ -298,7 +300,7 @@ ALWAYS_INCLUDED = [0.0, math.pi, 2 * math.pi]
 
 
 def probs_list(pa, pb, vis):
-    return joint_distribution(PhaseSettings(pa, pb), vis).tolist()
+    return list(joint_distribution(PhaseSettings(pa, pb), vis))
 
 
 @settings(max_examples=200, deadline=None)
@@ -306,11 +308,11 @@ def probs_list(pa, pb, vis):
 def test_joint_tables_equal_joint_distribution_per_point(pairs, v):
     pairs = pairs + [(x, y) for x in ALWAYS_INCLUDED for y in ALWAYS_INCLUDED]
     vis = Visibility(v)
-    tables = joint_tables(*np.array(pairs).T, vis)
-    assert tables.shape == (4, len(pairs))
-    for k, (pa, pb) in enumerate(pairs):
+    for pa, pb in pairs:
+        table = joint_tables(pa, pb, vis)
+        assert type(table) is tuple and len(table) == 4
         column = probs_list(pa, pb, vis)
-        assert tables[:, k].tolist() == column
+        assert list(table) == column
         # Each entry a probability up to rounding, and the four summing to 1
         assert all(-1e-15 <= p <= 1.0 + 1e-15 for p in column)
         assert abs(sum(column) - 1.0) <= 1e-12
@@ -327,14 +329,15 @@ def test_joint_tables_equal_the_labelled_matrices_in_scalar_order(pa, pb, v):
     out = np.kron(beam_splitter("A").entries, beam_splitter("B").entries) @ shifted
     raw = out.real**2 + out.imag**2
     expected = [v * raw[port] + (1.0 - v) * 0.25 for port in (1, 0, 3, 2)]
-    assert joint_tables(pa, pb, Visibility(v)).tolist() == expected
+    assert list(joint_tables(pa, pb, Visibility(v))) == expected
 
 
 def test_joint_tables_bytes_hold_with_numpy_cpu_dispatch_off():
-    # numpy's SIMD kernels must not move a bit of the table: a child on the
-    # baseline kernels computes the same bytes, at random settings and at
-    # settings within 1e-8 of a zero of E (d = pi/2, 3pi/2), where E_exact
-    # prints the last bits of the table.
+    # The table on Python floats must hold the bytes of the same circuit
+    # broadcast over numpy arrays on numpy's baseline kernels (a child with
+    # every SIMD dispatch target off), at random settings and at settings
+    # within 1e-8 of a zero of E (d = pi/2, 3pi/2), where E_exact prints the
+    # last bits of the table.
     env = dispatch_off_env()
     rng = np.random.default_rng(31)
     phi_b = rng.uniform(-10.0, 10.0, 3000)
@@ -343,17 +346,23 @@ def test_joint_tables_bytes_hold_with_numpy_cpu_dispatch_off():
     phi_a[1500:] += phi_b[1500:]
     settings_bytes = np.stack([phi_a, phi_b]).tobytes()
     code = (
-        "import sys\n"
+        "import math, sys\n"
         "import numpy as np\n"
-        "from biphoton.optics import Visibility, joint_tables\n"
-        "phi_a, phi_b = np.frombuffer(sys.stdin.buffer.read()).reshape(2, -1)\n"
+        "from biphoton.records import BS_ENTRIES, SOURCE_AMPS\n"
+        "phi_a, phi_b = np.frombuffer(sys.stdin.buffer.read()).reshape(2, -1) % (2 * math.pi)\n"
+        "phi_a, phi_b = phi_a % (2 * math.pi), phi_b % (2 * math.pi)\n"
+        "a1b1, a2b2 = np.kron(BS_ENTRIES, BS_ENTRIES)[[1, 0, 3, 2]][:, [0, 3]].T[:, :, None]\n"
+        "out = (a1b1 * (SOURCE_AMPS[0] * np.exp(1j * phi_b))\n"
+        "       + a2b2 * (SOURCE_AMPS[3] * np.exp(1j * phi_a)))\n"
         "for v in (1.0, 0.83):\n"
-        "    sys.stdout.buffer.write(joint_tables(phi_a, phi_b, Visibility(v)).tobytes())\n"
+        "    table = v * (out.real**2 + out.imag**2) + (1.0 - v) * 0.25\n"
+        "    sys.stdout.buffer.write(np.ascontiguousarray(table.T).tobytes())\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], input=settings_bytes,
                           capture_output=True, timeout=60, env=env)
     assert proc.returncode == 0, proc.stderr
-    here = b"".join(joint_tables(phi_a, phi_b, Visibility(v)).tobytes() for v in (1.0, 0.83))
+    here = np.array([joint_tables(pa, pb, Visibility(v)) for v in (1.0, 0.83)
+                     for pa, pb in zip(phi_a.tolist(), phi_b.tolist())]).tobytes()
     assert len(proc.stdout) == len(here)
     differ = np.flatnonzero(np.frombuffer(proc.stdout, np.uint64) != np.frombuffer(here, np.uint64))
     assert differ.size == 0, f"{differ.size} entries differ, first at {differ[0]}"
@@ -364,47 +373,44 @@ def test_joint_tables_bytes_hold_with_numpy_cpu_dispatch_off():
        visibilities_with_ends)
 def test_joint_tables_of_raw_angles_equal_those_of_wrapped_angles(pa, pb, v):
     vis = Visibility(v)
-    wrapped = joint_tables(*_wrap_angles(np.array([pa, pb])), vis)
-    assert joint_tables(pa, pb, vis).tolist() == wrapped.tolist()
+    wrapped = joint_tables(_wrap_angle(pa), _wrap_angle(pb), vis)
+    assert joint_tables(pa, pb, vis) == wrapped
 
 
-def test_joint_tables_broadcast_shapes():
+def test_joint_tables_take_one_pair_of_settings():
     vis = Visibility(0.8)
     grid = np.linspace(-7.0, 7.0, 9)
-    for tables, pairs in (
-        (joint_tables(grid, 0.3, vis), [(d, 0.3) for d in grid]),
-        (joint_tables(0.3, grid, vis), [(0.3, d) for d in grid]),
-    ):
-        assert tables.shape == (4, 9)
-        for k, (pa, pb) in enumerate(pairs):
-            assert tables[:, k].tolist() == probs_list(pa, pb, vis)
+    # numpy float64 settings, on either side, give the table of the floats
+    for d in grid:
+        for pa, pb in ((d, 0.3), (0.3, d)):
+            table = joint_tables(pa, pb, vis)
+            assert [type(p) for p in table] == [float] * 4
+            assert list(table) == probs_list(float(pa), float(pb), vis)
     for pa, pb in ((1.1, 0.4), (np.float64(1.1), np.array(0.4)), (np.array(1.1), np.array(0.4))):
-        tables = joint_tables(pa, pb, vis)
-        assert tables.shape == (4,)
-        assert tables.tolist() == probs_list(1.1, 0.4, vis)
+        table = joint_tables(pa, pb, vis)
+        assert type(table) is tuple and len(table) == 4
+        assert list(table) == probs_list(1.1, 0.4, vis)
     # A tiny negative rounds up to 2pi under one %, and must wrap to 0.
-    assert joint_tables(-1e-300, 0.0, vis).tolist() == probs_list(0.0, 0.0, vis)
-    grid_2d = joint_tables(grid[:, None], grid[None, :], vis)
-    assert grid_2d.shape == (4, 9, 9)
-    assert grid_2d[:, 2, 7].tolist() == probs_list(grid[2], grid[7], vis)
+    assert list(joint_tables(-1e-300, 0.0, vis)) == probs_list(0.0, 0.0, vis)
+    assert list(joint_tables(grid[2], grid[7], vis)) == probs_list(grid[2], grid[7], vis)
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
 def test_joint_tables_reject_nonfinite_without_warning(bad):
     with pytest.raises(ValueError, match="finite"):
-        joint_tables(np.array([0.0, bad]), 0.0, Visibility(1.0))
+        joint_tables(bad, 0.0, Visibility(1.0))
     with pytest.raises(ValueError, match="finite"):
         joint_tables(0.0, bad, Visibility(1.0))
 
 
 # ---------------------------------------------------------------------------
-# the array core against the labelled elements, bit for bit
+# the exact core against the labelled elements, bit for bit
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(edge_angles, wide_angles), st.one_of(edge_angles, wide_angles))
-def test_array_core_equals_labelled_elements_bit_for_bit(pa, pb):
-    # PhaseSettings' wrap is pinned by test_phase_settings_wrap_like_the_array_core.
+def test_exact_core_equals_labelled_elements_bit_for_bit(pa, pb):
+    # PhaseSettings' wrap is pinned by test_phase_settings_wrap_like_the_exact_core.
     s = PhaseSettings(pa, pb)
     shifters = np.kron(phase_shifter("A2", s.phi_a).entries, phase_shifter("B1", s.phi_b).entries)
     expected = shifters @ biphoton_state().amplitudes
@@ -415,8 +421,7 @@ def test_splitter_pair_is_the_labelled_kronecker_product():
     # Read in OUTCOMES row order: B's ports are read out swapped. The source's
     # only terms are A1B1 and A2B2, so only their two columns are kept.
     expected = np.kron(beam_splitter("A").entries, beam_splitter("B").entries)[[1, 0, 3, 2]]
-    assert optics._A1B1.tolist() == expected[:, 0].tolist()
-    assert optics._A2B2.tolist() == expected[:, 3].tolist()
+    assert [list(row) for row in optics._SPLITTERS] == expected[:, [0, 3]].tolist()
 
 
 def test_source_has_no_a1b2_or_a2b1_term():

@@ -77,8 +77,8 @@ def test_root_exports_are_the_module_objects():
 # The biphoton modules each kind of command line loads: the parser alone (help,
 # and usage errors argparse reports); the commands and the exact model, with or
 # without its statistics; the sampling modules on the exact model alone (sample)
-# or with its statistics; or the commands and the stdlib-only labelled model
-# the detection model is built on, without the array core.
+# or with its statistics; or the commands and the labelled model the detection
+# model is built on, without the exact tables.
 PARSER = {"biphoton", "biphoton.cli"}
 COMMANDS_MODULE = PARSER | {"biphoton.commands", "biphoton.optics", "biphoton.records"}
 EXACT = COMMANDS_MODULE | {"biphoton.analysis"}
@@ -114,8 +114,8 @@ def test_each_command_loads_only_the_modules_it_runs(argv, status, modules):
     )
     loaded = set(out.splitlines()[-1].split()[1:])
     assert {m for m in loaded if m.partition(".")[0] == "biphoton"} == modules
-    # numpy backs the array core and every module that imports it
-    assert ("numpy" in loaded) == ("biphoton.optics" in modules)
+    # numpy backs the draws, and loads only with them
+    assert ("numpy" in loaded) == ("biphoton.rng" in modules)
     assert "dataclasses" not in loaded
 
 
@@ -129,8 +129,16 @@ def test_the_labelled_source_and_splitter_load_no_numpy():
     assert out.split() == ["False", "False"]
 
 
-# Each command line and its exit status when numpy cannot load
-WITHOUT_NUMPY = {"sweep": (["sweep", "--steps", "3"], 1), "premeasure": (["premeasure"], 0)}
+# Each command line and its exit status when numpy cannot load: the commands
+# that draw fail, the exact ones run
+WITHOUT_NUMPY = {
+    "sweep": (["sweep", "--steps", "3"], 0),
+    "marginals": (["marginals", "--steps", "3"], 0),
+    "premeasure": (["premeasure"], 0),
+    "sweep_mc": (["sweep", "--steps", "3", "--mc", "10,1"], 1),
+    "bell": (["bell", "--optimal", "--samples", "10"], 1),
+    "sample": (["sample", "--samples", "3"], 1),
+}
 # Code that makes `import numpy` raise: None in sys.modules, as a halted
 # import; or a finder raising numpy's own many-line message, as a failed
 # load of its shared objects (under `ulimit -v 60000`) does
