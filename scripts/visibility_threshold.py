@@ -31,7 +31,8 @@ def main() -> None:
         v = cfg.v_min + (cfg.v_max - cfg.v_min) * i / (cfg.steps - 1)
         vis = Visibility(v)
         s_exact = chsh(CHSH_OPTIMAL, vis)
-        run = bell_experiment(CHSH_OPTIMAL, vis, cfg.samples, cfg.seed + i)
+        # Rows seeded 2**40 apart share no sub-stream (see biphoton.rng)
+        run = bell_experiment(CHSH_OPTIMAL, vis, cfg.samples, cfg.seed + i * 2**40)
         decisive = run.estimate - 2.0 > 3.0 * run.stderr
         print(f"{v:.4f},{s_exact:.6f},{run.estimate:.6f},{run.stderr:.6f},{decisive}")
     print(f"# threshold visibility 1/sqrt2 = {1 / math.sqrt(2):.6f}")

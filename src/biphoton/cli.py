@@ -170,18 +170,14 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
-class _Stopped(BaseException):
-    """A signal ended the run. Raised where the run is, it unwinds like any
-    error, so an --output file's temporary name is removed on the way out."""
-
-
 def run() -> None:
     """The process entry of `biphoton` and `python -m biphoton`: exit with main()'s status.
 
-    SIGTERM and SIGHUP raise _Stopped in the run, unless the process started
-    with them ignored (as under nohup); they and SIGINT (KeyboardInterrupt)
-    end it with one line on stderr and exit 1. main() installs no handler:
-    in-process callers keep their signals as they were.
+    SIGTERM and SIGHUP raise KeyboardInterrupt with the signal's name, as
+    SIGINT raises it, unless the process started with them ignored (as under
+    nohup). It unwinds like any error, so an --output file's temporary name
+    is removed, and the run ends with one line on stderr and exit 1. main()
+    installs no handler: in-process callers keep their signals as they were.
 
     Every object left (numpy's and ours, ~22k after a run that draws) is
     frozen before the exit, so the collection at interpreter exit walks none
@@ -192,16 +188,15 @@ def run() -> None:
     import signal
 
     def stop(signum, frame):
-        raise _Stopped(signal.Signals(signum).name)
+        raise KeyboardInterrupt(signal.Signals(signum).name)
 
     for signum in (signal.SIGTERM, signal.SIGHUP):
         if signal.getsignal(signum) == signal.SIG_DFL:
             signal.signal(signum, stop)
     try:
         status = main()
-    except (KeyboardInterrupt, _Stopped) as exc:
-        name = exc.args[0] if isinstance(exc, _Stopped) else "SIGINT"
-        print(f"biphoton: stopped by {name}", file=sys.stderr)
+    except KeyboardInterrupt as exc:  # Python's own, for SIGINT, has no args
+        print(f"biphoton: stopped by {exc.args[0] if exc.args else 'SIGINT'}", file=sys.stderr)
         status = 1
     gc.freeze()
     sys.exit(status)

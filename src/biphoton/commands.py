@@ -1,17 +1,18 @@
 """The command handlers: what `biphoton <command>` runs once its flags parse.
 
 biphoton.cli imports this module only after parsing, so `--help` and the
-usage errors argparse reports load none of it. Each handler imports what it
-runs: numpy loads only for the commands that draw (`sample`, `bell` and
-`sweep --mc`), with the sampling modules; the exact tables (optics,
-analysis) and the labelled detection model (premeasure) are stdlib only.
-Every byte a command writes is formatted here.
+usage errors argparse reports load none of it. Each handler checks its flags,
+then imports what it runs, so no usage error loads numpy: numpy loads only for
+the commands that draw (`sample`, `bell` and `sweep --mc`), with the sampling
+modules; the exact tables (optics, analysis) and the labelled detection model
+(premeasure) are stdlib only. Every byte a command writes is formatted here.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import stat
 import sys
 from collections.abc import Iterator
 from contextlib import contextmanager, suppress
@@ -19,10 +20,6 @@ from functools import cache
 from itertools import chain
 
 from .cli import _SEEDS, parse_angle
-
-# numpy and the analysis, sampling and detection modules are imported by the
-# functions that run them: only the commands that draw load numpy, and the
-# exact grids load no sampling.
 
 # Grid points `sweep` and `marginals` tabulate at a time; bounds the rows
 # held at once (well under 1 MB) whatever --steps is
@@ -39,8 +36,8 @@ def _fmt(x: float) -> str:
 
 
 def _render_json(value, indent: int = 0) -> str:
-    """Deterministic JSON with floats at 9 significant digits. A NamedTuple is
-    an object of its fields in order, an array a list, a complex number [re, im]."""
+    """Deterministic JSON with floats at 9 significant digits. A NamedTuple is an
+    object of its fields in order, a tuple a list, a complex [re, im]; arrays raise TypeError."""
     pad = "  " * indent
     if hasattr(value, "_asdict"):
         value = value._asdict()
@@ -86,27 +83,33 @@ def _open_output(path: str | None):
         sys.stdout.buffer.flush()
         return
     target = os.path.realpath(path)
-    if os.path.exists(target) and not os.path.isfile(target):
+    try:
+        mode = os.stat(target).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
         with open(target, "wb") as handle:
             yield handle
         return
-    try:
-        mode = os.stat(target).st_mode & 0o7777
-    except FileNotFoundError:
-        mode = None
     # Created as open() creates a file, so a new target gets the umask's mode
     tmp = os.path.join(os.path.dirname(target), f".biphoton-{os.urandom(8).hex()}")
     try:
         with open(tmp, "xb") as handle:
             yield handle
         if mode is not None:
-            os.chmod(tmp, mode)
+            os.chmod(tmp, stat.S_IMODE(mode))
         os.replace(tmp, target)
     except BaseException:
         # A signal's exception can land before tmp is made or after it is moved
         with suppress(FileNotFoundError):
             os.unlink(tmp)
         raise
+
+
+def _write_json(path: str | None, value) -> None:
+    """value as _render_json's text and a newline, to _open_output(path)."""
+    with _open_output(path) as out:
+        out.write((_render_json(value) + "\n").encode())
 
 
 def _visibility(args) -> Visibility:
@@ -211,8 +214,6 @@ def cmd_marginals(args) -> int:
 
 
 def cmd_bell(args) -> int:
-    from .analysis import chsh
-    from .montecarlo import bell_experiment
     from .optics import CHSH_OPTIMAL, ChshSettings
 
     vis = _visibility(args)
@@ -229,6 +230,8 @@ def cmd_bell(args) -> int:
         except ValueError as exc:
             args.parser.error(str(exc))
     _check_count(args, args.samples, 2, "--samples", "--samples must be >= 2")
+    from .analysis import chsh
+    from .montecarlo import bell_experiment
 
     s_exact = chsh(settings, vis)
     sampled = bell_experiment(settings, vis, args.samples, args.seed)
@@ -242,8 +245,7 @@ def cmd_bell(args) -> int:
         "seed": args.seed,
         "violation": bool(sampled.estimate - 2.0 > 3.0 * sampled.stderr),
     }
-    with _open_output(args.output) as out:
-        out.write((_render_json(report) + "\n").encode())
+    _write_json(args.output, report)
     return 0
 
 
@@ -255,10 +257,8 @@ def cmd_premeasure(args) -> int:
     report = correlation_report(psi)
     payload = {"theta": args.theta, **report._asdict()}
     if args.dump_state is not None:
-        with _open_output(args.dump_state) as out:
-            out.write((_render_json(psi) + "\n").encode())
-    with _open_output(args.output) as out:
-        out.write((_render_json(payload) + "\n").encode())
+        _write_json(args.dump_state, psi)
+    _write_json(args.output, payload)
 
     joint = report.joint_probs
     cond = report.conditional_probs
@@ -328,13 +328,13 @@ def _event_lines(start: int, idx, rests: list[bytes]) -> Iterator:
 
 
 def cmd_sample(args) -> int:
+    vis = _visibility(args)
+    _check_count(args, args.samples, 1, "--samples", "--samples must be >= 1")
     import numpy as np
 
     from .montecarlo import estimate_counts, outcome_blocks
     from .optics import OUTCOMES, PhaseSettings, joint_tables
 
-    vis = _visibility(args)
-    _check_count(args, args.samples, 1, "--samples", "--samples must be >= 1")
     settings = PhaseSettings(args.phi_a, args.phi_b)
     probs = joint_tables(settings.phi_a, settings.phi_b, vis)
     pa, pb = _fmt(settings.phi_a), _fmt(settings.phi_b)

@@ -43,9 +43,9 @@ class Mutant(NamedTuple):
 
 # What cli.run() does between main() and the freeze
 _RUN_HANDLER = (
-    "    except (KeyboardInterrupt, _Stopped) as exc:\n"
-    '        name = exc.args[0] if isinstance(exc, _Stopped) else "SIGINT"\n'
-    '        print(f"biphoton: stopped by {name}", file=sys.stderr)\n'
+    "    except KeyboardInterrupt as exc:  # Python's own, for SIGINT, has no args\n"
+    "        print(f\"biphoton: stopped by {exc.args[0] if exc.args else 'SIGINT'}\","
+    " file=sys.stderr)\n"
     "        status = 1\n"
 )
 
@@ -469,8 +469,8 @@ MUTANTS = (
     Mutant(
         "commands_import_the_sampling_modules_eagerly",
         "commands.py",
-        "# exact grids load no sampling.\n",
-        "# exact grids load no sampling.\n"
+        "from itertools import chain\n",
+        "from itertools import chain\n\n"
         "from .montecarlo import estimate_columns  # noqa: F401\n",
         tuple(
             f"tests/test_package.py::test_each_command_loads_only_the_modules_it_runs[{command}]"
@@ -485,6 +485,22 @@ MUTANTS = (
         tuple(
             f"tests/test_package.py::test_each_command_loads_only_the_modules_it_runs[{command}]"
             for command in ("sweep_exact", "marginals", "premeasure")
+        ),
+    ),
+    Mutant(
+        "bell_imports_the_sampling_modules_before_its_checks",
+        "commands.py",
+        "def cmd_bell(args) -> int:\n",
+        "def cmd_bell(args) -> int:\n"
+        "    from .analysis import chsh  # noqa: F401\n"
+        "    from .montecarlo import bell_experiment  # noqa: F401\n",
+        tuple(
+            f"tests/test_package.py::test_each_command_loads_only_the_modules_it_runs[{command}]"
+            for command in ("bell_visibility", "bell_samples", "bell_angles")
+        ) + tuple(
+            "tests/test_package.py::test_a_numpy_that_cannot_load_is_reported_in_one_line"
+            f"[bell_visibility-{blocker}]"
+            for blocker in ("halted", "unmappable")
         ),
     ),
     Mutant(

@@ -179,9 +179,10 @@ def test_output_file_matches_stdout_transcript(tmp_path):
 # Golden command lines whose numbers passed through numpy's SIMD kernels: the
 # splitmix64 draws, the inverse CDF and counts, and the exact table (near a
 # zero of E too) and grid formatting, which now load no numpy and stay as a
-# check that no numpy path returns to them.
+# check that no numpy path returns to them. bell_200003, sweep_mc_131075 and
+# sample_200k draw across the 2**14-draw block joins.
 DISPATCH_CASES = ("bench_sweep", "bench_sweep_mc", "bench_bell", "bench_sample", "marginals_3073",
-                  "sweep_zero_crossing")
+                  "sweep_zero_crossing", "bell_200003", "sweep_mc_131075", "sample_200k")
 
 
 def enabled_dispatch_targets() -> list[str]:

@@ -120,7 +120,7 @@ def test_checked_value_types_derive_from_checked_fields(name):
     ]
 
 
-# The labelled references the tests check the array core against; no program calls them.
+# The labelled references the tests check optics.joint_tables against; no program calls them.
 REFERENCES = {"beam_splitter", "biphoton_state", "phase_shifter"}
 
 

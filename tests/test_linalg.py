@@ -228,7 +228,7 @@ def test_constructors_hold_a_copy_and_leave_the_callers_array_alone():
         arr[...] = 0.0
         np.testing.assert_array_equal(held, before)
     # The labelled constructors hold the numbers of records' constants, which
-    # optics' array core is built from too.
+    # optics' exact table is built from too.
     assert biphoton_state().amplitudes == SOURCE_AMPS
     assert beam_splitter("A").entries == beam_splitter("B").entries == BS_ENTRIES
 

@@ -75,10 +75,11 @@ def test_root_exports_are_the_module_objects():
 
 
 # The biphoton modules each kind of command line loads: the parser alone (help,
-# and usage errors argparse reports); the commands and the exact model, with or
-# without its statistics; the sampling modules on the exact model alone (sample)
-# or with its statistics; or the commands and the labelled model the detection
-# model is built on, without the exact tables.
+# and usage errors argparse reports); the commands and the exact model's types
+# (usage errors a handler reports, before it imports what it runs); those with
+# the exact model's statistics; the sampling modules on the exact model alone
+# (sample) or with its statistics; or the commands and the labelled model the
+# detection model is built on, without the exact tables.
 PARSER = {"biphoton", "biphoton.cli"}
 COMMANDS_MODULE = PARSER | {"biphoton.commands", "biphoton.optics", "biphoton.records"}
 EXACT = COMMANDS_MODULE | {"biphoton.analysis"}
@@ -93,6 +94,14 @@ COMMANDS = {
     "help": (["--help"], 0, PARSER),
     "sweep_help": (["sweep", "--help"], 0, PARSER),
     "usage_error": (["sweep", "--bogus"], 2, PARSER),
+    "bell_visibility": (["bell", "--optimal", "--visibility", "2"], 2, COMMANDS_MODULE),
+    "bell_samples": (["bell", "--optimal", "--samples", "1"], 2, COMMANDS_MODULE),
+    "bell_angles": (["bell", "--angles", "1,2"], 2, COMMANDS_MODULE),
+    "sample_visibility": (["sample", "--visibility", "2"], 2, COMMANDS_MODULE),
+    "sample_samples": (["sample", "--samples", "0"], 2, COMMANDS_MODULE),
+    "sweep_steps": (["sweep", "--steps", "1"], 2, COMMANDS_MODULE),
+    "sweep_mc_text": (["sweep", "--steps", "3", "--mc", "oops"], 2, COMMANDS_MODULE),
+    "marginals_steps": (["marginals", "--steps", "1"], 2, COMMANDS_MODULE),
     "sample": (["sample", "--samples", "3"], 0, SAMPLE),
     "bell": (["bell", "--optimal", "--samples", "10"], 0, SAMPLING),
     "sweep": (["sweep", "--steps", "3", "--mc", "10,1"], 0, SAMPLING),
@@ -130,7 +139,7 @@ def test_the_labelled_source_and_splitter_load_no_numpy():
 
 
 # Each command line and its exit status when numpy cannot load: the commands
-# that draw fail, the exact ones run
+# that draw fail, the exact ones run, and a usage error is one whatever numpy does
 WITHOUT_NUMPY = {
     "sweep": (["sweep", "--steps", "3"], 0),
     "marginals": (["marginals", "--steps", "3"], 0),
@@ -138,6 +147,8 @@ WITHOUT_NUMPY = {
     "sweep_mc": (["sweep", "--steps", "3", "--mc", "10,1"], 1),
     "bell": (["bell", "--optimal", "--samples", "10"], 1),
     "sample": (["sample", "--samples", "3"], 1),
+    "bell_visibility": (["bell", "--optimal", "--visibility", "2"], 2),
+    "sample_samples": (["sample", "--samples", "0"], 2),
 }
 # Code that makes `import numpy` raise: None in sys.modules, as a halted
 # import; or a finder raising numpy's own many-line message, as a failed
@@ -163,7 +174,9 @@ def test_a_numpy_that_cannot_load_is_reported_in_one_line(argv, status, blocker)
         f"sys.exit(main({argv!r} + ['--output', {os.devnull!r}]))\n",
         stream="stderr", status=status,
     )
-    if status:
+    if status == 1:
         assert err.startswith("biphoton: import error: ") and err.count("\n") == 1
+    elif status == 2:
+        assert err.startswith(f"biphoton {argv[0]}: error: ") and err.count("\n") == 1
     else:
         assert "Traceback" not in err
