@@ -6,14 +6,16 @@ settings, while the paired-outcome correlation carries a full-contrast
 fringe v cos(phi_a - phi_b) and violates the CHSH bound exactly when
 v > 1/sqrt2.
 
-Each function reads one table at a time, in plain floats, and loads no numpy.
+Plain floats throughout: this module loads no numpy. ``sweep_correlation`` reads its
+grid's tables as columns; ``marginals`` and ``correlation`` read one table.
 """
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple, Sequence
 
-from .optics import ChshSettings, Table, Visibility, joint_tables
+from .optics import ChshSettings, Table, Visibility, fringe_tables, joint_tables
 
 
 class Marginals(NamedTuple):
@@ -35,14 +37,23 @@ def correlation(table: Table) -> float:
     return pp + mm - pm - mp
 
 
+def _span(column: Sequence[float]) -> tuple[float, float]:
+    """Least and greatest entries of a float column; both NaN if it holds a NaN,
+    which min and max pass over unless it is first, and the sum does not."""
+    if math.isnan(sum(column)):
+        return math.nan, math.nan
+    return min(column), max(column)
+
+
 class SweepResult(NamedTuple):
     """Exact correlation and singles over a grid of phase differences, and the
-    joint tables they were read from: one entry per grid point, in grid order."""
+    joint tables they were read from: one entry per grid point, in grid order.
+    singles holds the four singles as columns, one Marginals of lists."""
 
     delta_grid: list[float]
     tables: list[Table]
     correlations: list[float]
-    singles: list[Marginals]
+    singles: Marginals
 
 
 def sweep_correlation(grid: Sequence[float], vis: Visibility) -> SweepResult:
@@ -50,13 +61,16 @@ def sweep_correlation(grid: Sequence[float], vis: Visibility) -> SweepResult:
     if len(grid) == 0:
         raise ValueError("sweep grid must be non-empty")
     deltas = [float(delta) for delta in grid]
-    tables = [joint_tables(delta, 0.0, vis) for delta in deltas]
-    e = [correlation(table) for table in tables]
-    singles = [marginals(table) for table in tables]
-    # Written so that a NaN fails them too.
-    if not all(-1.0 <= x <= 1.0 for x in e):
+    tables = fringe_tables(deltas, 0.0, vis)
+    # correlation() and marginals() of each table, as columns
+    e = [pp + mm - pm - mp for pp, pm, mp, mm in tables]
+    singles = Marginals([pp + pm for pp, pm, _, _ in tables], [mp + mm for _, _, mp, mm in tables],
+                        [pp + mp for pp, _, mp, _ in tables], [pm + mm for _, pm, _, mm in tables])
+    # Written so that a NaN anywhere fails them too: _span gives it NaN ends.
+    e_min, e_max = _span(e)
+    if not (-1.0 <= e_min and e_max <= 1.0):
         raise ValueError("correlation outside [-1, 1]")
-    if not all(0.0 <= p <= 1.0 for m in singles for p in m):
+    if not all(0.0 <= p_min and p_max <= 1.0 for p_min, p_max in map(_span, singles)):
         raise ValueError("marginal outside [0, 1]")
     return SweepResult(deltas, tables, e, singles)
 
@@ -84,8 +98,7 @@ def no_signaling_check(
     """
     if len(phi_b_grid) == 0:
         raise ValueError("no-signaling scan needs a non-empty grid")
-    return max(
-        max(abs(marginals(joint_tables(phi_a, phi, vis)).a_plus - 0.5),
-            abs(marginals(joint_tables(phi, phi_a, vis)).b_plus - 0.5))
-        for phi in phi_b_grid
-    )
+    b_scans = [joint_tables(phi_a, phi, vis) for phi in phi_b_grid]
+    a_scans = fringe_tables(phi_b_grid, phi_a, vis)
+    return max(max(abs(marginals(t).a_plus - 0.5) for t in b_scans),
+               max(abs(marginals(t).b_plus - 0.5) for t in a_scans))

@@ -144,15 +144,17 @@ def _csv_rows(columns) -> bytes:
     """One CSV line per row of columns (float sequences of one length), each field as _FLOAT.
 
     A column whose least and greatest entries print one text, both nonzero and of one sign,
-    and that holds no NaN (min and max pass over one that is not first; the sum does not),
     prints that text in every row, as correctly rounded %.9g is monotone; it is formatted
-    once, into the row, not once per row. The sign test keeps out a mix of -0.0 and 0.0.
+    once, into the row, not once per row. The sign test keeps out a mix of -0.0 and 0.0,
+    and a column holding a NaN, whose ends analysis._span gives as NaN.
     """
+    from .analysis import _span  # loaded already where _write_grid calls this
+
     fields, varying = [], []
     for column in columns:
-        a, b = min(column), max(column)
+        a, b = _span(column)
         text = _fmt(a)
-        if text == _fmt(b) and (a > 0 or b < 0) and not math.isnan(sum(column)):
+        if text == _fmt(b) and (a > 0 or b < 0):
             fields.append(text)
         else:
             fields.append(_FLOAT)
@@ -197,7 +199,7 @@ def cmd_sweep(args) -> int:
 
     def columns(start, result):
         fields = [result.delta_grid, result.correlations, *zip(*result.tables),
-                  [m.a_plus for m in result.singles], [m.b_plus for m in result.singles]]
+                  result.singles.a_plus, result.singles.b_plus]
         if args.mc is not None:
             est = estimate_columns(result.tables, n, seed, start)
             fields += [[e.estimate for e in est], [e.stderr for e in est]]
@@ -210,7 +212,7 @@ def cmd_marginals(args) -> int:
     vis = _visibility(args)
     grid = _grid(args)
     return _write_grid(args, vis, grid, "delta,pA_plus,pA_minus,pB_plus,pB_minus",
-                       lambda start, result: [result.delta_grid, *zip(*result.singles)])
+                       lambda start, result: [result.delta_grid, *result.singles])
 
 
 def cmd_bell(args) -> int:

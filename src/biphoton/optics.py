@@ -1,11 +1,12 @@
 """Two-photon interferometer: source states, optical elements, and the exact
 joint detection distribution as a function of the local phase settings.
 
-``joint_tables`` is the one statement of the circuit (source -> phase
-shifters -> splitters -> matched-outcome table), at one pair of settings, in
-Python floats: this module loads no numpy. ``joint_distribution`` is its table
-at a ``PhaseSettings``, and ``ChshSettings.tables`` its tables at the four CHSH
-pairs, in their one fixed order. It is built from the constants in
+``fringe_tables`` is the one statement of the circuit (source -> phase
+shifters -> splitters -> matched-outcome table), over a run of party A's
+settings at one setting of B's, in Python floats: this module loads no numpy.
+``joint_tables`` is its view at one pair of settings, ``joint_distribution``
+its table at a ``PhaseSettings``, and ``ChshSettings.tables`` its tables at the
+four CHSH pairs, in their one fixed order. It is built from the constants in
 ``records``, as the labelled model (``linalg``) builds its source state and
 splitters, so both views hold the same numbers.
 
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .records import BS_ENTRIES, SOURCE_AMPS, checked_fields
 
@@ -78,10 +79,12 @@ class ChshSettings(NamedTuple):
     b_prime: float
 
     def tables(self, vis: Visibility) -> list[Table]:
-        """joint_tables of the pairs (a,b), (a,b'), (a',b), (a',b'), in that order."""
+        """joint_tables of the pairs (a,b), (a,b'), (a',b), (a',b'), in that order:
+        the fringe_tables of (a, a') at b and at b', interleaved."""
         a, a_prime, b, b_prime = self
-        pairs = zip([a, a, a_prime, a_prime], [b, b_prime, b, b_prime])
-        return [joint_tables(phi_a, phi_b, vis) for phi_a, phi_b in pairs]
+        at_b = fringe_tables((a, a_prime), b, vis)
+        at_b_prime = fringe_tables((a, a_prime), b_prime, vis)
+        return [at_b[0], at_b_prime[0], at_b[1], at_b_prime[1]]
 
 
 # Settings maximizing S for this instrument: S = 2 sqrt2 at full visibility.
@@ -95,25 +98,37 @@ _SPLITTERS = tuple((BS_ENTRIES[a][0] * BS_ENTRIES[b][0], BS_ENTRIES[a][1] * BS_E
                    for a, b in ((0, 1), (0, 0), (1, 1), (1, 0)))
 
 
-def joint_tables(phi_a: float, phi_b: float, vis: Visibility) -> Table:
-    """Exact Born probabilities of the four coincidence outcomes, in OUTCOMES order.
+def fringe_tables(phis_a: Iterable[float], phi_b: float, vis: Visibility) -> list[Table]:
+    """Exact Born probabilities of the four coincidence outcomes, in OUTCOMES order, at
+    each phi_a of phis_a in turn, with party B's setting at phi_b: one table per phi_a.
 
-    Evaluates source -> phase shifters -> per-party splitters at one pair of settings,
-    reads the port probabilities under the matched-outcome labelling of B, and mixes
-    with the flat distribution according to the visibility. The result is
+    Evaluates source -> phase shifters -> per-party splitters, reads the port
+    probabilities under the matched-outcome labelling of B, and mixes with the flat
+    distribution according to the visibility. The result is
     p(same ports) = v (1 + cos d)/4 + (1-v)/4 per pairing and
     p(opposite)  = v (1 - cos d)/4 + (1-v)/4, with d = phi_a - phi_b.
+    Each splitter row's B1 term is formed once; a setting of A adds only its A2 term.
     """
-    # phi_b shifts path B1, of the A1B1 term; phi_a path A2, of A2B2.
+    # phi_b shifts path B1, of the A1B1 term; phi_a path A2, of A2B2. A splitter
+    # entry is real or imaginary, so each part of a product rounds once.
     b1 = SOURCE_AMPS[0] * cmath.exp(1j * _wrap_angle(phi_b))
-    a2 = SOURCE_AMPS[3] * cmath.exp(1j * _wrap_angle(phi_a))
+    rows = [(a1b1 * b1, a2b2) for a1b1, a2b2 in _SPLITTERS]
     v = vis.v
-    table = []
-    # A splitter entry is real or imaginary, so each part of a product rounds once.
-    for a1b1, a2b2 in _SPLITTERS:
-        o = a1b1 * b1 + a2b2 * a2
-        table.append(v * (o.real * o.real + o.imag * o.imag) + (1.0 - v) * 0.25)
-    return tuple(table)
+    flat = (1.0 - v) * 0.25
+    tables = []
+    for phi_a in phis_a:
+        a2 = SOURCE_AMPS[3] * cmath.exp(1j * _wrap_angle(phi_a))
+        table = []
+        for b_term, a2b2 in rows:
+            o = b_term + a2b2 * a2
+            table.append(v * (o.real * o.real + o.imag * o.imag) + flat)
+        tables.append(tuple(table))
+    return tables
+
+
+def joint_tables(phi_a: float, phi_b: float, vis: Visibility) -> Table:
+    """fringe_tables at one pair of settings: the table in OUTCOMES order."""
+    return fringe_tables((phi_a,), phi_b, vis)[0]
 
 
 def joint_distribution(settings: PhaseSettings, vis: Visibility) -> Table:

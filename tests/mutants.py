@@ -12,9 +12,10 @@ tests/test_mutants.py checks that each entry's text occurs exactly once in
 src/, so that the corpus cannot go stale without notice. Stdlib only; run it
 from any directory:
 
-    python tests/mutants.py
+    python tests/mutants.py [NAME...]
 
-It runs every entry and exits 0 when every mutant is caught and 1 otherwise.
+It runs the named entries, or every entry when none is named, and exits 0
+when every mutant run is caught, 1 otherwise, and 2 on a name it does not know.
 """
 
 from __future__ import annotations
@@ -131,8 +132,8 @@ MUTANTS = (
     Mutant(
         "nan_blind_range_check",
         "analysis.py",
-        "if not all(-1.0 <= x <= 1.0 for x in e):",
-        "if any(x < -1.0 or x > 1.0 for x in e):",
+        "if not (-1.0 <= e_min and e_max <= 1.0):",
+        "if e_min < -1.0 or e_max > 1.0:",
         (
             "tests/test_analysis.py::test_sweep_rejects_tables_outside_the_ranges"
             "[bad1-correlation outside]",
@@ -141,29 +142,29 @@ MUTANTS = (
     Mutant(
         "no_signaling_reads_a_from_the_wrong_scan",
         "analysis.py",
-        "abs(marginals(joint_tables(phi_a, phi, vis)).a_plus - 0.5)",
-        "abs(marginals(joint_tables(phi, phi_a, vis)).a_plus - 0.5)",
+        "abs(marginals(t).a_plus - 0.5) for t in b_scans",
+        "abs(marginals(t).a_plus - 0.5) for t in a_scans",
         ("tests/test_analysis.py::test_no_signaling_check_reads_each_partys_scan[A]",),
     ),
     Mutant(
         "correlation_guard_rejects_minus_one",
         "analysis.py",
-        "-1.0 <= x",
-        "-1.0 < x",
+        "-1.0 <= e_min",
+        "-1.0 < e_min",
         ("tests/test_analysis.py::test_sweep_accepts_tables_on_the_range_ends[edge1]",),
     ),
     Mutant(
         "correlation_guard_rejects_plus_one",
         "analysis.py",
-        "x <= 1.0",
-        "x < 1.0",
+        "e_max <= 1.0",
+        "e_max < 1.0",
         ("tests/test_analysis.py::test_sweep_accepts_tables_on_the_range_ends[edge0]",),
     ),
     Mutant(
         "marginal_guard_rejects_zero",
         "analysis.py",
-        "0.0 <= p",
-        "0.0 < p",
+        "0.0 <= p_min",
+        "0.0 < p_min",
         tuple(
             f"tests/test_analysis.py::test_sweep_accepts_tables_on_the_range_ends[edge{k}]"
             for k in range(2)
@@ -172,8 +173,8 @@ MUTANTS = (
     Mutant(
         "marginal_guard_rejects_one",
         "analysis.py",
-        "p <= 1.0",
-        "p < 1.0",
+        "p_max <= 1.0",
+        "p_max < 1.0",
         tuple(
             f"tests/test_analysis.py::test_sweep_accepts_tables_on_the_range_ends[edge{k}]"
             for k in range(2)
@@ -238,6 +239,24 @@ MUTANTS = (
         ("tests/test_optics.py::test_joint_tables_of_raw_angles_equal_those_of_wrapped_angles",),
     ),
     Mutant(
+        # Same bytes, four more complex products and an exp per grid point
+        "b_term_formed_per_point",
+        "optics.py",
+        "    b1 = SOURCE_AMPS[0] * cmath.exp(1j * _wrap_angle(phi_b))\n"
+        "    rows = [(a1b1 * b1, a2b2) for a1b1, a2b2 in _SPLITTERS]\n"
+        "    v = vis.v\n"
+        "    flat = (1.0 - v) * 0.25\n"
+        "    tables = []\n"
+        "    for phi_a in phis_a:\n",
+        "    v = vis.v\n"
+        "    flat = (1.0 - v) * 0.25\n"
+        "    tables = []\n"
+        "    for phi_a in phis_a:\n"
+        "        b1 = SOURCE_AMPS[0] * cmath.exp(1j * _wrap_angle(phi_b))\n"
+        "        rows = [(a1b1 * b1, a2b2) for a1b1, a2b2 in _SPLITTERS]\n",
+        ("tests/test_analysis.py::test_sweep_forms_the_b_phase_factor_once",),
+    ),
+    Mutant(
         "splitter_rows_in_port_order",
         "optics.py",
         "for a, b in ((0, 1), (0, 0), (1, 1), (1, 0))",
@@ -265,8 +284,8 @@ MUTANTS = (
     Mutant(
         "chsh_pairs_b_swapped",
         "optics.py",
-        "[b, b_prime, b, b_prime]",
-        "[b_prime, b, b_prime, b]",
+        "[at_b[0], at_b_prime[0], at_b[1], at_b_prime[1]]",
+        "[at_b_prime[0], at_b[0], at_b_prime[1], at_b[1]]",
         (
             "tests/test_analysis.py::test_chsh_matches_reference_on_random_settings",
             "tests/test_montecarlo.py::test_bell_experiment_equals_per_setting_loop",
@@ -351,15 +370,20 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        # min and max of [1.0, nan, 1.0] are both 1.0: the NaN row would print 1
+        # min and max of [1.0, nan, 1.0] are both 1.0: the NaN row would print 1,
+        # and a sweep with a NaN at its second point would pass its range checks
         "csv_rows_without_nan_guard",
-        "commands.py",
-        " and not math.isnan(sum(column))",
+        "analysis.py",
+        "    if math.isnan(sum(column)):\n        return math.nan, math.nan\n",
         "",
         (
             "tests/test_cli.py::test_csv_rows_equal_the_per_field_format",
             "tests/test_cli.py::test_csv_rows_equal_the_per_field_format_at_the_edges"
             "[nan_among_values]",
+            "tests/test_analysis.py::test_sweep_rejects_tables_outside_the_ranges"
+            "[bad1-correlation outside]",
+            "tests/test_analysis.py::test_sweep_rejects_tables_an_ulp_outside_the_ranges"
+            "[bad3-correlation outside]",
         ),
     ),
     Mutant(
@@ -608,17 +632,24 @@ def failed_tests(src: Path, tests: tuple[str, ...]) -> set[str]:
     return set(tests) - passed
 
 
-def main() -> int:
+def main(names: list[str]) -> int:
+    known = {m.name: m for m in MUTANTS}
+    unknown = [name for name in names if name not in known]
+    if unknown:
+        print(f"unknown mutant {', '.join(unknown)}; the known ones are:", *known,
+              sep="\n  ", file=sys.stderr)
+        return 2
+    chosen = [known[name] for name in dict.fromkeys(names)] if names else MUTANTS
     with tempfile.TemporaryDirectory(prefix="biphoton-mutants-") as tmp:
         src = Path(tmp) / "src"
         shutil.copytree(SRC, src, ignore=shutil.ignore_patterns("__pycache__"))
-        every_test = tuple(dict.fromkeys(t for m in MUTANTS for t in m.tests))
+        every_test = tuple(dict.fromkeys(t for m in chosen for t in m.tests))
         broken = failed_tests(src, every_test)
         if broken:
             print(f"fail before any mutation: {', '.join(sorted(broken))}", file=sys.stderr)
             return 1
         survivors = []
-        for m in MUTANTS:
+        for m in chosen:
             path = src / "biphoton" / m.file
             text = path.read_text(encoding="utf-8")
             if text.count(m.old) != 1:
@@ -633,9 +664,9 @@ def main() -> int:
             print(f"{m.name}: {'SURVIVED ' + ', '.join(sorted(passing)) if passing else 'caught'}")
             if passing:
                 survivors.append(m.name)
-    print(f"{len(MUTANTS) - len(survivors)} of {len(MUTANTS)} mutants caught")
+    print(f"{len(chosen) - len(survivors)} of {len(chosen)} mutants caught")
     return 1 if survivors else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

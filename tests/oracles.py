@@ -3,7 +3,9 @@
 Nothing here imports the package's circuit or generator code: the joint
 distribution is a hand expansion of the four two-photon amplitude paths as
 literal scalar arithmetic, and the generator is a line-by-line scalar
-transcription of the splitmix64 reference algorithm. The sampler and the
+transcription of the splitmix64 reference algorithm. The exact table as one
+call per pair of settings evaluated it is kept, on constants of its own, as the
+bit-for-bit reference for the tables of a run of settings. The sampler and the
 estimator that the blocked, count-based core replaced are kept here as
 whole-array numpy references.
 """
@@ -45,6 +47,29 @@ def joint_probs_reference(phi_a: float, phi_b: float, v: float) -> dict:
             amp += w2 * _SPLIT[(2, a)] * _SPLIT_B[(2, b)]
             probs[(a, b)] = v * abs(amp) ** 2 + (1.0 - v) * 0.25
     return probs
+
+
+# Each party's splitter, and the splitter pair's live columns A1B1 and A2B2 in
+# OUTCOMES row order (B's ports read out swapped), as records and optics build them
+_BS_ENTRIES = ((_INV_SQRT2, 1j * _INV_SQRT2), (1j * _INV_SQRT2, _INV_SQRT2))
+_LIVE_COLUMNS = tuple(
+    (_BS_ENTRIES[a][0] * _BS_ENTRIES[b][0], _BS_ENTRIES[a][1] * _BS_ENTRIES[b][1])
+    for a, b in ((0, 1), (0, 0), (1, 1), (1, 0))
+)
+
+
+def pair_table_reference(phi_a: float, phi_b: float, v: float) -> tuple:
+    """The four coincidence probabilities in OUTCOMES order at one pair of
+    settings, in the order of arithmetic the one-pair circuit used: both
+    branch weights per call, then each row's two-term sum and its square."""
+    two_pi = 2.0 * math.pi
+    b1 = _INV_SQRT2 * cmath.exp(1j * (float(phi_b) % two_pi % two_pi))
+    a2 = _INV_SQRT2 * cmath.exp(1j * (float(phi_a) % two_pi % two_pi))
+    table = []
+    for a1b1, a2b2 in _LIVE_COLUMNS:
+        o = a1b1 * b1 + a2b2 * a2
+        table.append(v * (o.real * o.real + o.imag * o.imag) + (1.0 - v) * 0.25)
+    return tuple(table)
 
 
 def correlation_reference(phi_a: float, phi_b: float, v: float) -> float:

@@ -1,12 +1,15 @@
+import cmath
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biphoton import analysis
+from biphoton import analysis, optics
 from biphoton.analysis import (
+    Marginals,
     chsh,
     correlation,
     marginals,
@@ -96,9 +99,23 @@ def test_sweep_mixed_limit():
 
 def test_sweep_singles_are_flat():
     result = sweep_correlation(np.linspace(0, 2 * math.pi, 32), Visibility(1))
-    assert len(result.singles) == 32
-    for m in result.singles:
-        np.testing.assert_allclose(m, [0.5] * 4, atol=TOL)
+    assert [len(column) for column in result.singles] == [32] * 4
+    for column in result.singles:
+        np.testing.assert_allclose(column, [0.5] * 32, atol=TOL)
+
+
+def assert_rejected_at_every_position(monkeypatch, bad, message):
+    """sweep_correlation raises ValueError(message) when the table bad stands at
+    any one point of a three-point grid whose other tables are the circuit's."""
+    for k in range(3):
+        def tables(phis_a, phi_b, vis, k=k):
+            circuit = optics.fringe_tables(phis_a, phi_b, vis)
+            circuit[k] = tuple(bad)
+            return circuit
+
+        monkeypatch.setattr(analysis, "fringe_tables", tables)
+        with pytest.raises(ValueError, match=message):
+            sweep_correlation([0.0, 1.0, 2.0], Visibility(1))
 
 
 @pytest.mark.parametrize(
@@ -110,24 +127,19 @@ def test_sweep_singles_are_flat():
     ],
 )
 def test_sweep_rejects_tables_outside_the_ranges(monkeypatch, bad, message):
-    def table(phi_a, phi_b, vis):
-        return tuple(bad)
-
-    monkeypatch.setattr(analysis, "joint_tables", table)
-    with pytest.raises(ValueError, match=message):
-        sweep_correlation([0.0, 1.0], Visibility(1))
+    assert_rejected_at_every_position(monkeypatch, bad, message)
 
 
 # Tables on the edges of the ranges: E at +1 or -1, every single at 0 or 1.
 @pytest.mark.parametrize("edge", [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
 def test_sweep_accepts_tables_on_the_range_ends(monkeypatch, edge):
-    def table(phi_a, phi_b, vis):
-        return tuple(edge)
+    def tables(phis_a, phi_b, vis):
+        return [tuple(edge) for _ in phis_a]
 
-    monkeypatch.setattr(analysis, "joint_tables", table)
+    monkeypatch.setattr(analysis, "fringe_tables", tables)
     result = sweep_correlation([0.0, 1.0], Visibility(1))
     assert result.correlations == [correlation(edge)] * 2
-    assert sorted({p for m in result.singles for p in m}) == [0.0, 1.0]
+    assert sorted({p for column in result.singles for p in column}) == [0.0, 1.0]
 
 
 ULP_PAST_ONE = 1.0 + 2.0**-52
@@ -143,12 +155,22 @@ ULP_PAST_ONE = 1.0 + 2.0**-52
     ],
 )
 def test_sweep_rejects_tables_an_ulp_outside_the_ranges(monkeypatch, bad, message):
-    def table(phi_a, phi_b, vis):
-        return tuple(bad)
+    assert_rejected_at_every_position(monkeypatch, bad, message)
 
-    monkeypatch.setattr(analysis, "joint_tables", table)
-    with pytest.raises(ValueError, match=message):
-        sweep_correlation([0.0, 1.0], Visibility(1))
+
+def test_sweep_forms_the_b_phase_factor_once(monkeypatch):
+    # No output byte shows it: B's setting is one per sweep, so its phase
+    # factor is one cmath.exp call, and each grid point's A factor one more.
+    calls = []
+
+    def counting_exp(z):
+        calls.append(z)
+        return cmath.exp(z)
+
+    monkeypatch.setattr(optics, "cmath", SimpleNamespace(exp=counting_exp))
+    n = 37
+    sweep_correlation([0.1 * k for k in range(n)], Visibility(0.9))
+    assert len(calls) == n + 1
 
 
 def test_sweep_rejects_empty_grid():
@@ -269,7 +291,10 @@ def signaling_tables(party: str):
 def test_no_signaling_check_reads_each_partys_scan(monkeypatch, party):
     # The scan that moves B's setting must be read at A's singles, and the one
     # that moves A's setting at B's: at phi_a = 0 the other rows stay flat.
-    monkeypatch.setattr(analysis, "joint_tables", signaling_tables(party))
+    tables = signaling_tables(party)
+    monkeypatch.setattr(analysis, "joint_tables", tables)
+    monkeypatch.setattr(analysis, "fringe_tables",
+                        lambda phis_a, phi_b, vis: [tables(pa, phi_b, vis) for pa in phis_a])
     grid = [0.3, 1.2, 2.0, -0.7]
     worst = no_signaling_check(0.0, grid, Visibility(1))
     assert worst == pytest.approx(max(0.05 * abs(math.sin(g)) for g in grid), abs=1e-15)
@@ -298,7 +323,7 @@ def test_sweep_correlation_equals_per_point_loop(grid, v):
     result = sweep_correlation(grid, vis)
     assert result.delta_grid == grid
     assert result.correlations == [correlation(t) for t in tables]
-    assert result.singles == [marginals(t) for t in tables]
+    assert result.singles == Marginals(*map(list, zip(*[marginals(t) for t in tables])))
     assert result.tables == tables
 
 

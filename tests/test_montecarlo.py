@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from biphoton.analysis import sweep_correlation
 from biphoton.montecarlo import (
     BLOCK,
     EstimatorResult,
@@ -451,9 +452,10 @@ def test_estimates_are_calibrated_over_many_points():
     # within 0.034 of 0 (sd 0.014), its variance read 0.960-1.083 (mean 1.011,
     # sd 0.024) and the KS distance 0.026 at most; the bounds below held for
     # 97 of them. A stderr 5% high or low moves the variance by -9% or +11%.
+    # The tables and E are the exact sweep's, which `sweep --mc` samples.
     k, n, seed, v = 4096, 1000, 20261020, 0.9
-    tables = [joint_tables(2 * math.pi * j / k, 0.0, Visibility(v)) for j in range(k)]
-    exact = [pp + mm - pm - mp for pp, pm, mp, mm in tables]
+    sweep = sweep_correlation([2 * math.pi * j / k for j in range(k)], Visibility(v))
+    tables, exact = sweep.tables, sweep.correlations
     z = [(r.estimate - e) / r.stderr for r, e in zip(estimate_columns(tables, n, seed), exact)]
     p_values = [
         chi2_sf_3dof(pearson_chi2(sample_counts(table, n, derive_seed(seed, j)), table))

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from mutants import MUTANTS, ROOT, SRC
+from mutants import MUTANTS, ROOT, SRC, main
 
 SOURCES = sorted((SRC / "biphoton").glob("*.py"))
 
@@ -40,3 +40,12 @@ def test_mutant_names_tests_that_exist(mutant):
             if isinstance(node, ast.FunctionDef)
         }
         assert name.split("[")[0] in defined, node_id
+
+
+def test_unknown_mutant_name_exits_2_and_lists_the_known_ones(capsys):
+    # `python tests/mutants.py NAME...` runs only the named entries; a name it
+    # does not know stops it before any copy or test run.
+    assert main(["no_such_mutant"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("unknown mutant no_such_mutant;")
+    assert err.split()[-len(MUTANTS):] == [m.name for m in MUTANTS]

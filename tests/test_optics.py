@@ -4,7 +4,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from biphoton import optics
@@ -25,12 +25,13 @@ from biphoton.optics import (
     PhaseSettings,
     Visibility,
     _wrap_angle,
+    fringe_tables,
     joint_distribution,
     joint_tables,
 )
 from biphoton.records import A_PATHS, SOURCE_AMPS
 
-from oracles import joint_probs_reference
+from oracles import joint_probs_reference, pair_table_reference
 from test_golden import dispatch_off_env
 
 TOL = 1e-12
@@ -393,6 +394,23 @@ def test_joint_tables_take_one_pair_of_settings():
     # A tiny negative rounds up to 2pi under one %, and must wrap to 0.
     assert list(joint_tables(-1e-300, 0.0, vis)) == probs_list(0.0, 0.0, vis)
     assert list(joint_tables(grid[2], grid[7], vis)) == probs_list(grid[2], grid[7], vis)
+
+
+run_angles = st.one_of(st.sampled_from([0.0, math.pi, -math.pi, 2 * math.pi, -1e-300]), wide_angles)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(run_angles, max_size=12), run_angles, visibilities_with_ends)
+@example([], 0.0, 1.0)
+@example([-1e-300], math.pi, 0.0)
+@example([0.0, math.pi, -math.pi, 2 * math.pi, -1e-300], -1e-300, 1.0)
+@example([2 * math.pi, -20.0, 20.0], 2 * math.pi, 0.0)
+def test_fringe_tables_equal_the_one_pair_circuit(phis_a, phi_b, v):
+    # A run of A's settings at one setting of B's, bit for bit as one call per pair
+    tables = fringe_tables(phis_a, phi_b, Visibility(v))
+    assert type(tables) is list
+    assert tables == [pair_table_reference(pa, phi_b, v) for pa in phis_a]
+    assert [joint_tables(pa, phi_b, Visibility(v)) for pa in phis_a] == tables
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
