@@ -6,8 +6,8 @@ settings, while the paired-outcome correlation carries a full-contrast
 fringe v cos(phi_a - phi_b) and violates the CHSH bound exactly when
 v > 1/sqrt2.
 
-Plain floats throughout: this module loads no numpy. ``sweep_correlation`` reads its
-grid's tables as columns; ``marginals`` and ``correlation`` read one table.
+Plain floats throughout: this module loads no numpy. Only ``sweep_correlation`` reads a
+``fringe_tables`` run, as columns; the rest read one ``joint_tables`` table per pair of settings.
 """
 
 from __future__ import annotations
@@ -85,9 +85,7 @@ def chsh(s: ChshSettings, vis: Visibility) -> float:
     return e[0] + e[1] + e[2] - e[3]
 
 
-def no_signaling_check(
-    phi_a: float, phi_b_grid: Sequence[float], vis: Visibility
-) -> float:
+def no_signaling_check(phi_a: float, phi_b_grid: Sequence[float], vis: Visibility) -> float:
     """Worst deviation of either party's singles from 1/2 under remote scans.
 
     Scans phi_b over the grid at fixed phi_a and checks party A's marginal,
@@ -98,7 +96,6 @@ def no_signaling_check(
     """
     if len(phi_b_grid) == 0:
         raise ValueError("no-signaling scan needs a non-empty grid")
-    b_scans = [joint_tables(phi_a, phi, vis) for phi in phi_b_grid]
-    a_scans = fringe_tables(phi_b_grid, phi_a, vis)
-    return max(max(abs(marginals(t).a_plus - 0.5) for t in b_scans),
-               max(abs(marginals(t).b_plus - 0.5) for t in a_scans))
+    return max(max(abs(marginals(joint_tables(phi_a, phi, vis)).a_plus - 0.5),
+                   abs(marginals(joint_tables(phi, phi_a, vis)).b_plus - 0.5))
+               for phi in phi_b_grid)

@@ -252,6 +252,10 @@ def cmd_bell(args) -> int:
 
 
 def cmd_premeasure(args) -> int:
+    state, out = args.dump_state, args.output
+    if {state, out}.isdisjoint({None, "-"}) and os.path.realpath(state) == os.path.realpath(out):
+        if os.path.isfile(out) or not os.path.exists(out):  # /dev/null is written in place
+            args.parser.error(f"--dump-state and --output name the same file {out!r}")
     # Imported here: no other command runs the detection model.
     from .premeasure import correlation_report, premeasure
 

@@ -4,11 +4,11 @@ joint detection distribution as a function of the local phase settings.
 ``fringe_tables`` is the one statement of the circuit (source -> phase
 shifters -> splitters -> matched-outcome table), over a run of party A's
 settings at one setting of B's, in Python floats: this module loads no numpy.
-``joint_tables`` is its view at one pair of settings, ``joint_distribution``
-its table at a ``PhaseSettings``, and ``ChshSettings.tables`` its tables at the
-four CHSH pairs, in their one fixed order. It is built from the constants in
-``records``, as the labelled model (``linalg``) builds its source state and
-splitters, so both views hold the same numbers.
+Only a sweep runs it over many settings; every other table is read through its
+one-pair view ``joint_tables``, as ``joint_distribution`` at a ``PhaseSettings``
+and ``ChshSettings.tables`` at the four CHSH pairs, in their one fixed order. It
+is built from the constants in ``records``, as the labelled model (``linalg``)
+builds its source state and splitters, so both views hold the same numbers.
 
 Conventions, fixed package-wide:
 
@@ -79,12 +79,10 @@ class ChshSettings(NamedTuple):
     b_prime: float
 
     def tables(self, vis: Visibility) -> list[Table]:
-        """joint_tables of the pairs (a,b), (a,b'), (a',b), (a',b'), in that order:
-        the fringe_tables of (a, a') at b and at b', interleaved."""
+        """joint_tables of the pairs (a,b), (a,b'), (a',b), (a',b'), in that order."""
         a, a_prime, b, b_prime = self
-        at_b = fringe_tables((a, a_prime), b, vis)
-        at_b_prime = fringe_tables((a, a_prime), b_prime, vis)
-        return [at_b[0], at_b_prime[0], at_b[1], at_b_prime[1]]
+        return [joint_tables(a, b, vis), joint_tables(a, b_prime, vis),
+                joint_tables(a_prime, b, vis), joint_tables(a_prime, b_prime, vis)]
 
 
 # Settings maximizing S for this instrument: S = 2 sqrt2 at full visibility.

@@ -142,8 +142,8 @@ MUTANTS = (
     Mutant(
         "no_signaling_reads_a_from_the_wrong_scan",
         "analysis.py",
-        "abs(marginals(t).a_plus - 0.5) for t in b_scans",
-        "abs(marginals(t).a_plus - 0.5) for t in a_scans",
+        "marginals(joint_tables(phi_a, phi, vis)).a_plus",
+        "marginals(joint_tables(phi, phi_a, vis)).a_plus",
         ("tests/test_analysis.py::test_no_signaling_check_reads_each_partys_scan[A]",),
     ),
     Mutant(
@@ -284,8 +284,8 @@ MUTANTS = (
     Mutant(
         "chsh_pairs_b_swapped",
         "optics.py",
-        "[at_b[0], at_b_prime[0], at_b[1], at_b_prime[1]]",
-        "[at_b_prime[0], at_b[0], at_b_prime[1], at_b[1]]",
+        "a, a_prime, b, b_prime = self",
+        "a, a_prime, b_prime, b = self",
         (
             "tests/test_analysis.py::test_chsh_matches_reference_on_random_settings",
             "tests/test_montecarlo.py::test_bell_experiment_equals_per_setting_loop",
@@ -603,6 +603,18 @@ MUTANTS = (
             f"test_a_signal_ends_the_run_in_one_line_and_leaves_no_temporary_file[{argv}-{signame}]"
             for signame in ("SIGTERM", "SIGHUP")
             for argv in ("sample", "sweep_mc")
+        ),
+    ),
+    Mutant(
+        # The report then replaces the state in the one file both flags name
+        "premeasure_paths_not_compared",
+        "commands.py",
+        'if {state, out}.isdisjoint({None, "-"}) and',
+        "if False and",
+        (
+            "tests/test_cli.py::test_premeasure_state_and_report_in_one_file_leave_it_unchanged",
+            "tests/test_package.py::test_each_command_loads_only_the_modules_it_runs"
+            "[premeasure_paths]",
         ),
     ),
 )

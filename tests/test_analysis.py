@@ -291,10 +291,7 @@ def signaling_tables(party: str):
 def test_no_signaling_check_reads_each_partys_scan(monkeypatch, party):
     # The scan that moves B's setting must be read at A's singles, and the one
     # that moves A's setting at B's: at phi_a = 0 the other rows stay flat.
-    tables = signaling_tables(party)
-    monkeypatch.setattr(analysis, "joint_tables", tables)
-    monkeypatch.setattr(analysis, "fringe_tables",
-                        lambda phis_a, phi_b, vis: [tables(pa, phi_b, vis) for pa in phis_a])
+    monkeypatch.setattr(analysis, "joint_tables", signaling_tables(party))
     grid = [0.3, 1.2, 2.0, -0.7]
     worst = no_signaling_check(0.0, grid, Visibility(1))
     assert worst == pytest.approx(max(0.05 * abs(math.sin(g)) for g in grid), abs=1e-15)

@@ -177,6 +177,12 @@ def test_negative_angles_read_alike_as_separate_and_joined_arguments(capsys, arg
          "provide --angles a,a',b,b' or --optimal, not both"),
         (["bell", "--optimal", "--angles", "garbage", "--samples", "10"],
          "provide --angles a,a',b,b' or --optimal, not both"),
+        # the report would replace the state; a directory that does not exist
+        # keeps a run without the check from leaving a file behind
+        (["premeasure", "--dump-state", "no-such-dir/p.json", "--output", "no-such-dir/p.json"],
+         "--dump-state and --output name the same file 'no-such-dir/p.json'"),
+        (["premeasure", "--dump-state", "no-such-dir/p.json", "--output", "./no-such-dir/p.json"],
+         "--dump-state and --output name the same file './no-such-dir/p.json'"),
     ],
 )
 def test_command_usage_errors_are_pinned(capsys, argv, message):
@@ -428,6 +434,29 @@ def test_premeasure_dump_state(tmp_path, capsys):
     assert len(amps) == 6
     assert amps[1][0] == pytest.approx(1 / math.sqrt(2), abs=1e-9)
     assert amps[5][0] == pytest.approx(1 / math.sqrt(2), abs=1e-9)
+
+
+def test_premeasure_state_and_report_in_one_file_leave_it_unchanged(tmp_path, capsys):
+    path = tmp_path / "both.json"
+    path.write_text("earlier\n")
+    (tmp_path / "link.json").symlink_to(path)
+    for other in (path, tmp_path / "." / "both.json", tmp_path / "link.json"):
+        code, out, err = run_cli(capsys, "premeasure", "--dump-state", str(other),
+                                 "--output", str(path))
+        assert (code, out) == (2, "")
+        assert err == ("biphoton premeasure: error: --dump-state and --output name the same"
+                       f" file {str(path)!r}\n")
+        assert path.read_text() == "earlier\n"
+
+
+@pytest.mark.parametrize("path", ["-", os.devnull])
+def test_premeasure_state_and_report_may_share_a_stream(capsys, path):
+    # stdout and a path that is not a regular file take both documents in turn
+    code, out, _ = run_cli(capsys, "premeasure", "--dump-state", path, "--output", path)
+    assert code == 0
+    if path == "-":
+        assert out == run_cli(capsys, "premeasure", "--dump-state", "-")[1]
+        assert out.count('"amplitudes"') == 1 and out.count('"theta"') == 1
 
 
 # ---------------------------------------------------------------------------

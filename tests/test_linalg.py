@@ -33,7 +33,8 @@ D = (DETECTOR_LABELS,)
 
 
 def interferometer(phi_a, phi_b) -> Operator:
-    """Shifters on A2 and B1, then both splitters, from the labelled elements."""
+    """Shifters on A2 and B1, then both splitters, from the labelled elements: the
+    one labelled-circuit reference, which test_optics imports too."""
     shifters = np.kron(phase_shifter("A2", phi_a).entries, phase_shifter("B1", phi_b).entries)
     splitters = np.kron(beam_splitter("A").entries, beam_splitter("B").entries)
     return Operator((A_PATHS, B_PATHS), (A_PORTS, B_PORTS), splitters @ shifters)

@@ -33,6 +33,7 @@ from biphoton.records import A_PATHS, SOURCE_AMPS
 
 from oracles import joint_probs_reference, pair_table_reference
 from test_golden import dispatch_off_env
+from test_linalg import interferometer
 
 TOL = 1e-12
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -250,14 +251,8 @@ def test_correlation_depends_only_on_phase_difference():
         assert abs(e1 - e2) < TOL
 
 
-def labelled_circuit(s: PhaseSettings) -> np.ndarray:
-    """Shifters, then both splitters, as one 4x4 matrix of the labelled elements."""
-    shifters = np.kron(phase_shifter("A2", s.phi_a).entries, phase_shifter("B1", s.phi_b).entries)
-    return np.kron(beam_splitter("A").entries, beam_splitter("B").entries) @ shifters
-
-
 def test_labelled_circuit_is_unitary():
-    u = labelled_circuit(PhaseSettings(1.3, 4.4))
+    u = np.asarray(interferometer(1.3, 4.4).entries)
     assert np.max(np.abs(u.conj().T @ u - np.eye(4))) < TOL
 
 
@@ -268,7 +263,8 @@ def test_labelled_elements_agree_with_hand_expanded_oracle():
     for _ in range(50):
         s = PhaseSettings(rng.uniform(0, 2 * math.pi), rng.uniform(0, 2 * math.pi))
         v = rng.uniform(0, 1)
-        out = labelled_circuit(s) @ biphoton_state().amplitudes
+        u = np.asarray(interferometer(s.phi_a, s.phi_b).entries)
+        out = u @ biphoton_state().amplitudes
         raw = (np.abs(out) ** 2).tolist()
         relabeled = {
             ("+", "+"): raw[1],

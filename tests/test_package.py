@@ -79,7 +79,8 @@ def test_root_exports_are_the_module_objects():
 # (usage errors a handler reports, before it imports what it runs); those with
 # the exact model's statistics; the sampling modules on the exact model alone
 # (sample) or with its statistics; or the commands and the labelled model the
-# detection model is built on, without the exact tables.
+# detection model is built on, without the exact tables (the commands alone for
+# a usage error premeasure reports).
 PARSER = {"biphoton", "biphoton.cli"}
 COMMANDS_MODULE = PARSER | {"biphoton.commands", "biphoton.optics", "biphoton.records"}
 EXACT = COMMANDS_MODULE | {"biphoton.analysis"}
@@ -102,6 +103,8 @@ COMMANDS = {
     "sweep_steps": (["sweep", "--steps", "1"], 2, COMMANDS_MODULE),
     "sweep_mc_text": (["sweep", "--steps", "3", "--mc", "oops"], 2, COMMANDS_MODULE),
     "marginals_steps": (["marginals", "--steps", "1"], 2, COMMANDS_MODULE),
+    "premeasure_paths": (["premeasure", "--dump-state", "no-such-dir/p", "--output", "no-such-dir/p"],
+                         2, PARSER | {"biphoton.commands"}),
     "sample": (["sample", "--samples", "3"], 0, SAMPLE),
     "bell": (["bell", "--optimal", "--samples", "10"], 0, SAMPLING),
     "sweep": (["sweep", "--steps", "3", "--mc", "10,1"], 0, SAMPLING),
@@ -129,6 +132,10 @@ def test_each_command_loads_only_the_modules_it_runs(argv, status, modules):
 
 
 def test_the_labelled_source_and_splitter_load_no_numpy():
+    # Two guards. numpy: the labelled model is stdlib only. biphoton.optics: when this
+    # test was written optics loaded numpy, so its absence stood in for numpy's; since
+    # optics went stdlib it guards premeasure's load set instead, which stays free of
+    # optics (folding records into optics measured ~1-3 ms slower premeasure children).
     out = fresh_python(
         "import sys\n"
         "from biphoton.linalg import beam_splitter, biphoton_state\n"
