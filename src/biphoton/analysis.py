@@ -6,8 +6,8 @@ settings, while the paired-outcome correlation carries a full-contrast
 fringe v cos(phi_a - phi_b) and violates the CHSH bound exactly when
 v > 1/sqrt2.
 
-Plain floats throughout: this module loads no numpy. Only ``sweep_correlation`` reads a
-``fringe_tables`` run, as columns; the rest read one ``joint_tables`` table per pair of settings.
+Plain floats throughout: no numpy. E and the singles are read only through ``correlation`` and
+``marginals``: of a ``fringe_tables`` run in ``sweep_correlation``, else of ``joint_tables``.
 """
 
 from __future__ import annotations
@@ -62,10 +62,8 @@ def sweep_correlation(grid: Sequence[float], vis: Visibility) -> SweepResult:
         raise ValueError("sweep grid must be non-empty")
     deltas = [float(delta) for delta in grid]
     tables = fringe_tables(deltas, 0.0, vis)
-    # correlation() and marginals() of each table, as columns
-    e = [pp + mm - pm - mp for pp, pm, mp, mm in tables]
-    singles = Marginals([pp + pm for pp, pm, _, _ in tables], [mp + mm for _, _, mp, mm in tables],
-                        [pp + mp for pp, _, mp, _ in tables], [pm + mm for _, pm, _, mm in tables])
+    e = [correlation(table) for table in tables]
+    singles = Marginals(*map(list, zip(*map(marginals, tables))))  # as columns
     # Written so that a NaN anywhere fails them too: _span gives it NaN ends.
     e_min, e_max = _span(e)
     if not (-1.0 <= e_min and e_max <= 1.0):

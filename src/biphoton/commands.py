@@ -66,38 +66,54 @@ def _render_json(value, indent: int = 0) -> str:
     raise TypeError(f"cannot render {type(value).__name__} as JSON")
 
 
+def _stat(path: str | None) -> os.stat_result | None:
+    """os.stat of path as given, links followed; None for None, '-' or a path where nothing is."""
+    if path not in (None, "-"):
+        with suppress(FileNotFoundError):
+            return os.stat(path)
+    return None
+
+
+def _names_stdout(info: os.stat_result | None) -> bool:
+    """Whether info is of the file stdout is open on; never for a closed stdout or one with
+    no descriptor."""
+    try:
+        return info is not None and os.path.samestat(info, os.fstat(sys.stdout.fileno()))
+    except (AttributeError, ValueError, OSError):  # None, closed, or no descriptor
+        return False
+
+
 @contextmanager
 def _open_output(path: str | None):
-    """Binary handle for a command's output: stdout's buffer for None or '-', else path.
+    """Binary handle for a command's output: stdout's buffer for None, '-' or a path naming the
+    file stdout is open on (/dev/stdout, /dev/fd/1, the file of a `>` or `>>`), else path.
 
-    A file is written under a temporary name in its own directory and moved
-    onto path only when the command succeeds, so an error midway leaves no
-    partial file and an earlier file at path as it was. Paths that exist but
-    are not regular files (/dev/null, a pipe) are written in place.
+    The path is looked up as given, so stdout on a pipe is written and a `>>` file appended
+    to. Other paths that exist but are not regular files (/dev/null, a FIFO) are written in
+    place, by the name given. A regular file is written under a temporary name in its
+    resolved path's directory and moved onto that path only when the command succeeds, so
+    an error midway leaves no partial file and an earlier file at path as it was.
     """
-    if path is None or path == "-":
+    info = _stat(path)
+    if path is None or path == "-" or _names_stdout(info):
         if getattr(sys.stdout, "buffer", None) is None:
             raise OSError("standard output is closed or takes no bytes")
         sys.stdout.flush()
         yield sys.stdout.buffer
         sys.stdout.buffer.flush()
         return
-    target = os.path.realpath(path)
-    try:
-        mode = os.stat(target).st_mode
-    except FileNotFoundError:
-        mode = None
-    if mode is not None and not stat.S_ISREG(mode):
-        with open(target, "wb") as handle:
+    if info is not None and not stat.S_ISREG(info.st_mode):
+        with open(path, "wb") as handle:
             yield handle
         return
+    target = os.path.realpath(path)
     # Created as open() creates a file, so a new target gets the umask's mode
     tmp = os.path.join(os.path.dirname(target), f".biphoton-{os.urandom(8).hex()}")
     try:
         with open(tmp, "xb") as handle:
             yield handle
-        if mode is not None:
-            os.chmod(tmp, stat.S_IMODE(mode))
+        if info is not None:
+            os.chmod(tmp, stat.S_IMODE(info.st_mode))
         os.replace(tmp, target)
     except BaseException:
         # A signal's exception can land before tmp is made or after it is moved
@@ -254,7 +270,8 @@ def cmd_bell(args) -> int:
 def cmd_premeasure(args) -> int:
     state, out = args.dump_state, args.output
     if {state, out}.isdisjoint({None, "-"}) and os.path.realpath(state) == os.path.realpath(out):
-        if os.path.isfile(out) or not os.path.exists(out):  # /dev/null is written in place
+        info = _stat(out)  # /dev/null is written in place, and stdout's file through stdout
+        if info is None or (stat.S_ISREG(info.st_mode) and not _names_stdout(info)):
             args.parser.error(f"--dump-state and --output name the same file {out!r}")
     # Imported here: no other command runs the detection model.
     from .premeasure import correlation_report, premeasure

@@ -89,22 +89,23 @@ class ChshSettings(NamedTuple):
 CHSH_OPTIMAL = ChshSettings(0.0, math.pi / 2, math.pi / 4, -math.pi / 4)
 
 
-# beam_splitter("A") (x) beam_splitter("B"), row r at OUTCOMES[r]: A port a, B port b of
-# the r-th (a, b) below, as B's ports are read out swapped. Only its columns A1B1 and A2B2
-# are live, as each row's pair: the source has no A1B2 or A2B1 term.
+# beam_splitter("A") (x) beam_splitter("B"), its rows for OUTCOMES (+,+) and (+,-): A port a,
+# B port b of each (a, b) below, as B's ports are read out swapped. Only its columns A1B1 and
+# A2B2 are live, as each row's pair: the source has no A1B2 or A2B1 term. These two rows are
+# all: row (-,-) equals row (+,+) and row (-,+) is row (+,-) negated, so a table is (p, q, q, p).
 _SPLITTERS = tuple((BS_ENTRIES[a][0] * BS_ENTRIES[b][0], BS_ENTRIES[a][1] * BS_ENTRIES[b][1])
-                   for a, b in ((0, 1), (0, 0), (1, 1), (1, 0)))
+                   for a, b in ((0, 1), (0, 0)))
 
 
 def fringe_tables(phis_a: Iterable[float], phi_b: float, vis: Visibility) -> list[Table]:
     """Exact Born probabilities of the four coincidence outcomes, in OUTCOMES order, at
     each phi_a of phis_a in turn, with party B's setting at phi_b: one table per phi_a.
 
-    Evaluates source -> phase shifters -> per-party splitters, reads the port
-    probabilities under the matched-outcome labelling of B, and mixes with the flat
-    distribution according to the visibility. The result is
-    p(same ports) = v (1 + cos d)/4 + (1-v)/4 per pairing and
-    p(opposite)  = v (1 - cos d)/4 + (1-v)/4, with d = phi_a - phi_b.
+    Evaluates source -> phase shifters -> the splitter pair's two live rows, reads the
+    port probabilities under the matched-outcome labelling of B, and mixes with the flat
+    distribution according to the visibility. Each table is (p, q, q, p), with
+    p = v (1 + cos d)/4 + (1-v)/4 for each matched outcome and
+    q = v (1 - cos d)/4 + (1-v)/4 for each mismatched one, d = phi_a - phi_b.
     Each splitter row's B1 term is formed once; a setting of A adds only its A2 term.
     """
     # phi_b shifts path B1, of the A1B1 term; phi_a path A2, of A2B2. A splitter
@@ -116,11 +117,12 @@ def fringe_tables(phis_a: Iterable[float], phi_b: float, vis: Visibility) -> lis
     tables = []
     for phi_a in phis_a:
         a2 = SOURCE_AMPS[3] * cmath.exp(1j * _wrap_angle(phi_a))
-        table = []
+        pair = []
         for b_term, a2b2 in rows:
             o = b_term + a2b2 * a2
-            table.append(v * (o.real * o.real + o.imag * o.imag) + flat)
-        tables.append(tuple(table))
+            pair.append(v * (o.real * o.real + o.imag * o.imag) + flat)
+        p, q = pair
+        tables.append((p, q, q, p))
     return tables
 
 

@@ -259,12 +259,24 @@ MUTANTS = (
     Mutant(
         "splitter_rows_in_port_order",
         "optics.py",
-        "for a, b in ((0, 1), (0, 0), (1, 1), (1, 0))",
-        "for a, b in ((0, 0), (0, 1), (1, 0), (1, 1))",
+        "for a, b in ((0, 1), (0, 0))",
+        "for a, b in ((0, 0), (0, 1))",
         (
             "tests/test_optics.py::test_splitter_pair_is_the_labelled_kronecker_product",
             "tests/test_optics.py::test_joint_matches_hand_expanded_oracle",
             "tests/test_acceptance.py::test_criterion_3_matched_settings_never_mismatch",
+            "tests/test_golden.py::test_transcript_is_byte_identical[readme_sweep]",
+        ),
+    ),
+    Mutant(
+        # The kept rows are right; the emitted table puts q where p goes
+        "table_p_q_swapped",
+        "optics.py",
+        "tables.append((p, q, q, p))",
+        "tables.append((q, p, p, q))",
+        (
+            "tests/test_optics.py::test_fringe_tables_equal_the_one_pair_circuit",
+            "tests/test_optics.py::test_joint_matches_hand_expanded_oracle",
             "tests/test_golden.py::test_transcript_is_byte_identical[readme_sweep]",
         ),
     ),
@@ -419,9 +431,21 @@ MUTANTS = (
     Mutant(
         "output_zeroes_the_umask",
         "commands.py",
-        "        mode = None\n",
-        "        mode = None\n        os.umask(os.umask(0))\n",
+        "            os.chmod(tmp, stat.S_IMODE(info.st_mode))\n",
+        "            os.chmod(tmp, stat.S_IMODE(info.st_mode))\n"
+        "        else:\n            os.umask(os.umask(0))\n",
         ("tests/test_cli.py::test_new_output_file_leaves_the_process_umask_alone",),
+    ),
+    Mutant(
+        # /dev/stdout on a pipe resolves to /proc/PID/fd/pipe:[N], which is not there
+        "output_resolved_before_stat",
+        "commands.py",
+        "    info = _stat(path)\n",
+        '    info = _stat(path if path in (None, "-") else os.path.realpath(path))\n',
+        tuple(
+            f"tests/test_cli.py::test_output_spellings_against_how_stdout_is_opened[{spelling}-pipe]"
+            for spelling in ("/dev/stdout", "/dev/fd/1", "/proc/self/fd/1", "link")
+        ),
     ),
     Mutant(
         "estimator_takes_non_finite_fields",

@@ -1071,6 +1071,80 @@ def test_output_file_needs_no_stdout(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# --output spellings, against how the shell opened stdout
+
+EARLIER = b"an earlier line\n"
+BIPHOTON = [sys.executable, "-m", "biphoton"]
+
+
+def run_with_stdout(how: str, log: Path, *argv: str) -> tuple[int, bytes, bytes]:
+    """`biphoton ARGV | ...`, `> LOG` or `>> LOG`, after LOG is set to EARLIER: the child's
+    status, its stderr, and the bytes on its stdout (for a file, all of LOG afterwards)."""
+    log.write_bytes(EARLIER)
+    if how == "pipe":
+        proc = subprocess.run([*BIPHOTON, *argv], capture_output=True, timeout=60)
+        return proc.returncode, proc.stderr, proc.stdout
+    with open(log, "wb" if how == ">" else "ab") as handle:
+        proc = subprocess.run([*BIPHOTON, *argv], stdout=handle, stderr=subprocess.PIPE,
+                              timeout=60)
+    return proc.returncode, proc.stderr, log.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def sweep_csv():
+    return subprocess.run([*BIPHOTON, "sweep", "--steps", "3"], capture_output=True,
+                          check=True, timeout=60).stdout
+
+
+@pytest.mark.parametrize("how", ["pipe", ">", ">>"])
+@pytest.mark.parametrize("spelling", ["-", "/dev/stdout", "/dev/fd/1", "/proc/self/fd/1",
+                                      "link", "log", os.devnull, "/dev/full"])
+def test_output_spellings_against_how_stdout_is_opened(tmp_path, sweep_csv, spelling, how):
+    # A path naming the file stdout is open on is stdout: a pipe is written, and a
+    # `>>` file is appended to. The log file itself is stdout's only under > or >>.
+    log = tmp_path / "log"
+    (tmp_path / "link").symlink_to("/dev/stdout")
+    path = str(tmp_path / spelling) if spelling in ("link", "log") else spelling
+    status, err, written = run_with_stdout(how, log, "sweep", "--steps", "3", "--output", path)
+    if spelling == "/dev/full":
+        assert (status, err) == (1, b"biphoton: i/o error: [Errno 28] No space left on device\n")
+    else:
+        assert (status, err) == (0, b"")
+    in_place = spelling in (os.devnull, "/dev/full")
+    to_stdout = not in_place and (spelling != "log" or how != "pipe")
+    assert written == (EARLIER if how == ">>" else b"") + (sweep_csv if to_stdout else b"")
+    if how == "pipe":
+        assert log.read_bytes() == (sweep_csv if spelling == "log" else EARLIER)
+    assert sorted(os.listdir(tmp_path)) == ["link", "log"]
+
+
+@pytest.fixture(scope="module")
+def premeasure_streams():
+    return subprocess.run([*BIPHOTON, "premeasure", "--dump-state", "-"], capture_output=True,
+                          check=True, timeout=60)
+
+
+@pytest.mark.parametrize("how", ["pipe", ">", ">>"])
+@pytest.mark.parametrize("state,output", [("/dev/stdout", "/dev/fd/1"), ("log", "log")])
+def test_premeasure_state_and_report_may_both_name_stdout(tmp_path, premeasure_streams, state,
+                                                         output, how):
+    # Two flags that name stdout's file write both documents through it, as `-` does;
+    # one regular file that is not stdout's stays a usage error.
+    log = tmp_path / "log"
+    state, output = (str(tmp_path / p) if p == "log" else p for p in (state, output))
+    status, err, written = run_with_stdout(how, log, "premeasure", "--dump-state", state,
+                                           "--output", output)
+    before = EARLIER if how == ">>" else b""
+    if how == "pipe" and state == str(log):
+        assert (status, written, log.read_bytes()) == (2, b"", EARLIER)
+        assert err == ("biphoton premeasure: error: --dump-state and --output name the same"
+                       f" file {str(log)!r}\n").encode()
+    else:
+        assert (status, err, written) == (0, premeasure_streams.stderr,
+                                          before + premeasure_streams.stdout)
+
+
+# ---------------------------------------------------------------------------
 # signals
 
 

@@ -305,6 +305,7 @@ def test_repo_unitaries_are_unitary():
         phase_shifter("A2", 1.1),
         phase_shifter("B1", 2.7),
         interferometer(0.4, 5.9),
+        interferometer(1.3, 4.4),
         detector_coupling(),
     ]
     for op in ops:

@@ -251,11 +251,6 @@ def test_correlation_depends_only_on_phase_difference():
         assert abs(e1 - e2) < TOL
 
 
-def test_labelled_circuit_is_unitary():
-    u = np.asarray(interferometer(1.3, 4.4).entries)
-    assert np.max(np.abs(u.conj().T @ u - np.eye(4))) < TOL
-
-
 def test_labelled_elements_agree_with_hand_expanded_oracle():
     # Born probabilities through the labelled operators must match the
     # oracle, up to B's matched-outcome port relabelling.
@@ -431,11 +426,24 @@ def test_exact_core_equals_labelled_elements_bit_for_bit(pa, pb):
     assert list(phased_biphoton_state(s).amplitudes) == expected.tolist()
 
 
+def labelled_splitter_rows():
+    """The labelled splitter pair's rows in OUTCOMES order (B's ports are read out
+    swapped), at the source's only terms, A1B1 and A2B2: one row per outcome."""
+    return np.kron(beam_splitter("A").entries, beam_splitter("B").entries)[[1, 0, 3, 2]][:, [0, 3]]
+
+
 def test_splitter_pair_is_the_labelled_kronecker_product():
-    # Read in OUTCOMES row order: B's ports are read out swapped. The source's
-    # only terms are A1B1 and A2B2, so only their two columns are kept.
-    expected = np.kron(beam_splitter("A").entries, beam_splitter("B").entries)[[1, 0, 3, 2]]
-    assert [list(row) for row in optics._SPLITTERS] == expected[:, [0, 3]].tolist()
+    # The kernel keeps the rows for OUTCOMES (+,+) and (+,-)
+    assert [list(row) for row in optics._SPLITTERS] == labelled_splitter_rows()[:2].tolist()
+
+
+def test_labelled_splitter_rows_give_every_table_as_p_q_q_p():
+    # Why two rows are enough: row (-,-) is row (+,+) and row (-,+) is row (+,-)
+    # negated, entry for entry, so the two missing probabilities equal the kept ones.
+    pp, pm, mp, mm = labelled_splitter_rows().tolist()
+    assert OUTCOMES == (("+", "+"), ("+", "-"), ("-", "+"), ("-", "-"))
+    assert mm == pp
+    assert mp == [-x for x in pm]
 
 
 def test_source_has_no_a1b2_or_a2b1_term():
