@@ -251,6 +251,11 @@ def test_correlation_depends_only_on_phase_difference():
         assert abs(e1 - e2) < TOL
 
 
+def test_labelled_circuit_is_unitary():
+    u = np.asarray(interferometer(1.3, 4.4).entries)
+    assert np.max(np.abs(u.conj().T @ u - np.eye(4))) < TOL
+
+
 def test_labelled_elements_agree_with_hand_expanded_oracle():
     # Born probabilities through the labelled operators must match the
     # oracle, up to B's matched-outcome port relabelling.
