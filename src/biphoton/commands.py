@@ -66,65 +66,66 @@ def _render_json(value, indent: int = 0) -> str:
     raise TypeError(f"cannot render {type(value).__name__} as JSON")
 
 
-def _stat(path: str | None) -> os.stat_result | None:
-    """os.stat of path as given, links followed; None for None, '-' or a path where nothing is."""
-    if path not in (None, "-"):
-        with suppress(FileNotFoundError):
-            return os.stat(path)
-    return None
-
-
-def _names_stdout(info: os.stat_result | None) -> bool:
-    """Whether info is of the file stdout is open on; never for a closed stdout or one with
-    no descriptor."""
-    try:
-        return info is not None and os.path.samestat(info, os.fstat(sys.stdout.fileno()))
-    except (AttributeError, ValueError, OSError):  # None, closed, or no descriptor
-        return False
+def _where(path: str | None) -> tuple[str, str | None, int | None]:
+    """What path names, looked up once as given (links followed), as (how, target, mode):
+    ("stdout", None, None) for None, '-' or a path to the file stdout is open on, if it is
+    open; ("in place", path, None) for an existing file that is not regular; ("replace",
+    its resolved path, its mode) for a regular file, or mode None for a new file.
+    """
+    if path in (None, "-"):
+        return "stdout", None, None
+    mode = None
+    with suppress(FileNotFoundError):
+        info = os.stat(path)
+        with suppress(AttributeError, ValueError, OSError):  # stdout closed, or no descriptor
+            if os.path.samestat(info, os.fstat(sys.stdout.fileno())):
+                return "stdout", None, None
+        if not stat.S_ISREG(info.st_mode):
+            return "in place", path, None
+        mode = stat.S_IMODE(info.st_mode)
+    return "replace", os.path.realpath(path), mode
 
 
 @contextmanager
-def _open_output(path: str | None):
-    """Binary handle for a command's output: stdout's buffer for None, '-' or a path naming the
-    file stdout is open on (/dev/stdout, /dev/fd/1, the file of a `>` or `>>`), else path.
-
-    The path is looked up as given, so stdout on a pipe is written and a `>>` file appended
-    to. Other paths that exist but are not regular files (/dev/null, a FIFO) are written in
-    place, by the name given. A regular file is written under a temporary name in its
-    resolved path's directory and moved onto that path only when the command succeeds, so
-    an error midway leaves no partial file and an earlier file at path as it was.
+def _open_output(path: str | None, where: tuple | None = None):
+    """Binary handle for a command's output, to what path names (where, if looked up already):
+    stdout's buffer; a non-regular file (/dev/null, a FIFO) by the name given; else a
+    temporary file in the resolved path's directory, moved onto that path only when the
+    command succeeds, so an error midway leaves no partial file and an earlier file as it
+    was. An error in making, chmod-ing or moving that file names path, not its own name.
     """
-    info = _stat(path)
-    if path is None or path == "-" or _names_stdout(info):
+    how, target, mode = where or _where(path)
+    if how == "stdout":
         if getattr(sys.stdout, "buffer", None) is None:
             raise OSError("standard output is closed or takes no bytes")
         sys.stdout.flush()
         yield sys.stdout.buffer
         sys.stdout.buffer.flush()
         return
-    if info is not None and not stat.S_ISREG(info.st_mode):
-        with open(path, "wb") as handle:
+    if how == "in place":
+        with open(target, "wb") as handle:
             yield handle
         return
-    target = os.path.realpath(path)
     # Created as open() creates a file, so a new target gets the umask's mode
     tmp = os.path.join(os.path.dirname(target), f".biphoton-{os.urandom(8).hex()}")
     try:
         with open(tmp, "xb") as handle:
             yield handle
-        if info is not None:
-            os.chmod(tmp, stat.S_IMODE(info.st_mode))
+        if mode is not None:
+            os.chmod(tmp, mode)
         os.replace(tmp, target)
-    except BaseException:
+    except BaseException as exc:
         # A signal's exception can land before tmp is made or after it is moved
         with suppress(FileNotFoundError):
             os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.filename == tmp:  # made, chmod-ed or moved
+            raise OSError(exc.errno, exc.strerror, path) from None
         raise
 
 
-def _write_json(path: str | None, value) -> None:
-    """value as _render_json's text and a newline, to _open_output(path)."""
-    with _open_output(path) as out:
+def _write_json(path: str | None, value, where: tuple | None = None) -> None:
+    """value as _render_json's text and a newline, to _open_output(path, where)."""
+    with _open_output(path, where) as out:
         out.write((_render_json(value) + "\n").encode())
 
 
@@ -268,11 +269,9 @@ def cmd_bell(args) -> int:
 
 
 def cmd_premeasure(args) -> int:
-    state, out = args.dump_state, args.output
-    if {state, out}.isdisjoint({None, "-"}) and os.path.realpath(state) == os.path.realpath(out):
-        info = _stat(out)  # /dev/null is written in place, and stdout's file through stdout
-        if info is None or (stat.S_ISREG(info.st_mode) and not _names_stdout(info)):
-            args.parser.error(f"--dump-state and --output name the same file {out!r}")
+    state, out = _where(args.dump_state), _where(args.output)
+    if state[0] == "replace" and state == out:
+        args.parser.error(f"--dump-state and --output name the same file {args.output!r}")
     # Imported here: no other command runs the detection model.
     from .premeasure import correlation_report, premeasure
 
@@ -280,8 +279,8 @@ def cmd_premeasure(args) -> int:
     report = correlation_report(psi)
     payload = {"theta": args.theta, **report._asdict()}
     if args.dump_state is not None:
-        _write_json(args.dump_state, psi)
-    _write_json(args.output, payload)
+        _write_json(args.dump_state, psi, state)
+    _write_json(args.output, payload, out)
 
     joint = report.joint_probs
     cond = report.conditional_probs

@@ -431,17 +431,16 @@ MUTANTS = (
     Mutant(
         "output_zeroes_the_umask",
         "commands.py",
-        "            os.chmod(tmp, stat.S_IMODE(info.st_mode))\n",
-        "            os.chmod(tmp, stat.S_IMODE(info.st_mode))\n"
-        "        else:\n            os.umask(os.umask(0))\n",
+        "            os.chmod(tmp, mode)\n",
+        "            os.chmod(tmp, mode)\n        else:\n            os.umask(os.umask(0))\n",
         ("tests/test_cli.py::test_new_output_file_leaves_the_process_umask_alone",),
     ),
     Mutant(
         # /dev/stdout on a pipe resolves to /proc/PID/fd/pipe:[N], which is not there
         "output_resolved_before_stat",
         "commands.py",
-        "    info = _stat(path)\n",
-        '    info = _stat(path if path in (None, "-") else os.path.realpath(path))\n',
+        "        info = os.stat(path)\n",
+        "        info = os.stat(os.path.realpath(path))\n",
         tuple(
             f"tests/test_cli.py::test_output_spellings_against_how_stdout_is_opened[{spelling}-pipe]"
             for spelling in ("/dev/stdout", "/dev/fd/1", "/proc/self/fd/1", "link")
@@ -633,12 +632,29 @@ MUTANTS = (
         # The report then replaces the state in the one file both flags name
         "premeasure_paths_not_compared",
         "commands.py",
-        'if {state, out}.isdisjoint({None, "-"}) and',
-        "if False and",
+        '    if state[0] == "replace" and state == out:\n',
+        "    if False:\n",
         (
             "tests/test_cli.py::test_premeasure_state_and_report_in_one_file_leave_it_unchanged",
             "tests/test_package.py::test_each_command_loads_only_the_modules_it_runs"
             "[premeasure_paths]",
+        ),
+    ),
+    Mutant(
+        # An error in making, chmod-ing or moving the temporary file names it again
+        "temp_error_names_tmp",
+        "commands.py",
+        "            raise OSError(exc.errno, exc.strerror, path) from None\n",
+        "            raise\n",
+        (
+            "tests/test_cli.py::test_unwritable_output_is_io_error",
+            "tests/test_cli.py::test_unwritable_state_dump_is_io_error",
+            *(
+                "tests/test_cli.py::test_stdout_spelled_as_a_path_with_stdout_closed_names_that"
+                f"_path[{spelling}-{argv}]"
+                for spelling in ("/dev/stdout", "/dev/fd/1", "/proc/self/fd/1")
+                for argv in ("sweep_output", "premeasure_dump_state")
+            ),
         ),
     ),
 )

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import re
+import resource
 import signal
 import stat
 import subprocess
@@ -726,10 +727,41 @@ def test_output_through_a_symlink_writes_its_target(tmp_path, capsys):
 
 
 def test_unwritable_output_is_io_error(tmp_path, capsys):
+    # The line names the path given, not the temporary file made beside it
     target = tmp_path / "no-such-dir" / "out.csv"
     code, _, err = run_cli(capsys, "sweep", "--steps", "3", "--output", str(target))
     assert code == 1
-    assert "i/o error" in err
+    assert err == f"biphoton: i/o error: [Errno 2] No such file or directory: {str(target)!r}\n"
+    assert os.listdir(tmp_path) == []
+
+
+def test_unwritable_state_dump_is_io_error(tmp_path, capsys):
+    target = tmp_path / "no-such-dir" / "state.json"
+    code, out, err = run_cli(capsys, "premeasure", "--dump-state", str(target),
+                             "--output", os.devnull)
+    assert (code, out) == (1, "")
+    assert err == f"biphoton: i/o error: [Errno 2] No such file or directory: {str(target)!r}\n"
+    assert os.listdir(tmp_path) == []
+
+
+def test_full_device_under_state_dump_is_one_line_io_error():
+    proc = subprocess.run([*BIPHOTON, "premeasure", "--dump-state", "/dev/full",
+                           "--output", os.devnull], capture_output=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (1, b"")
+    assert proc.stderr == b"biphoton: i/o error: [Errno 28] No space left on device\n"
+
+
+def test_file_size_limit_is_one_line_io_error_and_leaves_no_file(tmp_path):
+    # RLIMIT_FSIZE is set in the child alone; Python ignores SIGXFSZ, so a write past
+    # the limit fails with EFBIG rather than ending the process.
+    def limit():
+        resource.setrlimit(resource.RLIMIT_FSIZE, (1 << 20, 1 << 20))
+
+    proc = subprocess.run([*BIPHOTON, "sample", "--samples", "200000", "--output",
+                           str(tmp_path / "F")], capture_output=True, timeout=60, preexec_fn=limit)
+    assert (proc.returncode, proc.stdout) == (1, b"")
+    assert proc.stderr == b"biphoton: i/o error: [Errno 27] File too large\n"
+    assert os.listdir(tmp_path) == []
 
 
 # ---------------------------------------------------------------------------
@@ -1036,11 +1068,14 @@ def test_closed_stdout_pipe_exits_quietly():
     assert err == b""
 
 
-def run_without_stdout(*args):
-    """`python -m biphoton ARGS >&-`: the command starts with fd 1 closed."""
+def run_without_stdout(*args, cwd=None):
+    """`python -m biphoton ARGS >&-`, in cwd: the command starts with fd 1 closed. The child
+    imports the biphoton this process did, whatever cwd is."""
+    src = str(Path(commands.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         ["sh", "-c", 'exec "$0" -m biphoton "$@" >&-', sys.executable, *args],
-        capture_output=True, timeout=60,
+        capture_output=True, timeout=60, cwd=cwd, env={**os.environ, "PYTHONPATH": path},
     )
 
 
@@ -1050,6 +1085,20 @@ def test_missing_stdout_is_one_line_io_error(argv):
     assert proc.returncode == 1
     assert proc.stderr.startswith(b"biphoton: i/o error: ")
     assert proc.stderr.count(b"\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["sweep", "--steps", "3", "--output"],
+                                  ["premeasure", "--output", os.devnull, "--dump-state"]],
+                         ids=["sweep_output", "premeasure_dump_state"])
+@pytest.mark.parametrize("spelling", ["/dev/stdout", "/dev/fd/1", "/proc/self/fd/1"])
+def test_stdout_spelled_as_a_path_with_stdout_closed_names_that_path(tmp_path, argv, spelling):
+    # With fd 1 closed the path names nothing, so it is a new file whose directory
+    # (/proc/PID/fd) takes none: the one line names the path given, not a temporary name.
+    proc = run_without_stdout(*argv, spelling, cwd=tmp_path)
+    assert proc.returncode == 1
+    assert proc.stderr == ("biphoton: i/o error: [Errno 2] No such file or directory:"
+                           f" {spelling!r}\n").encode()
+    assert os.listdir(tmp_path) == []
 
 
 def test_text_only_stdout_is_one_line_io_error():
