@@ -7,14 +7,12 @@ counts drawn from a given table, are bit-for-bit the same anywhere. The
 exact table's last bits rest on the platform's libm, through cos and sin.
 
 Stream contract:
-  * ``next_u64`` yields the canonical splitmix64 sequence for the seed
-    (seed 0 starts 0xE220A8397B1DCDAF, ...).
-  * ``next_double`` maps an output's top 53 bits to a uniform in [0, 1).
-  * ``doubles(n)`` returns the next n doubles in one vectorized call and is
-    bit-identical to calling ``next_double`` n times.
-  * ``derive_seed(seed, k)`` is the first splitmix64 output for state
+  * ``doubles(n)`` returns the next n outputs of the canonical splitmix64
+    sequence for the seed (seed 0 starts 0xE220A8397B1DCDAF, ...), each as
+    its top 53 bits scaled into [0, 1).
+  * ``derive_seed(seed, k)`` is the full 64-bit first output for state
     seed + k; sub-streams (one per Bell setting or grid point) are seeded
-    with it so concurrent sampling cannot change any result. It reads
+    with it so that no setting's draws depend on another's. It reads
     seed + k alone, so derive_seed(S + 1, k) == derive_seed(S, k + 1): runs
     at consecutive seeds share all but one sub-stream (``sweep --mc N,S`` and
     ``N,S+1`` all but one point's, ``bell`` three of its four). Seeds spaced
@@ -32,15 +30,12 @@ _MIX2 = 0x94D049BB133111EB
 _DOUBLE_SCALE = 2.0**-53
 
 
-def _mix(z: int) -> int:
+def derive_seed(seed: int, k: int) -> int:
+    """Sub-stream seed k: the first splitmix64 output for state seed + k."""
+    z = (seed + k + _GAMMA) & _MASK64
     z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
     z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
     return z ^ (z >> 31)
-
-
-def derive_seed(seed: int, k: int) -> int:
-    """Sub-stream seed k: the first splitmix64 output for state seed + k."""
-    return _mix((seed + k + _GAMMA) & _MASK64)
 
 
 class SplitMix64:
@@ -48,14 +43,6 @@ class SplitMix64:
 
     def __init__(self, seed: int):
         self._state = seed & _MASK64
-
-    def next_u64(self) -> int:
-        self._state = (self._state + _GAMMA) & _MASK64
-        return _mix(self._state)
-
-    def next_double(self) -> float:
-        """Uniform double in [0, 1) from the top 53 bits of the next output."""
-        return (self.next_u64() >> 11) * _DOUBLE_SCALE
 
     def doubles(self, n: int) -> np.ndarray:
         """Next n uniform doubles, vectorized; advances the state by n steps.

@@ -657,6 +657,76 @@ MUTANTS = (
             ),
         ),
     ),
+    Mutant(
+        # A one-bit change in half the doubles moves no golden's counts: only
+        # the stream's pinned values catch it
+        "doubles_keep_52_bits",
+        "rng.py",
+        "        z >>= np.uint64(11)\n",
+        "        z >>= np.uint64(12)\n        z <<= np.uint64(1)\n",
+        (
+            "tests/test_montecarlo.py::test_splitmix64_canonical_seed_zero",
+            "tests/test_montecarlo.py::test_splitmix64_frozen_seed_42",
+            "tests/test_montecarlo.py::test_splitmix64_doubles_from_top_53_bits",
+            "tests/test_montecarlo.py::test_vectorized_doubles_equal_scalar_stream",
+        ),
+    ),
+    Mutant(
+        "doubles_advance_n_minus_one",
+        "rng.py",
+        "self._state = (self._state + n * _GAMMA) & _MASK64",
+        "self._state = (self._state + (n - 1) * _GAMMA) & _MASK64",
+        (
+            "tests/test_montecarlo.py::test_doubles_advance_state_like_scalar_calls",
+            "tests/test_montecarlo.py::test_doubles_split_anywhere_equal_one_block",
+            "tests/test_golden.py::test_large_output_file_hash[sample_1048600]",
+        ),
+    ),
+    Mutant(
+        "derive_seed_drops_gamma",
+        "rng.py",
+        "z = (seed + k + _GAMMA) & _MASK64",
+        "z = (seed + k) & _MASK64",
+        (
+            "tests/test_montecarlo.py::test_splitmix64_matches_reference_transcription",
+            "tests/test_montecarlo.py::test_derive_seed_is_first_output_of_shifted_state",
+            "tests/test_golden.py::test_transcript_is_byte_identical[bench_bell]",
+        ),
+    ),
+    Mutant(
+        "doubles_skip_the_first_output",
+        "rng.py",
+        "np.arange(1, n + 1, dtype=np.uint64)",
+        "np.arange(2, n + 2, dtype=np.uint64)",
+        (
+            "tests/test_montecarlo.py::test_splitmix64_canonical_seed_zero",
+            "tests/test_montecarlo.py::test_doubles_reject_a_negative_count_and_keep_the_state",
+            "tests/test_montecarlo.py::test_outcome_array_matches_scalar_inverse_cdf",
+            "tests/test_golden.py::test_transcript_is_byte_identical[sample_single_event]",
+        ),
+    ),
+    Mutant(
+        "doubles_mix_shifts_swapped",
+        "rng.py",
+        "((30, _MIX1), (27, _MIX2))",
+        "((27, _MIX1), (30, _MIX2))",
+        (
+            "tests/test_montecarlo.py::test_splitmix64_frozen_seed_42",
+            "tests/test_montecarlo.py::test_vectorized_doubles_equal_scalar_stream",
+            "tests/test_golden.py::test_transcript_is_byte_identical[readme_sample]",
+        ),
+    ),
+    Mutant(
+        "derive_seed_last_shift_32",
+        "rng.py",
+        "return z ^ (z >> 31)",
+        "return z ^ (z >> 32)",
+        (
+            "tests/test_montecarlo.py::test_splitmix64_matches_reference_transcription",
+            "tests/test_montecarlo.py::test_derive_seed_is_first_output_of_shifted_state",
+            "tests/test_golden.py::test_transcript_is_byte_identical[sweep_mc_blind]",
+        ),
+    ),
 )
 
 

@@ -39,6 +39,7 @@ from oracles import (
 )
 
 SQRT2 = math.sqrt(2.0)
+GAMMA = 0x9E3779B97F4A7C15  # splitmix64's state increment
 
 
 def table_at(delta: float, v: float) -> tuple[float, ...]:
@@ -54,50 +55,53 @@ def draw(probs, n: int, seed: int) -> np.ndarray:
 # generator
 
 
+def top53(outputs: list[int]) -> list[float]:
+    """Each 64-bit output as its top 53 bits scaled into [0, 1)."""
+    return [(x >> 11) * 2.0**-53 for x in outputs]
+
+
 def test_splitmix64_canonical_seed_zero():
-    gen = SplitMix64(0)
-    assert gen.next_u64() == 0xE220A8397B1DCDAF
-    assert gen.next_u64() == 0x6E789E6AA1B965F4
-    assert gen.next_u64() == 0x06C45D188009454F
+    outputs = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+    assert splitmix64_reference(0, 3) == outputs
+    assert SplitMix64(0).doubles(3).tolist() == top53(outputs)
 
 
 def test_splitmix64_frozen_seed_42():
-    gen = SplitMix64(42)
-    assert [gen.next_u64() for _ in range(4)] == [
+    outputs = [
         13679457532755275413,
         2949826092126892291,
         5139283748462763858,
         6349198060258255764,
     ]
+    assert splitmix64_reference(42, 4) == outputs
+    assert SplitMix64(42).doubles(4).tolist() == top53(outputs)
 
 
 def test_splitmix64_doubles_from_top_53_bits():
-    gen = SplitMix64(42)
-    assert gen.next_double() == (13679457532755275413 >> 11) * 2.0**-53
-    assert gen.next_double() == pytest.approx(0.1599103928769201, abs=0)
+    u = SplitMix64(42).doubles(2)
+    assert u[0] == (13679457532755275413 >> 11) * 2.0**-53
+    assert u[1] == pytest.approx(0.1599103928769201, abs=0)
 
 
 @given(st.integers(0, 2**64 - 1), st.integers(0, 300))
 @settings(max_examples=60)
 def test_splitmix64_matches_reference_transcription(seed, n):
-    gen = SplitMix64(seed)
-    assert [gen.next_u64() for _ in range(n)] == splitmix64_reference(seed, n)
+    # Output j is the full 64-bit mix of state seed + (j + 1) * gamma, which
+    # derive_seed returns for state seed + j * gamma and k = 0.
+    outputs = [derive_seed((seed + j * GAMMA) % 2**64, 0) for j in range(n)]
+    assert outputs == splitmix64_reference(seed, n)
 
 
 @given(st.integers(0, 2**64 - 1), st.integers(1, 500))
 @settings(max_examples=60)
 def test_vectorized_doubles_equal_scalar_stream(seed, n):
-    block = SplitMix64(seed).doubles(n)
-    scalar = SplitMix64(seed)
-    assert [scalar.next_double() for _ in range(n)] == list(block)
+    assert SplitMix64(seed).doubles(n).tolist() == top53(splitmix64_reference(seed, n))
 
 
 def test_doubles_advance_state_like_scalar_calls():
-    a, b = SplitMix64(9), SplitMix64(9)
-    a.doubles(100)
-    for _ in range(100):
-        b.next_double()
-    assert a.next_u64() == b.next_u64()
+    gen = SplitMix64(9)
+    gen.doubles(100)
+    assert gen.doubles(1).tolist() == top53(splitmix64_reference(9, 101)[100:])
 
 
 def test_doubles_live_in_unit_interval():
@@ -110,7 +114,7 @@ def test_doubles_reject_a_negative_count_and_keep_the_state():
     with pytest.raises(ValueError) as err:
         rng.doubles(-1)
     assert str(err.value) == "n must be nonnegative, got -1"
-    assert rng.next_u64() == SplitMix64(3).next_u64()
+    assert rng.doubles(1).tolist() == top53(splitmix64_reference(3, 1))
 
 
 @given(st.integers(0, 2**64 - 1), st.integers(0, 400), st.integers(0, 400))
@@ -134,7 +138,7 @@ def test_doubles_memory_is_two_arrays():
 
 def test_derive_seed_is_first_output_of_shifted_state():
     for seed, k in [(0, 0), (42, 3), (2**63, 7)]:
-        assert derive_seed(seed, k) == SplitMix64(seed + k).next_u64()
+        assert derive_seed(seed, k) == splitmix64_reference(seed + k, 1)[0]
 
 
 def test_consecutive_seeds_share_all_but_one_sub_stream():
@@ -372,10 +376,8 @@ def test_outcome_array_matches_scalar_inverse_cdf(delta, v, n, seed):
     for p in j:
         total += p
         cdf.append(total)
-    gen = SplitMix64(seed)
     expected = []
-    for _ in range(n):
-        u = gen.next_double()
+    for u in top53(splitmix64_reference(seed, n)):
         expected.append(min(sum(c <= u for c in cdf), 3))
     assert draw(j, n, seed).tolist() == expected
 
